@@ -166,6 +166,9 @@ InferencePipeline::fetchFp32Rows(
     // address the strategy at group granularity, and stream only
     // the wanted rows' bytes over the bus (partial-page transfer).
     sim::Tick done = issue_at;
+    // Reused by every group, so the walk allocates nothing per group
+    // (a batch crosses up to one group per candidate row).
+    std::vector<ssdsim::PhysicalPage> group_pages;
     std::size_t i = 0;
     while (i < rows.size()) {
         const std::uint64_t group = rows[i] / rowsPerPage_;
@@ -199,7 +202,7 @@ InferencePipeline::fetchFp32Rows(
         std::uint64_t bytes_left = bytes_wanted;
         bool group_lost = false;
         bool group_unreadable = false;
-        std::vector<ssdsim::PhysicalPage> group_pages;
+        group_pages.clear();
         for (unsigned p = 0; p < pagesPerRow_; ++p) {
             const ssdsim::PhysicalPage ppa = layout::pageOfRow(
                 strategy_, ssd_.config(), group, p);
@@ -272,6 +275,7 @@ InferencePipeline::warmRows(std::span<const std::uint64_t> rows,
     // Same page-group walk as fetchFp32Rows: dedupe by group, fetch
     // misses from the layout's flash placement, admit intact groups.
     sim::Tick done = issue_at;
+    std::vector<ssdsim::PhysicalPage> group_pages;
     std::size_t i = 0;
     while (i < rows.size()) {
         const std::uint64_t group = rows[i] / rowsPerPage_;
@@ -291,7 +295,7 @@ InferencePipeline::warmRows(std::span<const std::uint64_t> rows,
         sim::Tick group_done = issue_at;
         std::uint64_t bytes_left = bytes_wanted;
         bool group_unreadable = false;
-        std::vector<ssdsim::PhysicalPage> group_pages;
+        group_pages.clear();
         for (unsigned p = 0; p < pagesPerRow_; ++p) {
             const ssdsim::PhysicalPage ppa = layout::pageOfRow(
                 strategy_, ssd_.config(), group, p);

@@ -32,7 +32,7 @@ ThreadPool::~ThreadPool()
         worker.join();
 }
 
-void
+std::size_t
 ThreadPool::drainChunks(
     const std::function<void(std::size_t, std::size_t)> &body)
 {
@@ -53,11 +53,7 @@ ThreadPool::drainChunks(
         ++executed;
     }
     inParallelBody = false;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    chunksDone_ += executed;
-    if (chunksDone_ == chunkCount_)
-        done_.notify_all();
+    return executed;
 }
 
 void
@@ -77,8 +73,17 @@ ThreadPool::workerLoop()
                 return;
             seen_job = jobId_;
             body = body_;
+            // Joining under the lock pins the job: its owner cannot
+            // retire it, and so cannot reset the chunk cursor for its
+            // next job, until this worker has left.
+            ++participants_;
         }
-        drainChunks(*body);
+        const std::size_t executed = drainChunks(*body);
+        std::lock_guard<std::mutex> lock(mutex_);
+        chunksDone_ += executed;
+        --participants_;
+        if (chunksDone_ == chunkCount_ && participants_ == 0)
+            done_.notify_all();
     }
 }
 
@@ -124,12 +129,17 @@ ThreadPool::parallelFor(
     wake_.notify_all();
 
     // The caller is a full participant.
-    drainChunks(body);
+    const std::size_t executed = drainChunks(body);
 
     std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] { return chunksDone_ == chunkCount_; });
-    // Only the owning caller retires the job, so the job fields stay
-    // stable until this wait has been satisfied.
+    chunksDone_ += executed;
+    // Only the owning caller retires the job, and only once every
+    // worker that joined it has left: a worker still inside
+    // drainChunks() would otherwise claim chunks of the next job and
+    // run them with this job's (by then dead) body.
+    done_.wait(lock, [&] {
+        return chunksDone_ == chunkCount_ && participants_ == 0;
+    });
     jobActive_ = false;
     body_ = nullptr;
     done_.notify_all();

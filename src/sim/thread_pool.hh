@@ -74,9 +74,10 @@ class ThreadPool
   private:
     void workerLoop();
 
-    /** Run chunks of the current job until none remain. */
-    void drainChunks(const std::function<void(std::size_t, std::size_t)>
-                         &body);
+    /** Run chunks of the current job until none remain; returns how
+     *  many this thread ran. */
+    std::size_t drainChunks(
+        const std::function<void(std::size_t, std::size_t)> &body);
 
     unsigned threads_ = 1;
     std::vector<std::thread> workers_;
@@ -96,6 +97,8 @@ class ThreadPool
     std::size_t chunkCount_ = 0;
     std::atomic<std::size_t> nextChunk_{0};
     std::size_t chunksDone_ = 0;
+    /** Workers that joined the current job and have not yet left. */
+    unsigned participants_ = 0;
     std::uint64_t jobId_ = 0;
     bool jobActive_ = false;
 };

@@ -1,9 +1,9 @@
 #include "workload.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 
 #include "sim/logging.hh"
 
@@ -44,6 +44,50 @@ hashUniform(std::uint64_t key, std::uint64_t salt)
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     z ^= z >> 31;
     return static_cast<double>(z >> 11) * 0x1.0p-53;
+}
+
+/** Candidates per batch: categories * candidateRatio, at least 1. */
+std::uint64_t
+candidateBudget(const BenchmarkSpec &spec)
+{
+    return std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               static_cast<double>(spec.categories)
+               * spec.candidateRatio));
+}
+
+bool
+testBit(const std::vector<std::uint64_t> &bits, std::uint64_t id)
+{
+    return (bits[id >> 6] >> (id & 63)) & 1;
+}
+
+void
+setBit(std::vector<std::uint64_t> &bits, std::uint64_t id)
+{
+    bits[id >> 6] |= 1ULL << (id & 63);
+}
+
+/** Clear @p id's bit; true when it was set. */
+bool
+testAndClearBit(std::vector<std::uint64_t> &bits, std::uint64_t id)
+{
+    std::uint64_t &word = bits[id >> 6];
+    const std::uint64_t mask = 1ULL << (id & 63);
+    const bool was_set = (word & mask) != 0;
+    word &= ~mask;
+    return was_set;
+}
+
+/** Append the ids of @p bits' set bits to @p out, ascending. */
+void
+appendSetBits(const std::vector<std::uint64_t> &bits,
+              std::vector<std::uint64_t> &out)
+{
+    for (std::size_t w = 0; w < bits.size(); ++w)
+        for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
+            out.push_back(w * 64 + static_cast<std::uint64_t>(
+                                       std::countr_zero(word)));
 }
 
 } // namespace
@@ -193,24 +237,28 @@ CandidateTrace::CandidateTrace(const BenchmarkSpec &spec,
 
     // Build the sticky tail: the mid-popularity categories that keep
     // clearing the screening threshold batch after batch (and that
-    // the training set therefore reveals to the predictor).
-    const std::uint64_t want = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(spec.categories)
-               * spec.candidateRatio));
+    // the training set therefore reveals to the predictor).  The
+    // scratch bitmap marks the draws so far; a word scan then lists
+    // them in ascending order.
+    const std::uint64_t want = candidateBudget(spec);
     const std::uint64_t hot = std::min(hotSetSize(), want);
     const std::uint64_t tail_count = want - hot;
-    std::unordered_set<std::uint64_t> taken;
-    taken.reserve(tail_count * 2);
-    while (taken.size() < tail_count)
-        taken.insert(drawTailCategory(taken));
-    stickyTail_.assign(taken.begin(), taken.end());
-    std::sort(stickyTail_.begin(), stickyTail_.end());
+    drawBits_.assign((spec.categories + 63) / 64, 0);
+    for (std::uint64_t drawn = 0; drawn < tail_count; ++drawn)
+        setBit(drawBits_, drawTailCategory(drawBits_));
+    stickyTail_.reserve(tail_count);
+    appendSetBits(drawBits_, stickyTail_);
+
+    // Every batch starts from the sticky tail plus the hot head, so
+    // the head goes through the bijection here, once.
+    baseBits_ = drawBits_;
+    for (std::uint64_t rank = 0; rank < hot; ++rank)
+        setBit(baseBits_, categoryAtRank(rank));
 }
 
 std::uint64_t
 CandidateTrace::drawTailCategory(
-    const std::unordered_set<std::uint64_t> &taken)
+    const std::vector<std::uint64_t> &taken)
 {
     const std::uint64_t hot = hotSetSize();
     const std::uint64_t tail_ranks = spec_.categories - hot;
@@ -218,7 +266,7 @@ CandidateTrace::drawTailCategory(
         const std::uint64_t rank =
             hot + rng_.zipf(tail_ranks, spec_.popularitySkew);
         const std::uint64_t category = categoryAtRank(rank);
-        if (taken.find(category) == taken.end())
+        if (!testBit(taken, category))
             return category;
     }
 }
@@ -294,8 +342,8 @@ CandidateTrace::hotness(std::uint64_t category) const
     double mass;
     if (rank < hotSetSize()) {
         mass = 4.0;
-    } else if (std::binary_search(stickyTail_.begin(),
-                                  stickyTail_.end(), category)) {
+    } else if (testBit(baseBits_, category)) {
+        // Past the head, a base bit can only be a sticky member.
         mass = 1.0 - spec_.candidateChurn;
     } else {
         mass = std::pow(static_cast<double>(rank) + 1.0,
@@ -313,49 +361,39 @@ CandidateTrace::hotness(std::uint64_t category) const
 std::uint64_t
 CandidateTrace::hotSetSize() const
 {
-    const std::uint64_t want = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(spec_.categories)
-               * spec_.candidateRatio));
     return static_cast<std::uint64_t>(
-        static_cast<double>(want) * spec_.hotSetFraction);
+        static_cast<double>(candidateBudget(spec_))
+        * spec_.hotSetFraction);
 }
 
 std::vector<std::uint64_t>
 CandidateTrace::drawCandidates()
 {
-    const std::uint64_t want = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(spec_.categories)
-               * spec_.candidateRatio));
-    std::unordered_set<std::uint64_t> chosen;
-    chosen.reserve(want * 2);
-
-    // The deterministic hot head: these categories clear the
-    // screening threshold for essentially every query batch.
+    // Every batch starts from the deterministic hot head (categories
+    // that clear the screening threshold for essentially every query
+    // batch) plus the whole sticky tail.
+    const std::uint64_t want = candidateBudget(spec_);
     const std::uint64_t hot = std::min(hotSetSize(), want);
-    for (std::uint64_t rank = 0; rank < hot; ++rank)
-        chosen.insert(categoryAtRank(rank));
+    drawBits_ = baseBits_; // same size: copies words, no allocation
 
-    // The sticky tail, minus this batch's churn: a random
-    // candidateChurn fraction of the sticky members is replaced by
-    // fresh popularity-biased draws.
+    // This batch's churn: a random candidateChurn fraction of the
+    // sticky members (distinct draws) is replaced by fresh
+    // popularity-biased draws.
     const std::uint64_t churn = static_cast<std::uint64_t>(
         static_cast<double>(stickyTail_.size())
         * spec_.candidateChurn);
-    std::unordered_set<std::uint64_t> dropped;
-    while (dropped.size() < churn && !stickyTail_.empty())
-        dropped.insert(
+    std::uint64_t dropped = 0;
+    while (dropped < churn && !stickyTail_.empty())
+        dropped += testAndClearBit(
+            drawBits_,
             stickyTail_[rng_.uniformInt(stickyTail_.size())]);
-    for (const std::uint64_t category : stickyTail_)
-        if (dropped.find(category) == dropped.end())
-            chosen.insert(category);
-    while (chosen.size() < want && spec_.categories > hot)
-        chosen.insert(drawTailCategory(chosen));
+    std::uint64_t chosen = hot + stickyTail_.size() - dropped;
+    for (; chosen < want && spec_.categories > hot; ++chosen)
+        setBit(drawBits_, drawTailCategory(drawBits_));
 
-    std::vector<std::uint64_t> candidates(chosen.begin(),
-                                          chosen.end());
-    std::sort(candidates.begin(), candidates.end());
+    std::vector<std::uint64_t> candidates;
+    candidates.reserve(chosen);
+    appendSetBits(drawBits_, candidates);
     return candidates;
 }
 

@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "numeric/matrix.hh"
@@ -190,7 +189,8 @@ class CandidateTrace
      * Candidate rows of one query batch over the whole category
      * space, sorted ascending.  The count is
      * categories * candidateRatio, drawn without replacement with
-     * popularity bias.
+     * popularity bias.  Costs O(L/64 + count): membership lives in a
+     * bitmap over [0, L), so ids come out sorted without a sort.
      */
     std::vector<std::uint64_t> drawCandidates();
 
@@ -219,9 +219,9 @@ class CandidateTrace
     }
 
   private:
-    /** Draw one fresh tail rank not in @p taken. */
+    /** Draw one fresh tail category whose bit in @p taken is clear. */
     std::uint64_t drawTailCategory(
-        const std::unordered_set<std::uint64_t> &taken);
+        const std::vector<std::uint64_t> &taken);
 
     /** One keyed Feistel round over the half-width words. */
     static std::uint64_t hashRound(std::uint64_t half,
@@ -241,6 +241,12 @@ class CandidateTrace
     std::uint64_t noiseSalt_ = 0;
     /** Sorted sticky tail categories (fixed at construction). */
     std::vector<std::uint64_t> stickyTail_;
+    /** Hot head plus sticky tail, one bit per category id (fixed at
+     *  construction, so the head is mapped through Feistel once). */
+    std::vector<std::uint64_t> baseBits_;
+    /** Scratch bitmap of the batch being drawn: a copy of baseBits_
+     *  minus churned sticky members plus fresh tail draws. */
+    std::vector<std::uint64_t> drawBits_;
 };
 
 } // namespace xclass

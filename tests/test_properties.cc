@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "ecssd/system.hh"
 
@@ -22,12 +24,42 @@ specOf(const std::string &name, std::uint64_t cap = 32768)
     return xclass::scaledDown(xclass::benchmarkByName(name), cap);
 }
 
+/** One point of the benchmark x layout sweep. */
+struct Configuration
+{
+    std::string name;
+    layout::LayoutKind kind;
+};
+
+/**
+ * Prints "benchmark/layout". The test name is built from this text,
+ * so it must not hold anything that changes between processes, such
+ * as the address of a string literal.
+ */
+void
+PrintTo(const Configuration &config, std::ostream *os)
+{
+    *os << config.name << "/" << layout::toString(config.kind);
+}
+
+std::vector<Configuration>
+benchmarksAndLayouts()
+{
+    std::vector<Configuration> configs;
+    for (const char *name : {"GNMT-E32K", "LSTM-W33K",
+                             "Transformer-W268K", "XMLCNN-S10M"})
+        for (const layout::LayoutKind kind :
+             {layout::LayoutKind::Sequential,
+              layout::LayoutKind::Uniform,
+              layout::LayoutKind::LearningAdaptive})
+            configs.push_back({name, kind});
+    return configs;
+}
+
 } // namespace
 
 /** Sweep benchmarks x layout strategies. */
-class PipelineInvariants
-    : public ::testing::TestWithParam<
-          std::tuple<const char *, layout::LayoutKind>>
+class PipelineInvariants : public ::testing::TestWithParam<Configuration>
 {
 };
 
@@ -69,14 +101,8 @@ TEST_P(PipelineInvariants, HoldAcrossConfigurations)
                   * batch.candidateRows * spec.hiddenDim * 2);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BenchmarksAndLayouts, PipelineInvariants,
-    ::testing::Combine(
-        ::testing::Values("GNMT-E32K", "LSTM-W33K",
-                          "Transformer-W268K", "XMLCNN-S10M"),
-        ::testing::Values(layout::LayoutKind::Sequential,
-                          layout::LayoutKind::Uniform,
-                          layout::LayoutKind::LearningAdaptive)));
+INSTANTIATE_TEST_SUITE_P(BenchmarksAndLayouts, PipelineInvariants,
+                         ::testing::ValuesIn(benchmarksAndLayouts()));
 
 /** Candidate-ratio sweep: latency is monotone in fetched work. */
 class RatioSweep : public ::testing::TestWithParam<int>

@@ -10,6 +10,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <utility>
@@ -190,4 +193,29 @@ TEST(ThreadPool, ManySequentialJobsReuseThePool)
     for (unsigned job = 0; job < 200; ++job)
         expected += 256 * 257 / 2 + 257 * std::uint64_t{job};
     EXPECT_EQ(total, expected);
+}
+
+TEST(ThreadPool, RetiredJobBodyNeverRunsAgain)
+{
+    // Back-to-back small jobs: a worker woken for one job must never
+    // claim a chunk of the caller's next job and run it with the
+    // finished job's body.  Each body is heap-owned and destroyed as
+    // soon as its call returns, so such a stale call is a
+    // heap-use-after-free under ASan; each body also tags the chunks
+    // it runs with its job id, so a stale call leaves a wrong tag.
+    ThreadPool pool(4);
+    constexpr std::size_t kChunks = 3;
+    constexpr std::uint64_t kJobs = 200000;
+    std::vector<std::uint64_t> tags(kChunks);
+    std::uint64_t misattributed = 0;
+    for (std::uint64_t job = 1; job <= kJobs; ++job) {
+        auto body = std::make_unique<
+            std::function<void(std::size_t, std::size_t)>>(
+            [&tags, job](std::size_t b, std::size_t) { tags[b] = job; });
+        pool.parallelFor(0, kChunks, 1, *body);
+        body.reset();
+        for (const std::uint64_t tag : tags)
+            misattributed += tag != job;
+    }
+    EXPECT_EQ(misattributed, 0u);
 }
