@@ -2,7 +2,7 @@
  * @file
  * Host-compute kernel benchmarks: scalar nibble-at-a-time screener
  * scoring vs the byte-wise LUT kernel at every runtime-dispatched
- * ISA level (scalar LUT / vector-extension / AVX2 / AVX-512), plus
+ * ISA level (scalar LUT / AVX2 / AVX-512), plus
  * the thread-pooled and query-batched paths, at the paper's
  * screening scale (268K categories x K=64).
  *

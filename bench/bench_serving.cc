@@ -16,6 +16,17 @@ using namespace ecssd;
 namespace
 {
 
+/** Poisson arrivals at @p rps with every arrival Gold. */
+sim::TrafficConfig
+poisson(double rps)
+{
+    sim::TrafficConfig traffic;
+    traffic.process = sim::ArrivalProcess::Poisson;
+    traffic.ratePerSecond = rps;
+    traffic.goldFraction = 1.0;
+    return traffic;
+}
+
 struct Workbench
 {
     Workbench()
@@ -60,8 +71,9 @@ printServingCurve()
     Workbench bench_state;
     for (const double rps : {500.0, 2000.0, 8000.0, 16000.0}) {
         bench_state.fresh();
-        bench_state.server->runOpenLoop(bench_state.pool, rps,
-                                        /*requests=*/256, /*k=*/5);
+        sim::TrafficEngine engine(poisson(rps));
+        bench_state.server->runTraffic(engine, /*count=*/256,
+                                       bench_state.pool, /*k=*/5);
         const sim::Percentiles &lat =
             bench_state.server->latencyPercentiles();
         bench::row("load " + std::to_string(int(rps)) + " rps: p50",
@@ -77,9 +89,10 @@ BM_OpenLoopServing(benchmark::State &state)
     Workbench bench_state;
     for (auto _ : state) {
         bench_state.fresh();
-        bench_state.server->runOpenLoop(
-            bench_state.pool,
-            static_cast<double>(state.range(0)), 64, 5);
+        sim::TrafficEngine engine(
+            poisson(static_cast<double>(state.range(0))));
+        bench_state.server->runTraffic(engine, 64, bench_state.pool,
+                                       5);
         benchmark::DoNotOptimize(
             bench_state.server->latencyPercentiles().p99());
     }

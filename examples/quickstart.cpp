@@ -66,9 +66,7 @@ main()
 
     // One inference, held in an explicit session: send the projected
     // INT4 input and the pre-aligned CFP32 input, screen, classify,
-    // fetch results.  Each call reports misuse through its Status
-    // (the free-form device.int4InputSend(...) etc. still work but
-    // are deprecated in favour of sessions).
+    // fetch results.  Each call reports misuse through its Status.
     const std::vector<float> query = model.sampleQuery(rng);
     InferenceSession session = device.beginInference();
     require(session.sendInt4(query), "sendInt4");

@@ -97,7 +97,7 @@ struct AccelConfig
     unsigned threads = 1;
     /**
      * Host-compute ISA request for the functional tier
-     * ("auto"/"scalar"/"vector"/"avx2"/"avx512"; see
+     * ("auto"/"scalar"/"avx2"/"avx512"; see
      * numeric/kernels.hh).  Like threads, purely a host wall-clock
      * knob: every level is bit-identical and the simulated pipeline
      * timing never depends on it — the modeled device has its own

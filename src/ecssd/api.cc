@@ -284,7 +284,6 @@ InferenceSession::classify()
     accel::BatchTiming timing =
         version.system->pipeline().runBatch(candidates_, 0);
     latency_ = timing.latency();
-    api_->lastLatency_ = latency_;
     api_->serviceClock_ += latency_;
     api_->pollDrain();
     return Status::Ok;
@@ -348,18 +347,6 @@ EcssdApi::requireDeployed(const char *api) const
                         "weightDeploy() first");
 }
 
-InferenceSession &
-EcssdApi::implicitSession()
-{
-    // A hot swap retires the implicit session with its epoch; the
-    // Table 1 wrappers transparently continue on the new version.
-    if (implicit_ && !resolve(implicit_->epoch_))
-        implicit_.reset();
-    if (!implicit_)
-        implicit_.reset(new InferenceSession(*this));
-    return *implicit_;
-}
-
 EcssdApi::DeployedVersion *
 EcssdApi::resolve(std::uint64_t epoch)
 {
@@ -416,6 +403,9 @@ EcssdApi::weightDeploy(const numeric::FloatMatrix &weights,
     ECSSD_ASSERT(weights.rows() == spec.categories
                      && weights.cols() == spec.hiddenDim,
                  "weights do not match the benchmark spec");
+    ECSSD_ASSERT(spec.int4WeightBytes() <= options_.ssd.dramBytes,
+                 "INT4 screener does not fit the SSD DRAM; "
+                 "scale out (Section 7.1)");
 
     // Stop the world: a staged redeploy in flight is superseded (the
     // pre-flip path releases its staging capacity), and any draining
@@ -435,117 +425,47 @@ EcssdApi::weightDeploy(const numeric::FloatMatrix &weights,
     // construction) before the screener captures its kernel plan.
     numeric::applyIsaRequest(options_.isa);
 
-    DeployedVersion version;
-    version.weights = &weights;
-    version.spec = spec;
-    version.screener = std::make_unique<xclass::Screener>(
-        weights, spec, options_.seed, trained_projection);
-    version.classifier =
-        std::make_unique<xclass::CandidateClassifier>(weights);
-
-    // Hot degrees come from the INT4 row masses (Section 5.3); the
-    // precise greedy builder applies because the masses are in
-    // memory at deploy time.
+    // The timed system comes up before the placement streams: run
+    // spills and merge reads go through its live FTL, so staging GC
+    // and wear are real, not assumed.
+    DeployedVersion version =
+        buildVersion(weights, spec, trained_projection);
+    sim::Tick deploy_time = 0;
     if (options_.layoutKind == layout::LayoutKind::LearningAdaptive) {
-        const std::vector<double> masses =
-            version.screener->rowAbsMasses();
-        version.functionalLayout =
-            layout::LearningAdaptiveLayout::build(
-                masses, options_.ssd.channels);
+        // Hot degrees come from the INT4 row masses (Section 5.3),
+        // sorted out of core under the host budget.
+        StreamingDeployConfig stream_config;
+        stream_config.hostBudgetBytes = options_.deployHostBudgetBytes;
+        stream_config.rowBytes =
+            options_.weightPrecision == accel::WeightPrecision::Cfp16
+            ? spec.hiddenDim * 2ULL
+            : spec.rowBytes();
+        stream_config.seed = options_.seed;
+        stream_config.trainedProjection = trained_projection;
+        const MatrixRowSource source(weights);
+        lastStreaming_ = streamingWeightDeploy(
+            source, spec.shrunkDim(), options_.ssd.channels,
+            options_.ssd, stream_config, &version.system->ssd());
+        // The device places page groups itself (EcssdSystem); the
+        // streamed placement has no reader.
+        lastStreaming_->layout.reset();
+        deploy_time = lastStreaming_->deployTime;
     } else {
-        version.functionalLayout =
-            layout::makeLayout(options_.layoutKind, spec.categories,
-                               options_.ssd.channels);
+        lastStreaming_.reset();
+        deploy_time = version.system->deployTimeEstimate();
     }
 
-    // A new deployment invalidates every outstanding session and the
-    // implicit one; the rebuilt system starts with an empty DRAM
-    // hot-row cache (the old layer's rows are gone).
+    // A new deployment invalidates every outstanding session; the
+    // rebuilt system starts with an empty DRAM hot-row cache (the old
+    // layer's rows are gone).
     version.epoch = ++epochCounter_;
     version.versionId = ++versionCounter_;
     deployEpoch_ = version.epoch;
-    implicit_.reset();
-
-    // The timing system models the device side of this deployment.
-    version.system = std::make_unique<EcssdSystem>(spec, options_);
     version.system->setDeployVersion(version.epoch,
                                      version.versionId);
     version.system->attachObservability(metrics_, spans_);
     live_ = std::move(version);
-    return live_.system->deployTimeEstimate();
-}
-
-sim::Tick
-EcssdApi::weightDeployStreaming(
-    const numeric::FloatMatrix &weights,
-    const xclass::BenchmarkSpec &spec,
-    const numeric::FloatMatrix *trained_projection)
-{
-    requireAccelerator("weightDeployStreaming");
-    ECSSD_ASSERT(weights.rows() == spec.categories
-                     && weights.cols() == spec.hiddenDim,
-                 "weights do not match the benchmark spec");
-
-    // Layouts without a hotness sort have nothing to stream: the
-    // classic path already builds them in O(1) transient host bytes.
-    if (options_.layoutKind != layout::LayoutKind::LearningAdaptive)
-        return weightDeploy(weights, spec, trained_projection);
-
-    // Stop the world, exactly like weightDeploy().
-    if (redeploy_ && redeploy_->machine.active()) {
-        if (redeploy_->machine.preFlip()) {
-            rollbackRedeploy(RollbackReason::Aborted);
-        } else {
-            redeploy_->machine.rollback(RollbackReason::Aborted,
-                                        serviceClock_);
-            ++redeployRollbacks_;
-        }
-    }
-    draining_.reset();
-
-    numeric::applyIsaRequest(options_.isa);
-
-    DeployedVersion version;
-    version.weights = &weights;
-    version.spec = spec;
-    version.screener = std::make_unique<xclass::Screener>(
-        weights, spec, options_.seed, trained_projection);
-    version.classifier =
-        std::make_unique<xclass::CandidateClassifier>(weights);
-
-    // The timed system comes up *before* the layout this time: the
-    // streaming build's run spills and merge reads go through its
-    // live FTL, so staging GC and wear are real, not assumed.
-    version.system = std::make_unique<EcssdSystem>(spec, options_);
-
-    StreamingDeployConfig stream_config;
-    stream_config.hostBudgetBytes = options_.deployHostBudgetBytes;
-    stream_config.rowBytes =
-        options_.weightPrecision == accel::WeightPrecision::Cfp16
-        ? spec.hiddenDim * 2ULL
-        : spec.rowBytes();
-    stream_config.seed = options_.seed;
-    stream_config.trainedProjection = trained_projection;
-
-    const MatrixRowSource source(weights);
-    StreamingDeployResult outcome = streamingWeightDeploy(
-        source, spec.shrunkDim(), options_.ssd.channels,
-        options_.ssd, stream_config, &version.system->ssd());
-    version.functionalLayout = std::move(outcome.layout);
-
-    version.epoch = ++epochCounter_;
-    version.versionId = ++versionCounter_;
-    deployEpoch_ = version.epoch;
-    implicit_.reset();
-
-    version.system->setDeployVersion(version.epoch,
-                                     version.versionId);
-    version.system->attachObservability(metrics_, spans_);
-    live_ = std::move(version);
-
-    lastStreaming_ = std::move(outcome);
-    streamingDeployed_ = true;
-    return lastStreaming_.deployTime;
+    return deploy_time;
 }
 
 void
@@ -767,33 +687,33 @@ EcssdApi::redeployRun()
     return redeploy_ ? redeploy_->ledger.elapsed() : 0;
 }
 
+EcssdApi::DeployedVersion
+EcssdApi::buildVersion(const numeric::FloatMatrix &weights,
+                       const xclass::BenchmarkSpec &spec,
+                       const numeric::FloatMatrix *trained_projection)
+    const
+{
+    DeployedVersion version;
+    version.weights = &weights;
+    version.spec = spec;
+    version.screener = std::make_unique<xclass::Screener>(
+        weights, spec, options_.seed, trained_projection);
+    version.classifier =
+        std::make_unique<xclass::CandidateClassifier>(weights);
+    version.system = std::make_unique<EcssdSystem>(spec, options_);
+    return version;
+}
+
 void
 EcssdApi::buildStagedVersion()
 {
     StagedRedeploy &r = *redeploy_;
-    DeployedVersion version;
-    version.weights = r.weights;
-    version.spec = r.spec;
+    DeployedVersion version =
+        buildVersion(*r.weights, r.spec, r.projection);
     version.versionId = r.version.versionId;
-    version.screener = std::make_unique<xclass::Screener>(
-        *r.weights, r.spec, options_.seed, r.projection);
     // The staged screener inherits the live screening policy so the
     // shadow-scoring compares weights, not thresholds.
     version.screener->setThreshold(live_.screener->threshold());
-    version.classifier =
-        std::make_unique<xclass::CandidateClassifier>(*r.weights);
-    if (options_.layoutKind == layout::LayoutKind::LearningAdaptive) {
-        const std::vector<double> masses =
-            version.screener->rowAbsMasses();
-        version.functionalLayout =
-            layout::LearningAdaptiveLayout::build(
-                masses, options_.ssd.channels);
-    } else {
-        version.functionalLayout = layout::makeLayout(
-            options_.layoutKind, r.spec.categories,
-            options_.ssd.channels);
-    }
-    version.system = std::make_unique<EcssdSystem>(r.spec, options_);
     r.version = std::move(version);
 }
 
@@ -976,28 +896,23 @@ EcssdApi::publishRedeployMetrics(sim::MetricsRegistry &registry)
 void
 EcssdApi::publishDeployMetrics(sim::MetricsRegistry &registry)
 {
-    if (!streamingDeployed_)
+    if (!lastStreaming_)
         return;
+    const StreamingDeployResult &outcome = *lastStreaming_;
     registry.gaugeSet("deploy.streaming_ms",
-                      sim::tickToMs(lastStreaming_.deployTime));
-    registry.gaugeSet(
-        "deploy.host_peak_bytes",
-        static_cast<double>(lastStreaming_.hostPeakBytes));
-    registry.gaugeSet(
-        "deploy.host_budget_bytes",
-        static_cast<double>(lastStreaming_.hostBudgetBytes));
-    registry.gaugeSet(
-        "deploy.runs_spilled",
-        static_cast<double>(lastStreaming_.runsSpilled));
-    registry.gaugeSet(
-        "deploy.spill_pages_written",
-        static_cast<double>(lastStreaming_.spillPagesWritten));
-    registry.gaugeSet(
-        "deploy.spill_pages_read",
-        static_cast<double>(lastStreaming_.spillPagesRead));
-    registry.gaugeSet(
-        "deploy.rows_placed",
-        static_cast<double>(lastStreaming_.rowsPlaced));
+                      sim::tickToMs(outcome.deployTime));
+    registry.gaugeSet("deploy.host_peak_bytes",
+                      static_cast<double>(outcome.hostPeakBytes));
+    registry.gaugeSet("deploy.host_budget_bytes",
+                      static_cast<double>(outcome.hostBudgetBytes));
+    registry.gaugeSet("deploy.runs_spilled",
+                      static_cast<double>(outcome.runsSpilled));
+    registry.gaugeSet("deploy.spill_pages_written",
+                      static_cast<double>(outcome.spillPagesWritten));
+    registry.gaugeSet("deploy.spill_pages_read",
+                      static_cast<double>(outcome.spillPagesRead));
+    registry.gaugeSet("deploy.rows_placed",
+                      static_cast<double>(outcome.rowsPlaced));
 }
 
 void
@@ -1138,25 +1053,6 @@ EcssdApi::weightDeploy(TenantHandle tenant,
     return Status::Ok;
 }
 
-Status
-EcssdApi::weightDeployStreaming(
-    TenantHandle tenant, const numeric::FloatMatrix &weights,
-    const xclass::BenchmarkSpec &spec, sim::Tick &deploy_time,
-    const numeric::FloatMatrix *trained_projection)
-{
-    Status status = Status::Ok;
-    EcssdApi *engine = resolveTenant(tenant, &status);
-    if (!engine)
-        return status;
-    if (const Status fit = tenantDeployFits(tenant, spec);
-        fit != Status::Ok)
-        return fit;
-    deploy_time = engine->weightDeployStreaming(weights, spec,
-                                                trained_projection);
-    syncTenantCharge(tenant);
-    return Status::Ok;
-}
-
 std::optional<InferenceSession>
 EcssdApi::beginInference(TenantHandle tenant, Status *status)
 {
@@ -1239,66 +1135,6 @@ EcssdApi::publishTenantMetrics(sim::MetricsRegistry &registry)
         api.publishRedeployMetrics(view);
         api.publishDeployMetrics(view);
     }
-}
-
-// --- Table 1 wrappers ------------------------------------------------
-
-void
-EcssdApi::int4InputSend(std::span<const float> feature)
-{
-    requireAccelerator("int4InputSend");
-    requireDeployed("int4InputSend");
-    if (implicitSession().sendInt4(feature)
-        == Status::DimensionMismatch)
-        sim::panic("feature dimension mismatch");
-}
-
-void
-EcssdApi::cfp32InputSend(std::span<const float> feature)
-{
-    requireAccelerator("cfp32InputSend");
-    requireDeployed("cfp32InputSend");
-    if (implicitSession().sendCfp32(feature)
-        == Status::DimensionMismatch)
-        sim::panic("feature dimension mismatch");
-}
-
-void
-EcssdApi::int4Screen()
-{
-    requireAccelerator("int4Screen");
-    requireDeployed("int4Screen");
-    if (!implicit_ || implicit_->screen() != Status::Ok)
-        sim::fatal("int4Screen without int4InputSend");
-}
-
-void
-EcssdApi::cfp32Classify()
-{
-    requireAccelerator("cfp32Classify");
-    requireDeployed("cfp32Classify");
-    const Status status =
-        implicit_ ? implicit_->classify() : Status::MissingInput;
-    switch (status) {
-    case Status::Ok:
-        break;
-    case Status::NotScreened:
-        sim::fatal("cfp32Classify without candidates; run "
-                   "int4Screen first");
-    default:
-        sim::fatal("cfp32Classify without cfp32InputSend");
-    }
-}
-
-xclass::ApproximateClassifier::Prediction
-EcssdApi::getResults(std::size_t k)
-{
-    requireAccelerator("getResults");
-    xclass::ApproximateClassifier::Prediction prediction;
-    if (!implicit_
-        || implicit_->results(k, prediction) != Status::Ok)
-        sim::fatal("getResults before cfp32Classify");
-    return prediction;
 }
 
 // --- SSD mode --------------------------------------------------------

@@ -5,8 +5,11 @@
  * The API mirrors the paper's Python-style calls:
  *
  *   Preparation:  ecssdEnable/ecssdDisable, preAlign, weightDeploy
- *   Transmission: int4InputSend, cfp32InputSend, getResults
- *   Computation:  int4Screen, cfp32Classify, filterThreshold
+ *   Transmission: INT4_input_send, CFP32_input_send, Get_results
+ *                 (InferenceSession::sendInt4, sendCfp32, results)
+ *   Computation:  INT4_screen, CFP32_classify
+ *                 (InferenceSession::screen, classify),
+ *                 filterThreshold
  *
  * Calls are functional (they compute real predictions through the
  * bit-accurate datapaths) and timed (the device-side work drives the
@@ -15,9 +18,7 @@
  * Query state lives in an explicit InferenceSession: beginInference()
  * hands out a session whose sendInt4 / sendCfp32 / screen / classify
  * / results calls return a Status instead of dying, so hosts can
- * probe, retry, or interleave queries.  The Table 1 free-form calls
- * remain as thin wrappers over one implicit session, preserving their
- * original fail-fast contract (sim::fatal on sequence misuse).
+ * probe, retry, or interleave queries.
  *
  * Weight versions are first-class: weightDeploy() remains the
  * stop-the-world path (every outstanding session turns stale), while
@@ -175,6 +176,17 @@ class EcssdApi
      * redeploy in flight.  For a swap that serves through the
      * transition, use redeployBegin().
      *
+     * The learning-adaptive placement streams out of core: rows go
+     * quantize -> hot-degree score -> budget-sized sorted runs
+     * spilled through the device's flash -> k-way merge, so peak
+     * transient host bytes stay under
+     * EcssdOptions::deployHostBudgetBytes (enforced, E_DEPLOY_BUDGET
+     * on overdraft; 0 = one in-memory run, no spill).  The returned
+     * time is the stream's (spill + max(merge, channel programs));
+     * outcome details: streamingDeploy().  Other layouts have no
+     * hotness sort to stream and return estimateDeployTime().
+     * Panics when the INT4 screener does not fit the device DRAM.
+     *
      * @param weights L x D FP32 weights (kept by reference; must
      *        outlive the API object).
      * @param spec Benchmark parameters.
@@ -187,31 +199,23 @@ class EcssdApi
         const xclass::BenchmarkSpec &spec,
         const numeric::FloatMatrix *trained_projection = nullptr);
 
-    /**
-     * Deploy like weightDeploy(), but build the learning-adaptive
-     * placement out of core: rows stream through quantize ->
-     * hot-degree score -> budget-sized sorted runs spilled through
-     * the device's flash -> k-way merge, so peak transient host
-     * bytes stay under EcssdOptions::deployHostBudgetBytes (enforced
-     * — E_DEPLOY_BUDGET on overdraft) instead of O(rows).  The
-     * placement is bit-identical to weightDeploy()'s; the returned
-     * deploy time uses the streaming overlap model (spill +
-     * max(merge, channel programs)).  Falls back to weightDeploy()
-     * for non-learning-adaptive layouts, which have no hotness sort
-     * to stream.  Outcome details: streamingDeploy().
-     */
-    sim::Tick weightDeployStreaming(
+    /** Same as weightDeploy(). */
+    sim::Tick
+    weightDeployStreaming(
         const numeric::FloatMatrix &weights,
         const xclass::BenchmarkSpec &spec,
-        const numeric::FloatMatrix *trained_projection = nullptr);
+        const numeric::FloatMatrix *trained_projection = nullptr)
+    {
+        return weightDeploy(weights, spec, trained_projection);
+    }
 
-    /** The most recent weightDeployStreaming() outcome (its layout
-     *  pointer is consumed by the deploy); nullptr before the
-     *  first streaming deploy. */
+    /** The most recent deploy's streaming outcome (its layout is
+     *  released); nullptr before the first deploy and after a
+     *  deploy of a layout that does not stream. */
     const StreamingDeployResult *
     streamingDeploy() const
     {
-        return streamingDeployed_ ? &lastStreaming_ : nullptr;
+        return lastStreaming_ ? &*lastStreaming_ : nullptr;
     }
 
     /** Set the screening threshold (Filter_threshold). */
@@ -336,22 +340,16 @@ class EcssdApi
 
     /**
      * Deploy a classification layer for one tenant (the tenant twin
-     * of weightDeploy()).  The tenant's INT4 screener plus its cache
-     * quota must fit its DRAM partition: TenantQuotaExceeded without
-     * touching the device otherwise; UnknownTenant for a handle that
-     * names no admitted tenant.
+     * of weightDeploy(), under the same deployHostBudgetBytes).  The
+     * tenant's INT4 screener plus its cache quota must fit its DRAM
+     * partition: TenantQuotaExceeded without touching the device
+     * otherwise; UnknownTenant for a handle that names no admitted
+     * tenant.
      *
      * @param[out] deploy_time Simulated deployment time, valid only
      *        on Ok.
      */
     Status weightDeploy(
-        TenantHandle tenant, const numeric::FloatMatrix &weights,
-        const xclass::BenchmarkSpec &spec, sim::Tick &deploy_time,
-        const numeric::FloatMatrix *trained_projection = nullptr);
-
-    /** Tenant twin of weightDeployStreaming(); same quota guards as
-     *  the tenant weightDeploy(). */
-    Status weightDeployStreaming(
         TenantHandle tenant, const numeric::FloatMatrix &weights,
         const xclass::BenchmarkSpec &spec, sim::Tick &deploy_time,
         const numeric::FloatMatrix *trained_projection = nullptr);
@@ -414,58 +412,6 @@ class EcssdApi
      */
     void publishTenantMetrics(sim::MetricsRegistry &registry);
 
-    // --- Transmission / Computation (Table 1 wrappers) ------------
-    //
-    // Thin delegates over one implicit session, with the original
-    // fail-fast contract: sequence misuse dies via sim::fatal, a
-    // dimension mismatch panics.  Deprecated: the implicit-session
-    // calls predate explicit sessions and tenants — migrate to
-    // `auto session = api.beginInference()` (or the TenantHandle
-    // overload) and drive sendInt4/sendCfp32/screen/classify/results
-    // on the session, which reports misuse via Status instead of
-    // dying.
-
-    /** Send the 4-bit projected input for one query (INT4_input_send).
-     *  @deprecated Use beginInference() and
-     *  InferenceSession::sendInt4(). */
-    [[deprecated("use beginInference() and "
-                 "InferenceSession::sendInt4()")]]
-    void int4InputSend(std::span<const float> feature);
-
-    /** Send the pre-aligned 32-bit input (CFP32_input_send).
-     *  @deprecated Use beginInference() and
-     *  InferenceSession::sendCfp32(). */
-    [[deprecated("use beginInference() and "
-                 "InferenceSession::sendCfp32()")]]
-    void cfp32InputSend(std::span<const float> feature);
-
-    /** Run low-precision screening + filtering (INT4_screen).
-     *  @deprecated Use beginInference() and
-     *  InferenceSession::screen(). */
-    [[deprecated("use beginInference() and "
-                 "InferenceSession::screen()")]]
-    void int4Screen();
-
-    /** Run candidate-only full-precision classification
-     *  (CFP32_classify).
-     *  @deprecated Use beginInference() and
-     *  InferenceSession::classify(). */
-    [[deprecated("use beginInference() and "
-                 "InferenceSession::classify()")]]
-    void cfp32Classify();
-
-    /**
-     * Fetch the final top-k prediction (Get_results).
-     *
-     * @param k Result count.
-     * @deprecated Use beginInference() and
-     * InferenceSession::results().
-     */
-    [[deprecated("use beginInference() and "
-                 "InferenceSession::results()")]]
-    xclass::ApproximateClassifier::Prediction getResults(
-        std::size_t k);
-
     // --- SSD mode -------------------------------------------------
 
     /** Write one logical page in SSD mode; returns completion tick. */
@@ -475,16 +421,6 @@ class EcssdApi
     sim::Tick ssdRead(ssdsim::LogicalPage lpa);
 
     // --- Introspection -------------------------------------------
-
-    /** Latency of the most recent full inference, in ticks. */
-    sim::Tick lastInferenceLatency() const { return lastLatency_; }
-
-    /** Candidates selected by the most recent int4Screen(). */
-    std::size_t
-    lastCandidateCount() const
-    {
-        return implicit_ ? implicit_->candidateCount() : 0;
-    }
 
     /** Accelerator-mode system (valid after weightDeploy). */
     EcssdSystem &system() { return *live_.system; }
@@ -510,9 +446,7 @@ class EcssdApi
 
     /** Snapshot the most recent streaming deploy ("deploy.*"
      *  gauges: wall-time, peak/budget host bytes, spill volume)
-     *  into @p registry; no-op before the first
-     *  weightDeployStreaming(), keeping metrics of classic-deploy
-     *  runs byte-identical. */
+     *  into @p registry; no-op while streamingDeploy() is null. */
     void publishDeployMetrics(sim::MetricsRegistry &registry);
 
     /**
@@ -541,7 +475,6 @@ class EcssdApi
         std::optional<xclass::BenchmarkSpec> spec;
         std::unique_ptr<xclass::Screener> screener;
         std::unique_ptr<xclass::CandidateClassifier> classifier;
-        std::unique_ptr<layout::LayoutStrategy> functionalLayout;
         std::unique_ptr<EcssdSystem> system;
         std::uint64_t epoch = 0;
         std::uint64_t versionId = 0;
@@ -613,9 +546,6 @@ class EcssdApi
      *  the partition ledger once per weight version. */
     void syncTenantCharge(TenantHandle tenant);
 
-    /** The implicit session backing the Table 1 wrappers. */
-    InferenceSession &implicitSession();
-
     /** The version serving @p epoch: the live one, or the draining
      *  one while its drain window is open; nullptr once stale. */
     DeployedVersion *resolve(std::uint64_t epoch);
@@ -631,8 +561,15 @@ class EcssdApi
      *  validation replay material). */
     void recordQuery(const std::vector<float> &feature);
 
-    /** Build the staged version's functional models + system (throws
-     *  sim::FatalError on an infeasible configuration). */
+    /** Build one version's screener, classifier and timed system
+     *  (throws sim::FatalError on an infeasible configuration). */
+    DeployedVersion buildVersion(
+        const numeric::FloatMatrix &weights,
+        const xclass::BenchmarkSpec &spec,
+        const numeric::FloatMatrix *trained_projection) const;
+
+    /** Build the staged version under the live screening
+     *  threshold. */
     void buildStagedVersion();
 
     /** Run one warm-up query through the staged version. */
@@ -693,13 +630,11 @@ class EcssdApi
     /** Cumulative service clock (classify latencies + redeploy
      *  background work); drains are deadlined against it. */
     sim::Tick serviceClock_ = 0;
-    sim::Tick lastLatency_ = 0;
     /** Optional observability sinks (null = uninstrumented). */
     sim::MetricsRegistry *metrics_ = nullptr;
     sim::SpanTracer *spans_ = nullptr;
-    /** Most recent streaming-deploy outcome (layout consumed). */
-    StreamingDeployResult lastStreaming_;
-    bool streamingDeployed_ = false;
+    /** Most recent deploy's streaming outcome (layout released). */
+    std::optional<StreamingDeployResult> lastStreaming_;
     /** Tenant admission/partition ledger (budget: the device DRAM). */
     TenantRegistry tenantRegistry_;
     /** Admitted tenants' engines, id-ordered (deterministic). */
@@ -710,13 +645,6 @@ class EcssdApi
     /** Span-name prefix this engine stamps while its device-side
      *  work runs ("" for the default tenant: tracer untouched). */
     std::string spanNamespace_;
-    /**
-     * The Table 1 wrappers' session (reset on weightDeploy).
-     * Declared last: its destructor notifies sessionClosed(), which
-     * may poll the drain, so every other member must still be alive
-     * while it runs.
-     */
-    std::unique_ptr<InferenceSession> implicit_;
 };
 
 } // namespace ecssd

@@ -1,7 +1,6 @@
 #include "server.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 #include "numeric/kernels.hh"
@@ -710,6 +709,13 @@ InferenceServer::processAll(std::size_t k)
         for (Response &response : batch)
             responses.push_back(std::move(response));
     }
+    finishDrain(responses);
+    return responses;
+}
+
+void
+InferenceServer::finishDrain(std::vector<Response> &responses)
+{
     // An idle server finishes any in-flight swap: without traffic
     // the background daemon keeps ticking the state machine.
     while (redeployActive())
@@ -722,7 +728,6 @@ InferenceServer::processAll(std::size_t k)
     for (Response &response : unservedResponses_)
         responses.push_back(std::move(response));
     unservedResponses_.clear();
-    return responses;
 }
 
 std::vector<InferenceServer::Response>
@@ -736,56 +741,6 @@ InferenceServer::serveBatch(std::size_t k)
     }
     // Drain terminal responses produced outside the batch (admission
     // sheds, expiry drops) so the scheduler sees every outcome once.
-    for (Response &response : unservedResponses_)
-        responses.push_back(std::move(response));
-    unservedResponses_.clear();
-    return responses;
-}
-
-std::vector<InferenceServer::Response>
-InferenceServer::runOpenLoop(
-    const std::vector<std::vector<float>> &queries,
-    double requests_per_second, unsigned request_count,
-    std::size_t k, std::uint64_t seed)
-{
-    ECSSD_ASSERT(!queries.empty(), "open loop needs a query pool");
-    ECSSD_ASSERT(requests_per_second > 0.0,
-                 "offered load must be positive");
-
-    // Pre-draw the Poisson arrival times.
-    sim::Rng rng(seed);
-    std::vector<sim::Tick> arrivals;
-    double t_seconds = sim::tickToSeconds(deviceClock_);
-    for (unsigned r = 0; r < request_count; ++r) {
-        t_seconds +=
-            -std::log(1.0 - rng.uniform()) / requests_per_second;
-        arrivals.push_back(sim::seconds(t_seconds));
-    }
-
-    std::vector<Response> responses;
-    std::size_t next_arrival = 0;
-    while (next_arrival < arrivals.size() || !pending_.empty()) {
-        // Admit everything that has arrived by the time the device
-        // goes idle; if nothing is waiting, jump to the next
-        // arrival.
-        if (pending_.empty()
-            && arrivals[next_arrival] > deviceClock_)
-            deviceClock_ = arrivals[next_arrival];
-        while (next_arrival < arrivals.size()
-               && arrivals[next_arrival] <= deviceClock_) {
-            enqueueAt(queries[next_arrival % queries.size()],
-                      arrivals[next_arrival]);
-            ++next_arrival;
-        }
-        std::vector<Response> batch = serveOneBatch(k);
-        for (Response &response : batch)
-            responses.push_back(std::move(response));
-    }
-    while (redeployActive())
-        stepRedeploy();
-    while (config_.brownout.enabled()
-           && level_ != BrownoutLevel::Full)
-        idleRecoverStep();
     for (Response &response : unservedResponses_)
         responses.push_back(std::move(response));
     unservedResponses_.clear();
@@ -861,16 +816,8 @@ InferenceServer::runTraffic(
             responses.push_back(std::move(response));
     }
 
-    // Terminal drain: finish any in-flight hot swap and recover the
-    // ladder, so the run provably ends at (Full, empty queue).
-    while (redeployActive())
-        stepRedeploy();
-    while (config_.brownout.enabled()
-           && level_ != BrownoutLevel::Full)
-        idleRecoverStep();
-    for (Response &response : unservedResponses_)
-        responses.push_back(std::move(response));
-    unservedResponses_.clear();
+    // Terminal drain: the run provably ends at (Full, empty queue).
+    finishDrain(responses);
     return responses;
 }
 

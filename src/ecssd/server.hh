@@ -255,23 +255,6 @@ class InferenceServer
     std::vector<Response> processAll(std::size_t k);
 
     /**
-     * Open-loop serving study: requests arrive as a Poisson process
-     * at @p requests_per_second; the device batches whatever has
-     * arrived when it goes idle (partial batches allowed).  Latency
-     * percentiles include queueing delay.
-     *
-     * @param queries Query pool to draw from (cycled).
-     * @param requests_per_second Offered load.
-     * @param request_count Total requests to serve.
-     * @param k Top-k per request.
-     * @param seed Arrival-process seed.
-     */
-    std::vector<Response> runOpenLoop(
-        const std::vector<std::vector<float>> &queries,
-        double requests_per_second, unsigned request_count,
-        std::size_t k, std::uint64_t seed = 1);
-
-    /**
      * Open-loop serving driven by a TrafficEngine: @p count arrivals
      * are drawn from @p engine (Poisson / diurnal / bursty, Zipf
      * user sessions, priority classes) and served under the full
@@ -355,7 +338,7 @@ class InferenceServer
      * Begin a staged hot swap to @p weights.  The swap advances one
      * state-machine step per served batch (staging chunks between
      * batches, so the IO budget yields to foreground requests) and
-     * flips at a batch boundary; processAll()/runOpenLoop() finish
+     * flips at a batch boundary; processAll()/runTraffic() finish
      * any in-flight swap after the queue empties.
      *
      * Returns RedeployActive while a swap is in flight and
@@ -514,10 +497,15 @@ class InferenceServer
     std::deque<PendingRequest> pending_;
     /** Terminal responses produced outside a served batch (shed at
      *  admission, dropped at expiry); drained by processAll /
-     *  runOpenLoop. */
+     *  runTraffic / serveBatch. */
     std::vector<Response> unservedResponses_;
     /** Serve the oldest <= batchSize pending requests once. */
     std::vector<Response> serveOneBatch(std::size_t k);
+
+    /** Terminal drain of processAll() and runTraffic(): finish any
+     *  in-flight swap, recover the ladder to Full, and append the
+     *  unserved terminal responses to @p responses. */
+    void finishDrain(std::vector<Response> &responses);
 
     /** Record one served-request latency/outcome when attached. */
     void recordResponse(Response::Status status, double latency_ms);

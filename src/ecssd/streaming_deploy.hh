@@ -1,10 +1,10 @@
 /**
  * @file
- * Out-of-core streaming weight deploy (the bounded-host-memory twin
- * of EcssdApi::weightDeploy's layout build).
+ * Out-of-core streaming weight deploy (EcssdApi::weightDeploy's
+ * learning-adaptive layout build).
  *
- * The host-resident deploy path needs the whole hotness vector in
- * memory before LearningAdaptiveLayout::build() can sort it — O(rows)
+ * A host-resident build needs the whole hotness vector in memory
+ * before LearningAdaptiveLayout::build() can sort it — O(rows)
  * doubles plus the sort's index array.  At extreme-classification
  * scale (10^7..10^8 rows) that dominates deploy-host memory, so this
  * pipeline restructures the same computation as a stream:

@@ -28,7 +28,7 @@ EcssdOptions::validate(const xclass::BenchmarkSpec *spec) const
         sim::fatal("EcssdOptions: cache associativity must be >= 1");
     if (!numeric::isValidIsaRequest(isa))
         sim::fatal("EcssdOptions: unknown isa '", isa,
-                   "' (want scalar|vector|avx2|avx512|auto)");
+                   "' (want scalar|avx2|avx512|auto)");
     if (relayout.enabled) {
         if (!std::isfinite(relayout.divergenceThreshold)
             || relayout.divergenceThreshold < 0.0
@@ -49,7 +49,7 @@ EcssdOptions::validate(const xclass::BenchmarkSpec *spec) const
     if (const char *env = std::getenv("ECSSD_ISA");
         env != nullptr && !numeric::isValidIsaRequest(env))
         sim::fatal("EcssdOptions: unknown ECSSD_ISA '", env,
-                   "' (want scalar|vector|avx2|avx512|auto)");
+                   "' (want scalar|avx2|avx512|auto)");
     ssd.validate();
     if (!tenants.empty()) {
         std::uint64_t partitioned = 0;

@@ -91,7 +91,7 @@ struct EcssdOptions
      */
     unsigned threads = 1;
     /**
-     * Host-compute ISA request ("auto", "scalar", "vector", "avx2",
+     * Host-compute ISA request ("auto", "scalar", "avx2",
      * "avx512").  Applied process-wide when the system is built; the
      * ECSSD_ISA environment variable, when set, wins over this field
      * (so goldens can be replayed pinned).  Wall-clock only: every
@@ -105,10 +105,10 @@ struct EcssdOptions
      *  bit-identical to a cache-less build). */
     accel::CacheConfig cache;
     /**
-     * Hard ceiling on transient host bytes during a *streaming*
-     * weight deploy (EcssdApi::weightDeployStreaming): enforced by
+     * Hard ceiling on transient host bytes during a weight deploy
+     * (EcssdApi::weightDeploy, tenant deploys included): enforced by
      * an accounting allocator, fatal (E_DEPLOY_BUDGET) on overdraft.
-     * 0 = unlimited.  The stop-the-world weightDeploy() ignores it.
+     * 0 = unlimited.  Every deploy honours it.
      */
     std::uint64_t deployHostBudgetBytes = 0;
     /** Background re-layout policy (disabled by default). */

@@ -87,7 +87,7 @@ resolveRequest(const std::string &request)
     if (!parsed) {
         sim::fatal("E_BAD_ISA: unknown ", origin, " value '",
                    effective,
-                   "' (want scalar|vector|avx2|avx512|auto)");
+                   "' (want scalar|avx2|avx512|auto)");
     }
     if (!isaSupported(*parsed)) {
         sim::fatal("E_ISA_UNSUPPORTED: ", origin, " pins '",
@@ -104,8 +104,6 @@ toString(IsaLevel level)
     switch (level) {
     case IsaLevel::Scalar:
         return "scalar";
-    case IsaLevel::VecExt:
-        return "vector";
     case IsaLevel::Avx2:
         return "avx2";
     case IsaLevel::Avx512:
@@ -119,8 +117,6 @@ parseIsaLevel(std::string_view name)
 {
     if (name == "scalar")
         return IsaLevel::Scalar;
-    if (name == "vector")
-        return IsaLevel::VecExt;
     if (name == "avx2")
         return IsaLevel::Avx2;
     if (name == "avx512")
@@ -140,7 +136,6 @@ isaSupported(IsaLevel level)
 {
     switch (level) {
     case IsaLevel::Scalar:
-    case IsaLevel::VecExt:
         return true;
     case IsaLevel::Avx2:
 #if ECSSD_KERNELS_X86
@@ -169,7 +164,7 @@ detectBestIsa()
         return IsaLevel::Avx512;
     if (isaSupported(IsaLevel::Avx2))
         return IsaLevel::Avx2;
-    return IsaLevel::VecExt;
+    return IsaLevel::Scalar;
 }
 
 std::vector<IsaLevel>
@@ -177,8 +172,7 @@ supportedIsaLevels()
 {
     std::vector<IsaLevel> levels;
     for (const IsaLevel level :
-         {IsaLevel::Scalar, IsaLevel::VecExt, IsaLevel::Avx2,
-          IsaLevel::Avx512}) {
+         {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512}) {
         if (isaSupported(level))
             levels.push_back(level);
     }
@@ -269,9 +263,9 @@ tailTree(const float *a, const float *b, std::size_t t)
 }
 
 /**
- * The generic 8-wide block-sum body, shared by the vector-extension
- * and AVX variants: the same source compiled under different target
- * attributes lowers to SSE2 pairs, 256-bit AVX2, or AVX-512VL.
+ * The generic 8-wide block-sum body, shared by the AVX variants: the
+ * same GCC vector-extension source compiled under different target
+ * attributes lowers to 256-bit AVX2 or AVX-512VL.
  * Two blocks per iteration; the shuffles keep every addition on
  * exactly the operand pair the scalar tree adds.
  */
@@ -304,13 +298,6 @@ tailTree(const float *a, const float *b, std::size_t t)
             out[i] = blockSum8Scalar(a + 8 * i, b + 8 * i);            \
     } while (0)
 
-void
-blockSumsVecExt(const float *a, const float *b, std::size_t m,
-                float *out)
-{
-    ECSSD_BLOCK_SUMS_BODY;
-}
-
 #if ECSSD_KERNELS_X86
 
 __attribute__((target("avx2"))) void
@@ -340,9 +327,6 @@ blockSums(const float *a, const float *b, std::size_t m, float *out,
         for (std::size_t i = 0; i < m; ++i)
             out[i] = blockSum8Scalar(a + 8 * i, b + 8 * i);
         return;
-    case IsaLevel::VecExt:
-        blockSumsVecExt(a, b, m, out);
-        return;
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
         blockSumsAvx2(a, b, m, out);
@@ -352,7 +336,8 @@ blockSums(const float *a, const float *b, std::size_t m, float *out,
         return;
 #else
     default:
-        blockSumsVecExt(a, b, m, out);
+        for (std::size_t i = 0; i < m; ++i)
+            out[i] = blockSum8Scalar(a + 8 * i, b + 8 * i);
         return;
 #endif
     }
@@ -427,30 +412,6 @@ projectGemvScalarT(const float *basis_t, std::size_t full_dim,
     }
 }
 
-void
-projectGemvVecExt(const float *basis_t, std::size_t full_dim,
-                  std::size_t k_count, const float *vec, float *out)
-{
-    typedef float v4f32 __attribute__((vector_size(16)));
-    typedef double v4f64 __attribute__((vector_size(32)));
-    std::size_t k = 0;
-    for (; k + 4 <= k_count; k += 4) {
-        v4f64 acc = {0.0, 0.0, 0.0, 0.0};
-        for (std::size_t d = 0; d < full_dim; ++d) {
-            const double x = static_cast<double>(vec[d]);
-            const v4f64 xs = {x, x, x, x};
-            v4f32 wf;
-            std::memcpy(&wf, basis_t + d * k_count + k, 16);
-            const v4f64 w = __builtin_convertvector(wf, v4f64);
-            acc = acc + w * xs;
-        }
-        for (int j = 0; j < 4; ++j)
-            out[k + static_cast<std::size_t>(j)] =
-                static_cast<float>(acc[j]);
-    }
-    projectGemvScalarT(basis_t, full_dim, k_count, vec, out, k);
-}
-
 #if ECSSD_KERNELS_X86
 
 __attribute__((target("avx2"))) void
@@ -519,10 +480,6 @@ projectGemv(std::span<const float> basisT, std::size_t full_dim,
         projectGemvScalarT(basisT.data(), full_dim, shrunk_dim,
                            vec.data(), out, 0);
         return;
-    case IsaLevel::VecExt:
-        projectGemvVecExt(basisT.data(), full_dim, shrunk_dim,
-                          vec.data(), out);
-        return;
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
         projectGemvAvx2(basisT.data(), full_dim, shrunk_dim,
@@ -534,8 +491,8 @@ projectGemv(std::span<const float> basisT, std::size_t full_dim,
         return;
 #else
     default:
-        projectGemvVecExt(basisT.data(), full_dim, shrunk_dim,
-                          vec.data(), out);
+        projectGemvScalarT(basisT.data(), full_dim, shrunk_dim,
+                           vec.data(), out, 0);
         return;
 #endif
     }
@@ -677,9 +634,6 @@ quantizePackSpan(std::span<const float> values, float scale,
                  std::uint8_t *out, IsaLevel level)
 {
 #if ECSSD_KERNELS_X86
-    // The vector-extension level has no distinct quantize body (the
-    // branchy half-away rounding does not pay off below AVX2); it
-    // shares the scalar reference, which is trivially bit-identical.
     if (level == IsaLevel::Avx2 || level == IsaLevel::Avx512) {
         quantizePackAvx2(values.data(), values.size(), scale, out);
         return;
@@ -716,9 +670,9 @@ maxAbsSpan(std::span<const float> values, IsaLevel level)
 // vector bodies compute the same per-lane values with well-defined
 // shifts (counts masked to [0, 31] and the >= 32 case selected to
 // zero explicitly, matching the scalar semantics).  One generic
-// vector-extension body per kernel is instantiated at the VecExt,
-// AVX2 and AVX-512 levels via target attributes, like the pairwise
-// block-sum body above.
+// vector-extension body per kernel is instantiated at the AVX2 and
+// AVX-512 levels via target attributes, like the pairwise block-sum
+// body above.
 
 namespace
 {
@@ -904,20 +858,6 @@ cfp16AlignScalar(const float *values, std::size_t n,
             : cfp32MaxExponentScalar(values, n, i, emax);              \
     } while (0)
 
-std::uint32_t
-cfp32MaxExponentVecExt(const float *values, std::size_t n,
-                       std::uint32_t emax)
-{
-    ECSSD_CFP_EMAX_BODY(0, "CFP32");
-}
-
-std::uint32_t
-cfp16MaxExponentVecExt(const float *values, std::size_t n,
-                       std::uint32_t emax)
-{
-    ECSSD_CFP_EMAX_BODY(1, "CFP16");
-}
-
 #if ECSSD_KERNELS_X86
 
 __attribute__((target("avx2"))) std::uint32_t
@@ -999,13 +939,6 @@ cfp16MaxExponentAvx512(const float *values, std::size_t n,
         return total + cfp32AlignScalar(values, n, emax, out, i);      \
     } while (0)
 
-std::uint64_t
-cfp32AlignVecExt(const float *values, std::size_t n,
-                 std::uint32_t emax, std::uint32_t *out)
-{
-    ECSSD_CFP32_ALIGN_BODY;
-}
-
 #if ECSSD_KERNELS_X86
 
 __attribute__((target("avx2"))) std::uint64_t
@@ -1082,13 +1015,6 @@ cfp32AlignAvx512(const float *values, std::size_t n,
         return total + cfp16AlignScalar(values, n, emax, out, i);      \
     } while (0)
 
-std::uint64_t
-cfp16AlignVecExt(const float *values, std::size_t n,
-                 std::uint32_t emax, std::uint16_t *out)
-{
-    ECSSD_CFP16_ALIGN_BODY;
-}
-
 #if ECSSD_KERNELS_X86
 
 __attribute__((target("avx2"))) std::uint64_t
@@ -1118,9 +1044,6 @@ cfp32MaxExponent(std::span<const float> values, IsaLevel level)
     case IsaLevel::Scalar:
         return cfp32MaxExponentScalar(values.data(), values.size(), 0,
                                       0);
-    case IsaLevel::VecExt:
-        return cfp32MaxExponentVecExt(values.data(), values.size(),
-                                      0);
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
         return cfp32MaxExponentAvx2(values.data(), values.size(), 0);
@@ -1129,7 +1052,7 @@ cfp32MaxExponent(std::span<const float> values, IsaLevel level)
                                       0);
 #else
     default:
-        return cfp32MaxExponentVecExt(values.data(), values.size(),
+        return cfp32MaxExponentScalar(values.data(), values.size(), 0,
                                       0);
 #endif
     }
@@ -1144,9 +1067,6 @@ cfp32AlignSpan(std::span<const float> values, std::uint32_t emax,
     case IsaLevel::Scalar:
         return cfp32AlignScalar(values.data(), values.size(), emax,
                                 out, 0);
-    case IsaLevel::VecExt:
-        return cfp32AlignVecExt(values.data(), values.size(), emax,
-                                out);
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
         return cfp32AlignAvx2(values.data(), values.size(), emax,
@@ -1156,8 +1076,8 @@ cfp32AlignSpan(std::span<const float> values, std::uint32_t emax,
                                 out);
 #else
     default:
-        return cfp32AlignVecExt(values.data(), values.size(), emax,
-                                out);
+        return cfp32AlignScalar(values.data(), values.size(), emax,
+                                out, 0);
 #endif
     }
     return cfp32AlignScalar(values.data(), values.size(), emax, out,
@@ -1171,9 +1091,6 @@ cfp16MaxExponent(std::span<const float> values, IsaLevel level)
     case IsaLevel::Scalar:
         return cfp16MaxExponentScalar(values.data(), values.size(), 0,
                                       0);
-    case IsaLevel::VecExt:
-        return cfp16MaxExponentVecExt(values.data(), values.size(),
-                                      0);
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
         return cfp16MaxExponentAvx2(values.data(), values.size(), 0);
@@ -1182,7 +1099,7 @@ cfp16MaxExponent(std::span<const float> values, IsaLevel level)
                                       0);
 #else
     default:
-        return cfp16MaxExponentVecExt(values.data(), values.size(),
+        return cfp16MaxExponentScalar(values.data(), values.size(), 0,
                                       0);
 #endif
     }
@@ -1197,9 +1114,6 @@ cfp16AlignSpan(std::span<const float> values, std::uint32_t emax,
     case IsaLevel::Scalar:
         return cfp16AlignScalar(values.data(), values.size(), emax,
                                 out, 0);
-    case IsaLevel::VecExt:
-        return cfp16AlignVecExt(values.data(), values.size(), emax,
-                                out);
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
         return cfp16AlignAvx2(values.data(), values.size(), emax,
@@ -1209,8 +1123,8 @@ cfp16AlignSpan(std::span<const float> values, std::uint32_t emax,
                                 out);
 #else
     default:
-        return cfp16AlignVecExt(values.data(), values.size(), emax,
-                                out);
+        return cfp16AlignScalar(values.data(), values.size(), emax,
+                                out, 0);
 #endif
     }
     return cfp16AlignScalar(values.data(), values.size(), emax, out,
@@ -1235,67 +1149,6 @@ rowDotScalar(const std::uint8_t *row, const std::int16_t *feature,
             + static_cast<std::int32_t>(pair.hi) * feature[2 * b + 1];
     }
     return acc;
-}
-
-std::int64_t
-rowDotVecExt(const std::uint8_t *row, const std::int16_t *feature,
-             std::size_t bytes)
-{
-    typedef std::uint8_t v16u8 __attribute__((vector_size(16)));
-    typedef std::int8_t v16i8 __attribute__((vector_size(16)));
-    typedef std::int16_t v8i16 __attribute__((vector_size(16)));
-    typedef std::int32_t v8i32 __attribute__((vector_size(32)));
-    v8i32 acc = {};
-    std::size_t b = 0;
-    for (; b + 16 <= bytes; b += 16) {
-        // Branchless in-register decode, mirroring the AVX2 body:
-        // split nibbles, interleave into widened-feature order, and
-        // sign-extend via (x ^ 8) - 8.
-        v16u8 packed;
-        std::memcpy(&packed, row + b, 16);
-        const v16u8 lo = packed & 0x0f;
-        const v16u8 hi = packed >> 4;
-        v16i8 w01 = reinterpret_cast<v16i8>(__builtin_shufflevector(
-            lo, hi, 0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22,
-            7, 23));
-        v16i8 w23 = reinterpret_cast<v16i8>(__builtin_shufflevector(
-            lo, hi, 8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14,
-            30, 15, 31));
-        w01 = (w01 ^ 8) - 8;
-        w23 = (w23 ^ 8) - 8;
-        const v8i16 w0 = __builtin_convertvector(
-            __builtin_shufflevector(w01, w01, 0, 1, 2, 3, 4, 5, 6, 7),
-            v8i16);
-        const v8i16 w1 = __builtin_convertvector(
-            __builtin_shufflevector(w01, w01, 8, 9, 10, 11, 12, 13,
-                                    14, 15),
-            v8i16);
-        const v8i16 w2 = __builtin_convertvector(
-            __builtin_shufflevector(w23, w23, 0, 1, 2, 3, 4, 5, 6, 7),
-            v8i16);
-        const v8i16 w3 = __builtin_convertvector(
-            __builtin_shufflevector(w23, w23, 8, 9, 10, 11, 12, 13,
-                                    14, 15),
-            v8i16);
-        const v8i16 ws[4] = {w0, w1, w2, w3};
-        for (std::size_t j = 0; j < 4; ++j) {
-            v8i16 f;
-            std::memcpy(&f, feature + 2 * b + 8 * j, 16);
-            acc = acc
-                + __builtin_convertvector(ws[j], v8i32)
-                    * __builtin_convertvector(f, v8i32);
-        }
-    }
-    std::int64_t total = 0;
-    for (int j = 0; j < 8; ++j)
-        total += acc[j];
-    for (; b < bytes; ++b) {
-        const NibblePair pair = kBytePairs[row[b]];
-        total += static_cast<std::int64_t>(pair.lo) * feature[2 * b]
-            + static_cast<std::int64_t>(pair.hi)
-                * feature[2 * b + 1];
-    }
-    return total;
 }
 
 #if ECSSD_KERNELS_X86
@@ -1671,26 +1524,13 @@ rowDotRangeAvx512(const std::uint8_t *rows, std::size_t row_stride,
 #endif // ECSSD_KERNELS_X86
 
 void
-rowDotRangeVecExt(const std::uint8_t *rows, std::size_t row_stride,
-                  std::size_t row_count, const std::int16_t *feature,
-                  std::size_t bytes, std::int64_t *out)
-{
-    for (std::size_t i = 0; i < row_count; ++i)
-        out[i] = rowDotVecExt(rows + i * row_stride, feature, bytes);
-}
-
-void
 rowDotBatchPortable(const std::uint8_t *row,
                     const std::int16_t *features,
                     std::size_t query_count, std::size_t stride,
-                    std::size_t bytes, std::int64_t *out,
-                    IsaLevel level)
+                    std::size_t bytes, std::int64_t *out)
 {
-    for (std::size_t q = 0; q < query_count; ++q) {
-        out[q] = level == IsaLevel::VecExt
-            ? rowDotVecExt(row, features + q * stride, bytes)
-            : rowDotScalar(row, features + q * stride, bytes);
-    }
+    for (std::size_t q = 0; q < query_count; ++q)
+        out[q] = rowDotScalar(row, features + q * stride, bytes);
 }
 
 } // namespace
@@ -1702,8 +1542,6 @@ rowDotWidened(const std::uint8_t *row, const std::int16_t *feature,
     switch (level) {
     case IsaLevel::Scalar:
         return rowDotScalar(row, feature, bytes);
-    case IsaLevel::VecExt:
-        return rowDotVecExt(row, feature, bytes);
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
         return rowDotAvx2(row, feature, bytes);
@@ -1711,7 +1549,7 @@ rowDotWidened(const std::uint8_t *row, const std::int16_t *feature,
         return rowDotAvx512(row, feature, bytes);
 #else
     default:
-        return rowDotVecExt(row, feature, bytes);
+        return rowDotScalar(row, feature, bytes);
 #endif
     }
     return rowDotScalar(row, feature, bytes);
@@ -1729,10 +1567,6 @@ rowDotWidenedRange(const std::uint8_t *rows, std::size_t row_stride,
             out[i] =
                 rowDotScalar(rows + i * row_stride, feature, bytes);
         return;
-    case IsaLevel::VecExt:
-        rowDotRangeVecExt(rows, row_stride, row_count, feature,
-                          bytes, out);
-        return;
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
         rowDotRangeAvx2(rows, row_stride, row_count, feature, bytes,
@@ -1744,8 +1578,9 @@ rowDotWidenedRange(const std::uint8_t *rows, std::size_t row_stride,
         return;
 #else
     default:
-        rowDotRangeVecExt(rows, row_stride, row_count, feature,
-                          bytes, out);
+        for (std::size_t i = 0; i < row_count; ++i)
+            out[i] =
+                rowDotScalar(rows + i * row_stride, feature, bytes);
         return;
 #endif
     }
@@ -1773,7 +1608,7 @@ rowDotWidenedBatch(const std::uint8_t *row,
 #endif
     default:
         rowDotBatchPortable(row, features, query_count,
-                            feature_stride, bytes, acc, level);
+                            feature_stride, bytes, acc);
         return;
     }
 }

@@ -4,15 +4,14 @@
  *
  * Every hot host-compute kernel (INT4 LUT screening, quantization,
  * the projection GEMV, the FP32 pairwise-tree dot) exists at up to
- * four ISA levels:
+ * three ISA levels:
  *
  *   scalar  — the original reference loops (byte-for-byte the PR 7
- *             code paths).
- *   vector  — portable GCC vector-extension lanes, compiled against
- *             the baseline ISA (SSE2 on x86-64).  The correctness
- *             fallback on hosts without AVX.
+ *             code paths).  The fallback on hosts without AVX2.
  *   avx2    — 256-bit integer (pmaddwd) and FP paths.
  *   avx512  — 512-bit paths (requires AVX-512 F/BW/VL).
+ *
+ * A level stays only while it beats the level below it.
  *
  * Dispatch contract: *every* level computes bit-identical results.
  * Integer kernels accumulate exactly (associativity is free); the
@@ -48,13 +47,12 @@ namespace numeric
 enum class IsaLevel : int
 {
     Scalar = 0,
-    /** GCC vector extensions against the baseline ISA. */
-    VecExt = 1,
+    /** Values are stable: the kernel.isa gauge reports them. */
     Avx2 = 2,
     Avx512 = 3,
 };
 
-/** Canonical lowercase name ("scalar", "vector", "avx2", "avx512"). */
+/** Canonical lowercase name ("scalar", "avx2", "avx512"). */
 const char *toString(IsaLevel level);
 
 /** Parse a level name; nullopt on anything unknown ("auto" included). */
@@ -68,7 +66,7 @@ bool isValidIsaRequest(std::string_view request);
 /** True when this CPU can execute @p level. */
 bool isaSupported(IsaLevel level);
 
-/** Best level this CPU supports (never worse than VecExt). */
+/** Best level this CPU supports (Scalar without AVX2). */
 IsaLevel detectBestIsa();
 
 /** Every level this CPU supports, worst to best (Scalar included). */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Table 1 API tests: mode discipline, the full inference call
- * sequence, SSD-mode commands, and the explicit InferenceSession
- * (Status-reporting) variant of the query state machine.
+ * sequence through an InferenceSession (misuse reported as a
+ * Status), SSD-mode commands, and the deploy path.
  */
 
 #include <gtest/gtest.h>
@@ -58,10 +58,12 @@ TEST(EcssdApi, AcceleratorCallsRequireAcceleratorMode)
     EXPECT_THROW(api.weightDeploy(f.model.weights(), f.spec),
                  sim::FatalError);
     std::vector<float> feature(f.spec.hiddenDim, 1.0f);
-    EXPECT_THROW(api.int4InputSend(feature), sim::FatalError);
-    EXPECT_THROW(api.int4Screen(), sim::FatalError);
-    EXPECT_THROW(api.cfp32Classify(), sim::FatalError);
-    EXPECT_THROW(api.getResults(5), sim::FatalError);
+    InferenceSession session = api.beginInference();
+    xclass::ApproximateClassifier::Prediction prediction;
+    EXPECT_EQ(session.sendInt4(feature), Status::WrongMode);
+    EXPECT_EQ(session.screen(), Status::WrongMode);
+    EXPECT_EQ(session.classify(), Status::WrongMode);
+    EXPECT_EQ(session.results(5, prediction), Status::WrongMode);
 }
 
 TEST(EcssdApi, ComputeCallsRequireDeployedWeights)
@@ -70,7 +72,8 @@ TEST(EcssdApi, ComputeCallsRequireDeployedWeights)
     EcssdApi api(f.options);
     api.ecssdEnable();
     std::vector<float> feature(f.spec.hiddenDim, 1.0f);
-    EXPECT_THROW(api.int4InputSend(feature), sim::FatalError);
+    InferenceSession session = api.beginInference();
+    EXPECT_EQ(session.sendInt4(feature), Status::NotDeployed);
     EXPECT_THROW(api.filterThreshold(0.0), sim::FatalError);
 }
 
@@ -90,18 +93,19 @@ TEST(EcssdApi, FullInferenceSequence)
     api.calibrateThreshold(calibration);
 
     const std::vector<float> query = f.model.sampleQuery(rng);
-    api.int4InputSend(query);
-    api.cfp32InputSend(query);
-    api.int4Screen();
-    EXPECT_GT(api.lastCandidateCount(), 0u);
-    EXPECT_LT(api.lastCandidateCount(), f.spec.categories);
-    api.cfp32Classify();
-    EXPECT_GT(api.lastInferenceLatency(), 0u);
+    InferenceSession session = api.beginInference();
+    ASSERT_EQ(session.sendInt4(query), Status::Ok);
+    ASSERT_EQ(session.sendCfp32(query), Status::Ok);
+    ASSERT_EQ(session.screen(), Status::Ok);
+    EXPECT_GT(session.candidateCount(), 0u);
+    EXPECT_LT(session.candidateCount(), f.spec.categories);
+    ASSERT_EQ(session.classify(), Status::Ok);
+    EXPECT_GT(session.latency(), 0u);
 
-    const auto prediction = api.getResults(5);
+    xclass::ApproximateClassifier::Prediction prediction;
+    ASSERT_EQ(session.results(5, prediction), Status::Ok);
     EXPECT_EQ(prediction.topCategories.size(), 5u);
-    EXPECT_EQ(prediction.candidateCount,
-              api.lastCandidateCount());
+    EXPECT_EQ(prediction.candidateCount, session.candidateCount());
     // Scores are sorted descending.
     for (std::size_t i = 1; i < prediction.topScores.size(); ++i)
         EXPECT_GE(prediction.topScores[i - 1],
@@ -117,12 +121,14 @@ TEST(EcssdApi, PredictionMatchesDirectClassifier)
 
     sim::Rng rng(3);
     const std::vector<float> query = f.model.sampleQuery(rng);
-    api.int4InputSend(query);
-    api.cfp32InputSend(query);
     api.filterThreshold(-1e30); // pass everything: exact top-k
-    api.int4Screen();
-    api.cfp32Classify();
-    const auto api_pred = api.getResults(3);
+    InferenceSession session = api.beginInference();
+    ASSERT_EQ(session.sendInt4(query), Status::Ok);
+    ASSERT_EQ(session.sendCfp32(query), Status::Ok);
+    ASSERT_EQ(session.screen(), Status::Ok);
+    ASSERT_EQ(session.classify(), Status::Ok);
+    xclass::ApproximateClassifier::Prediction api_pred;
+    ASSERT_EQ(session.results(3, api_pred), Status::Ok);
 
     const xclass::ApproximateClassifier reference(
         f.model.weights(), f.spec, f.options.seed);
@@ -132,20 +138,96 @@ TEST(EcssdApi, PredictionMatchesDirectClassifier)
               0.66);
 }
 
-TEST(EcssdApi, OutOfOrderCallsAreFatal)
+TEST(EcssdApi, UnboundedDeployTimeMatchesClosedForm)
+{
+    // With no host budget the placement sorts in one in-memory run;
+    // for FP32 rows at even K the streamed time is the closed form
+    // to the tick.
+    xclass::BenchmarkSpec gnmt = xclass::scaledDown(
+        xclass::benchmarkByName("GNMT-E32K"), 4096);
+    xclass::BenchmarkSpec a670k = xclass::scaledDown(
+        xclass::benchmarkByName("XMLCNN-A670K"), 20000);
+    a670k.hiddenDim = 64;
+    for (const xclass::BenchmarkSpec &spec : {gnmt, a670k}) {
+        ASSERT_EQ(spec.shrunkDim() % 2, 0u) << spec.name;
+        const xclass::SyntheticModel model(spec, 1);
+        const EcssdOptions options;
+        EcssdApi api(options);
+        api.ecssdEnable();
+        EXPECT_EQ(api.weightDeploy(model.weights(), spec),
+                  estimateDeployTime(spec, options.ssd))
+            << spec.name;
+        const StreamingDeployResult *outcome = api.streamingDeploy();
+        ASSERT_NE(outcome, nullptr) << spec.name;
+        EXPECT_EQ(outcome->runsSpilled, 0u) << spec.name;
+        EXPECT_EQ(outcome->layout, nullptr) << spec.name;
+    }
+}
+
+TEST(EcssdApi, DeployRefusesAScreenerLargerThanDram)
 {
     ApiFixture f;
-    EcssdApi api(f.options);
-    api.ecssdEnable();
-    api.weightDeploy(f.model.weights(), f.spec);
-    EXPECT_THROW(api.int4Screen(), sim::FatalError);
+    f.options.ssd.dramBytes = f.spec.int4WeightBytes() / 2;
+    struct Case
+    {
+        layout::LayoutKind layout;
+        std::uint64_t budget;
+    };
+    for (const Case c :
+         {Case{layout::LayoutKind::LearningAdaptive, 0},
+          Case{layout::LayoutKind::LearningAdaptive, 256ULL << 10},
+          Case{layout::LayoutKind::Uniform, 0}}) {
+        EcssdOptions options = f.options;
+        options.layoutKind = c.layout;
+        options.deployHostBudgetBytes = c.budget;
+        EcssdApi api(options);
+        api.ecssdEnable();
+        EXPECT_THROW(api.weightDeploy(f.model.weights(), f.spec),
+                     sim::PanicError);
+        EXPECT_THROW(
+            api.weightDeployStreaming(f.model.weights(), f.spec),
+            sim::PanicError);
+        // Refused up front: nothing was deployed.
+        EXPECT_EQ(api.weightVersion(), 0u);
+        EXPECT_EQ(api.streamingDeploy(), nullptr);
+    }
+}
 
-    sim::Rng rng(4);
-    const std::vector<float> query = f.model.sampleQuery(rng);
-    api.int4InputSend(query);
-    EXPECT_THROW(api.cfp32Classify(), sim::FatalError);
-    api.cfp32InputSend(query);
-    EXPECT_THROW(api.getResults(1), sim::FatalError);
+TEST(EcssdApi, DeployOutcomeDescribesTheLatestDeploy)
+{
+    const auto spec_of = [](std::uint64_t categories) {
+        xclass::BenchmarkSpec spec = xclass::scaledDown(
+            xclass::benchmarkByName("GNMT-E32K"), categories);
+        spec.hiddenDim = 64;
+        return spec;
+    };
+    const xclass::BenchmarkSpec large = spec_of(4096);
+    const xclass::BenchmarkSpec small = spec_of(2048);
+    const xclass::SyntheticModel large_model(large, 1);
+    const xclass::SyntheticModel small_model(small, 2);
+
+    EcssdOptions options;
+    options.ssd = ssdsim::smallTestConfig();
+    options.ssd.channels = 8;
+    options.deployHostBudgetBytes = 64ULL << 10;
+    EcssdApi api(options);
+    api.ecssdEnable();
+
+    api.weightDeployStreaming(large_model.weights(), large);
+    ASSERT_NE(api.streamingDeploy(), nullptr);
+    EXPECT_EQ(api.streamingDeploy()->rowsPlaced, 4096u);
+    EXPECT_GE(api.streamingDeploy()->runsSpilled, 2u);
+
+    const sim::Tick deploy =
+        api.weightDeploy(small_model.weights(), small);
+    const StreamingDeployResult *outcome = api.streamingDeploy();
+    ASSERT_NE(outcome, nullptr);
+    EXPECT_EQ(outcome->rowsPlaced, 2048u);
+    EXPECT_EQ(outcome->deployTime, deploy);
+    sim::MetricsRegistry metrics;
+    api.publishDeployMetrics(metrics);
+    EXPECT_DOUBLE_EQ(metrics.gauge("deploy.rows_placed").value(),
+                     2048.0);
 }
 
 TEST(EcssdApi, SsdModeReadWrite)
@@ -175,20 +257,10 @@ TEST(EcssdApi, PreAlignIsTheHostPrimitive)
     EXPECT_FLOAT_EQ(aligned.toFloat(0), 1.0f);
 }
 
-TEST(EcssdApi, DimensionMismatchPanics)
-{
-    ApiFixture f;
-    EcssdApi api(f.options);
-    api.ecssdEnable();
-    api.weightDeploy(f.model.weights(), f.spec);
-    std::vector<float> wrong(f.spec.hiddenDim + 1, 1.0f);
-    EXPECT_THROW(api.int4InputSend(wrong), sim::PanicError);
-}
-
 TEST(EcssdApi, NewQueryDropsPreviousCandidates)
 {
-    // Regression: lastCandidateCount() used to keep serving the
-    // previous query's count after a new input was sent.
+    // A fresh sendInt4 starts a new query: the previous query's
+    // candidates must never be served for it.
     ApiFixture f;
     EcssdApi api(f.options);
     api.ecssdEnable();
@@ -196,16 +268,18 @@ TEST(EcssdApi, NewQueryDropsPreviousCandidates)
 
     sim::Rng rng(5);
     const std::vector<float> first = f.model.sampleQuery(rng);
-    api.int4InputSend(first);
-    api.int4Screen();
-    EXPECT_GT(api.lastCandidateCount(), 0u);
+    InferenceSession session = api.beginInference();
+    ASSERT_EQ(session.sendInt4(first), Status::Ok);
+    ASSERT_EQ(session.sendCfp32(first), Status::Ok);
+    ASSERT_EQ(session.screen(), Status::Ok);
+    EXPECT_GT(session.candidateCount(), 0u);
 
     const std::vector<float> second = f.model.sampleQuery(rng);
-    api.int4InputSend(second);
-    EXPECT_EQ(api.lastCandidateCount(), 0u);
-    EXPECT_THROW(api.cfp32Classify(), sim::FatalError);
-    api.int4Screen();
-    EXPECT_GT(api.lastCandidateCount(), 0u);
+    ASSERT_EQ(session.sendInt4(second), Status::Ok);
+    EXPECT_EQ(session.candidateCount(), 0u);
+    EXPECT_EQ(session.classify(), Status::NotScreened);
+    ASSERT_EQ(session.screen(), Status::Ok);
+    EXPECT_GT(session.candidateCount(), 0u);
 }
 
 // --- InferenceSession --------------------------------------------------
@@ -269,6 +343,8 @@ TEST(InferenceSession, SequenceMisuseReturnsStatusNotDeath)
     EXPECT_EQ(session.sendInt4(wrong), Status::DimensionMismatch);
 
     EXPECT_EQ(session.sendInt4(query), Status::Ok);
+    // classify() needs the CFP32 input as well as the INT4 one.
+    EXPECT_EQ(session.classify(), Status::MissingInput);
     EXPECT_EQ(session.sendCfp32(query), Status::Ok);
     // classify() before screen(): input present, candidates absent.
     EXPECT_EQ(session.classify(), Status::NotScreened);

@@ -56,13 +56,15 @@ TEST(Integration, FullUserJourney)
     api.calibrateThreshold(calibration);
 
     const std::vector<float> query = model.sampleQuery(rng);
-    api.int4InputSend(query);
-    api.cfp32InputSend(query);
-    api.int4Screen();
-    api.cfp32Classify();
-    const auto prediction = api.getResults(5);
+    InferenceSession session = api.beginInference();
+    ASSERT_EQ(session.sendInt4(query), Status::Ok);
+    ASSERT_EQ(session.sendCfp32(query), Status::Ok);
+    ASSERT_EQ(session.screen(), Status::Ok);
+    ASSERT_EQ(session.classify(), Status::Ok);
+    xclass::ApproximateClassifier::Prediction prediction;
+    ASSERT_EQ(session.results(5, prediction), Status::Ok);
     ASSERT_EQ(prediction.topCategories.size(), 5u);
-    EXPECT_GT(api.lastInferenceLatency(), 0u);
+    EXPECT_GT(session.latency(), 0u);
 
     // The screened answer matches an exact search's top pick.
     const xclass::ApproximateClassifier reference(

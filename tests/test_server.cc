@@ -39,6 +39,17 @@ struct ServerFixture
     InferenceServer server;
 };
 
+/** Poisson arrivals at @p rps with every arrival Gold. */
+sim::TrafficConfig
+poisson(double rps)
+{
+    sim::TrafficConfig traffic;
+    traffic.process = sim::ArrivalProcess::Poisson;
+    traffic.ratePerSecond = rps;
+    traffic.goldFraction = 1.0;
+    return traffic;
+}
+
 } // namespace
 
 TEST(InferenceServer, RequestIdsAreUniqueAndOrdered)
@@ -127,9 +138,9 @@ TEST(InferenceServer, OpenLoopServesEverything)
     std::vector<std::vector<float>> pool;
     for (int q = 0; q < 8; ++q)
         pool.push_back(f.model.sampleQuery(rng));
+    sim::TrafficEngine engine(poisson(/*rps=*/2000.0));
     const auto responses =
-        f.server.runOpenLoop(pool, /*rps=*/2000.0,
-                             /*requests=*/40, /*k=*/3);
+        f.server.runTraffic(engine, /*count=*/40, pool, /*k=*/3);
     EXPECT_EQ(responses.size(), 40u);
     EXPECT_EQ(f.server.pending(), 0u);
     EXPECT_EQ(f.server.latencyPercentiles().count(), 40u);
@@ -145,7 +156,8 @@ TEST(InferenceServer, HigherLoadRaisesTailLatency)
         std::vector<std::vector<float>> pool;
         for (int q = 0; q < 8; ++q)
             pool.push_back(f.model.sampleQuery(rng));
-        f.server.runOpenLoop(pool, rps, 60, 3);
+        sim::TrafficEngine engine(poisson(rps));
+        f.server.runTraffic(engine, 60, pool, 3);
         return f.server.latencyPercentiles().p99();
     };
     const double light = tail(100.0);
@@ -162,7 +174,8 @@ TEST(InferenceServer, LightLoadServesSingles)
     std::vector<std::vector<float>> pool;
     for (int q = 0; q < 4; ++q)
         pool.push_back(f.model.sampleQuery(rng));
-    f.server.runOpenLoop(pool, /*rps=*/1.0, /*requests=*/10, 3);
+    sim::TrafficEngine engine(poisson(/*rps=*/1.0));
+    f.server.runTraffic(engine, /*count=*/10, pool, 3);
     const double spread = f.server.latencyPercentiles().p99()
         - f.server.latencyPercentiles().quantile(0.05);
     EXPECT_LT(spread,
@@ -345,10 +358,8 @@ TEST(InferenceServer, OpenLoopRejectsBadArguments)
 {
     ServerFixture f;
     std::vector<std::vector<float>> empty;
-    EXPECT_THROW(f.server.runOpenLoop(empty, 10.0, 1, 1),
+    sim::TrafficEngine engine(poisson(10.0));
+    EXPECT_THROW(f.server.runTraffic(engine, 1, empty, 1),
                  sim::PanicError);
-    std::vector<std::vector<float>> pool{
-        std::vector<float>(f.spec.hiddenDim, 1.0f)};
-    EXPECT_THROW(f.server.runOpenLoop(pool, 0.0, 1, 1),
-                 sim::PanicError);
+    EXPECT_THROW(sim::TrafficEngine{poisson(0.0)}, sim::FatalError);
 }

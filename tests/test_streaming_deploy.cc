@@ -33,7 +33,7 @@ smallSpec(std::uint64_t categories = 4096, unsigned hidden = 64)
     return spec;
 }
 
-/** The host-resident reference: exactly weightDeploy()'s layout. */
+/** The host-resident reference build of the placement. */
 std::unique_ptr<layout::LearningAdaptiveLayout>
 hostResidentLayout(const xclass::SyntheticModel &model,
                    const xclass::BenchmarkSpec &spec,
@@ -186,9 +186,7 @@ TEST(StreamingDeploy, OverdraftDiesWithNamedError)
 
 TEST(StreamingDeploy, ApiStreamingDeployServesLikeClassic)
 {
-    xclass::BenchmarkSpec spec = xclass::scaledDown(
-        xclass::benchmarkByName("GNMT-E32K"), 512);
-    spec.hiddenDim = 128;
+    const xclass::BenchmarkSpec spec = smallSpec();
     const xclass::SyntheticModel model(spec, 1);
 
     EcssdOptions options;
@@ -198,38 +196,43 @@ TEST(StreamingDeploy, ApiStreamingDeployServesLikeClassic)
     const auto predict = [&](EcssdApi &api) {
         sim::Rng rng(9);
         const std::vector<float> query = model.sampleQuery(rng);
-        api.int4InputSend(query);
-        api.cfp32InputSend(query);
-        api.int4Screen();
-        api.cfp32Classify();
-        return api.getResults(5);
+        InferenceSession session = api.beginInference();
+        EXPECT_EQ(session.sendInt4(query), Status::Ok);
+        EXPECT_EQ(session.sendCfp32(query), Status::Ok);
+        EXPECT_EQ(session.screen(), Status::Ok);
+        EXPECT_EQ(session.classify(), Status::Ok);
+        xclass::ApproximateClassifier::Prediction prediction;
+        EXPECT_EQ(session.results(5, prediction), Status::Ok);
+        return prediction;
     };
 
-    EcssdApi classic(options);
-    classic.ecssdEnable();
-    classic.weightDeploy(model.weights(), spec);
-    const auto classic_pred = predict(classic);
+    EcssdApi unbudgeted(options);
+    unbudgeted.ecssdEnable();
+    unbudgeted.weightDeploy(model.weights(), spec);
+    ASSERT_NE(unbudgeted.streamingDeploy(), nullptr);
+    EXPECT_EQ(unbudgeted.streamingDeploy()->runsSpilled, 0u);
+    const auto unbudgeted_pred = predict(unbudgeted);
 
-    options.deployHostBudgetBytes = 2ULL << 20;
-    EcssdApi streaming(options);
-    streaming.ecssdEnable();
-    const sim::Tick deploy = streaming.weightDeployStreaming(
-        model.weights(), spec);
+    options.deployHostBudgetBytes = 64ULL << 10;
+    EcssdApi budgeted(options);
+    budgeted.ecssdEnable();
+    const sim::Tick deploy =
+        budgeted.weightDeploy(model.weights(), spec);
     EXPECT_GT(deploy, 0u);
 
-    const StreamingDeployResult *outcome =
-        streaming.streamingDeploy();
+    const StreamingDeployResult *outcome = budgeted.streamingDeploy();
     ASSERT_NE(outcome, nullptr);
+    EXPECT_GE(outcome->runsSpilled, 2u);
     EXPECT_LE(outcome->hostPeakBytes,
               options.deployHostBudgetBytes);
     EXPECT_EQ(outcome->rowsPlaced, spec.categories);
 
     // Same weights, same seed, bit-identical placement: the two
     // deploys must serve identical predictions.
-    const auto streaming_pred = predict(streaming);
-    EXPECT_EQ(classic_pred.topCategories,
-              streaming_pred.topCategories);
-    EXPECT_EQ(classic_pred.topScores, streaming_pred.topScores);
+    const auto budgeted_pred = predict(budgeted);
+    EXPECT_EQ(unbudgeted_pred.topCategories,
+              budgeted_pred.topCategories);
+    EXPECT_EQ(unbudgeted_pred.topScores, budgeted_pred.topScores);
 }
 
 TEST(StreamingDeploy, NonAdaptiveLayoutFallsBackToClassic)
@@ -247,7 +250,8 @@ TEST(StreamingDeploy, NonAdaptiveLayoutFallsBackToClassic)
 
     EcssdApi api(options);
     api.ecssdEnable();
-    EXPECT_GT(api.weightDeployStreaming(model.weights(), spec), 0u);
-    // The fallback is the classic path: no streaming outcome.
+    EXPECT_EQ(api.weightDeploy(model.weights(), spec),
+              estimateDeployTime(spec, options.ssd));
+    // No hotness sort to stream: no streaming outcome.
     EXPECT_EQ(api.streamingDeploy(), nullptr);
 }

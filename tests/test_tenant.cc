@@ -358,9 +358,6 @@ TEST(ApiTenants, UnknownHandlesReportInsteadOfDying)
     EXPECT_EQ(api.weightDeploy(nobody, f.model.weights(), f.spec,
                                deploy_time),
               Status::UnknownTenant);
-    EXPECT_EQ(api.weightDeployStreaming(nobody, f.model.weights(),
-                                        f.spec, deploy_time),
-              Status::UnknownTenant);
     EXPECT_EQ(api.redeployBegin(nobody, f.model.weights(), f.spec),
               Status::UnknownTenant);
     EXPECT_EQ(api.redeployAdvance(nobody), Status::UnknownTenant);
@@ -370,6 +367,34 @@ TEST(ApiTenants, UnknownHandlesReportInsteadOfDying)
     std::uint64_t epoch = 0;
     EXPECT_EQ(api.deployEpoch(nobody, epoch), Status::UnknownTenant);
     EXPECT_EQ(api.tenantEngine(nobody), nullptr);
+}
+
+TEST(ApiTenants, TenantDeployHonoursTheHostBudget)
+{
+    // A tenant engine inherits the device's deploy host budget, and
+    // its deploy streams under it like any other.
+    TenantFixture f;
+    f.spec = xclass::scaledDown(xclass::benchmarkByName("GNMT-E32K"),
+                                4096);
+    f.spec.hiddenDim = 64;
+    const xclass::SyntheticModel model(f.spec, 1);
+    f.options.deployHostBudgetBytes = 64ULL << 10;
+    EcssdApi api(f.options);
+    TenantHandle a =
+        api.createTenant(TenantFixture::tenant("a", 8 * kMiB));
+    ASSERT_TRUE(a.valid());
+
+    sim::Tick deploy_time = 0;
+    ASSERT_EQ(api.weightDeploy(a, model.weights(), f.spec, deploy_time),
+              Status::Ok);
+    const StreamingDeployResult *outcome =
+        api.tenantEngine(a)->streamingDeploy();
+    ASSERT_NE(outcome, nullptr);
+    EXPECT_EQ(outcome->deployTime, deploy_time);
+    EXPECT_EQ(outcome->hostBudgetBytes, f.options.deployHostBudgetBytes);
+    EXPECT_GE(outcome->runsSpilled, 2u);
+    EXPECT_LE(outcome->hostPeakBytes, outcome->hostBudgetBytes);
+    EXPECT_EQ(outcome->rowsPlaced, f.spec.categories);
 }
 
 TEST(ApiTenants, QuotaRefusalsLeaveTheDeviceUntouched)

@@ -182,7 +182,7 @@ usage(const char *argv0, int code)
                 "[--no-overlap]\n"
                 "  [--arch NAME] [--sweep-layouts] [--energy]\n"
                 "  [--trace CATS] [--seed N] [--threads N]\n"
-                "  [--isa auto|scalar|vector|avx2|avx512]\n"
+                "  [--isa auto|scalar|avx2|avx512]\n"
                 "  [--cache-mb N] [--list]\n"
                 "  [--deploy-host-budget-mb N] [--relayout]\n"
                 "  [--relayout-threshold F] [--relayout-pages N]\n"
