@@ -47,91 +47,6 @@ toString(Status status)
     return "?";
 }
 
-namespace
-{
-
-/**
- * RAII span-name prefix for one tenant engine's device-side work:
- * every span a pipeline/redeploy call opens while the scope is alive
- * carries the tenant namespace.  A null tracer or empty prefix (the
- * default tenant) touches nothing, so single-tenant span dumps stay
- * byte-identical.
- */
-class SpanPrefixScope
-{
-  public:
-    SpanPrefixScope(sim::SpanTracer *tracer,
-                    const std::string &prefix)
-        : tracer_(prefix.empty() ? nullptr : tracer)
-    {
-        if (tracer_) {
-            saved_ = tracer_->namePrefix();
-            tracer_->setNamePrefix(prefix);
-        }
-    }
-
-    ~SpanPrefixScope()
-    {
-        if (tracer_)
-            tracer_->setNamePrefix(saved_);
-    }
-
-    SpanPrefixScope(const SpanPrefixScope &) = delete;
-    SpanPrefixScope &operator=(const SpanPrefixScope &) = delete;
-
-  private:
-    sim::SpanTracer *tracer_;
-    std::string saved_;
-};
-
-/** Recent-query ring capacity (warm-up / validation material). */
-constexpr std::size_t kRecentQueryCapacity = 32;
-
-/** Staged probe programs run per staging advance step. */
-constexpr unsigned kProbesPerStep = 4;
-
-/**
- * The deployed screening policy: threshold filtering with the
- * top-ratio guard band when the threshold passes nothing (the same
- * fallback InferenceSession::screen() serves with).
- */
-std::vector<std::uint64_t>
-screenWithFallback(xclass::Screener &screener,
-                   std::span<const float> feature)
-{
-    std::vector<std::uint64_t> rows =
-        screener.screen(feature, xclass::FilterMode::Threshold);
-    if (rows.empty())
-        rows = screener.screen(feature, xclass::FilterMode::TopRatio);
-    return rows;
-}
-
-/**
- * Shadow-scoring recall of @p staged against @p live on one query:
- * the fraction of the live screener's candidates the staged screener
- * also selects.  1.0 when the live screener selects nothing (there
- * is nothing to miss).
- */
-double
-screenerRecall(xclass::Screener &live, xclass::Screener &staged,
-               std::span<const float> query)
-{
-    const std::vector<std::uint64_t> live_rows =
-        screenWithFallback(live, query);
-    if (live_rows.empty())
-        return 1.0;
-    const std::vector<std::uint64_t> staged_rows =
-        screenWithFallback(staged, query);
-    std::vector<std::uint64_t> common;
-    std::set_intersection(live_rows.begin(), live_rows.end(),
-                          staged_rows.begin(), staged_rows.end(),
-                          std::back_inserter(common));
-    return static_cast<double>(common.size())
-        / static_cast<double>(live_rows.size());
-}
-
-} // namespace
-
 // --- InferenceSession ------------------------------------------------
 
 InferenceSession::InferenceSession(EcssdApi &api)
@@ -195,9 +110,7 @@ InferenceSession::sendInt4(std::span<const float> feature)
 {
     if (const Status guard = check(); guard != Status::Ok)
         return guard;
-    const EcssdApi::DeployedVersion &version =
-        *api_->resolve(epoch_);
-    if (feature.size() != version.spec->hiddenDim)
+    if (feature.size() != api_->resolve(epoch_)->spec.hiddenDim)
         return Status::DimensionMismatch;
     feature_.assign(feature.begin(), feature.end());
     int4Sent_ = true;
@@ -209,7 +122,7 @@ InferenceSession::sendInt4(std::span<const float> feature)
     classified_ = false;
     // Feed the recent-query ring the next hot swap warms and
     // validates with.
-    api_->recordQuery(feature_);
+    api_->redeploy_.recordQuery(feature_);
     return Status::Ok;
 }
 
@@ -218,9 +131,7 @@ InferenceSession::sendCfp32(std::span<const float> feature)
 {
     if (const Status guard = check(); guard != Status::Ok)
         return guard;
-    const EcssdApi::DeployedVersion &version =
-        *api_->resolve(epoch_);
-    if (feature.size() != version.spec->hiddenDim)
+    if (feature.size() != api_->resolve(epoch_)->spec.hiddenDim)
         return Status::DimensionMismatch;
     if (!int4Sent_ || feature_.size() != feature.size()
         || !std::equal(feature.begin(), feature.end(),
@@ -239,19 +150,12 @@ InferenceSession::screen()
         return guard;
     if (!int4Sent_)
         return Status::MissingInput;
-    EcssdApi::DeployedVersion &version = *api_->resolve(epoch_);
     // Screening restarts the candidate phase: any scores of a
     // previous classify() are stale from this point on.
     scores_.clear();
     classified_ = false;
-    candidates_ = version.screener->screen(
-        feature_, xclass::FilterMode::Threshold);
-    // A threshold that filters nothing would stall the FP32 stage;
-    // fall back to top-ratio selection as the deployed system's
-    // guard band.
-    if (candidates_.empty())
-        candidates_ = version.screener->screen(
-            feature_, xclass::FilterMode::TopRatio);
+    candidates_ = screenCandidates(api_->resolve(epoch_)->screener(),
+                                   feature_, EcssdApi::kScreenMode);
     return Status::Ok;
 }
 
@@ -268,8 +172,8 @@ InferenceSession::classify()
     if (candidates_.empty())
         return Status::NotScreened;
 
-    EcssdApi::DeployedVersion &version = *api_->resolve(epoch_);
-    scores_ = version.classifier->scores(
+    DeployedVersion &version = *api_->resolve(epoch_);
+    scores_ = version.classifier->candidateClassifier().scores(
         feature_, candidates_,
         xclass::CandidateClassifier::Datapath::Cfp32AlignmentFree);
     classified_ = true;
@@ -278,8 +182,8 @@ InferenceSession::classify()
     // version this session is bound to (an old-epoch session keeps
     // running on the draining device).  A tenant engine stamps its
     // namespace onto every span this run opens.
-    const SpanPrefixScope prefixed(api_->spans_,
-                                   api_->spanNamespace_);
+    const sim::SpanPrefixScope prefixed(api_->spans_,
+                                        api_->spanNamespace_);
     version.system->ssd().resetTimelines();
     accel::BatchTiming timing =
         version.system->pipeline().runBatch(candidates_, 0);
@@ -347,7 +251,7 @@ EcssdApi::requireDeployed(const char *api) const
                         "weightDeploy() first");
 }
 
-EcssdApi::DeployedVersion *
+DeployedVersion *
 EcssdApi::resolve(std::uint64_t epoch)
 {
     if (live_.deployed() && epoch == live_.epoch)
@@ -383,17 +287,6 @@ EcssdApi::openSessions(std::uint64_t epoch) const
     return it == openSessions_.end() ? 0 : it->second;
 }
 
-void
-EcssdApi::recordQuery(const std::vector<float> &feature)
-{
-    if (recentQueries_.size() < kRecentQueryCapacity) {
-        recentQueries_.push_back(feature);
-        return;
-    }
-    recentQueries_[recentCursor_] = feature;
-    recentCursor_ = (recentCursor_ + 1) % kRecentQueryCapacity;
-}
-
 sim::Tick
 EcssdApi::weightDeploy(const numeric::FloatMatrix &weights,
                        const xclass::BenchmarkSpec &spec,
@@ -410,15 +303,11 @@ EcssdApi::weightDeploy(const numeric::FloatMatrix &weights,
     // Stop the world: a staged redeploy in flight is superseded (the
     // pre-flip path releases its staging capacity), and any draining
     // version is reclaimed immediately.
-    if (redeploy_ && redeploy_->machine.active()) {
-        if (redeploy_->machine.preFlip()) {
-            rollbackRedeploy(RollbackReason::Aborted);
-        } else {
-            redeploy_->machine.rollback(RollbackReason::Aborted,
-                                        serviceClock_);
-            ++redeployRollbacks_;
-        }
-    }
+    if (redeploy_.machine().preFlip())
+        redeploy_.rollback(live_, RollbackReason::Aborted, serviceClock_);
+    else if (redeploy_.machine().active())
+        redeploy_.machine().rollback(RollbackReason::Aborted,
+                                     serviceClock_);
     draining_.reset();
 
     // Re-resolve the ISA request (ECSSD_ISA may have changed since
@@ -429,7 +318,7 @@ EcssdApi::weightDeploy(const numeric::FloatMatrix &weights,
     // spills and merge reads go through its live FTL, so staging GC
     // and wear are real, not assumed.
     DeployedVersion version =
-        buildVersion(weights, spec, trained_projection);
+        buildVersion(weights, spec, options_, trained_projection);
     sim::Tick deploy_time = 0;
     if (options_.layoutKind == layout::LayoutKind::LearningAdaptive) {
         // Hot degrees come from the INT4 row masses (Section 5.3),
@@ -472,7 +361,7 @@ void
 EcssdApi::filterThreshold(double threshold)
 {
     requireDeployed("filterThreshold");
-    live_.screener->setThreshold(threshold);
+    live_.screener().setThreshold(threshold);
 }
 
 void
@@ -480,7 +369,7 @@ EcssdApi::calibrateThreshold(
     const std::vector<std::vector<float>> &queries)
 {
     requireDeployed("calibrateThreshold");
-    live_.screener->calibrate(queries);
+    live_.screener().calibrate(queries);
 }
 
 // --- Staged online redeploy ------------------------------------------
@@ -495,160 +384,47 @@ EcssdApi::redeployBegin(const numeric::FloatMatrix &weights,
         return Status::WrongMode;
     if (!live_.deployed())
         return Status::NotDeployed;
-    if (redeploy_ && redeploy_->machine.active())
+    if (redeploy_.machine().active())
         return Status::RedeployActive;
     if (weights.rows() != spec.categories
         || weights.cols() != spec.hiddenDim)
         return Status::DimensionMismatch;
-    config.validate();
-
-    redeploy_ = std::make_unique<StagedRedeploy>();
-    StagedRedeploy &r = *redeploy_;
-    r.config = config;
-    r.weights = &weights;
-    r.spec = spec;
-    r.projection = trained_projection;
-    r.oldEpoch = live_.epoch;
-    r.version.versionId = versionCounter_ + 1;
-    r.machine.attachObservability(metrics_, spans_);
-    r.machine.begin(serviceClock_);
-
-    // The staged INT4 screener claims the live device's leftover
-    // DRAM for the duration of the swap; not fitting is the graceful
-    // DramPressure rollback, not an abort.
-    if (options_.int4Placement == accel::Int4Placement::Dram) {
-        const std::uint64_t staged_bytes = spec.int4WeightBytes();
-        if (!live_.system->ssd().dram().tryReserve(staged_bytes)) {
-            rollbackRedeploy(RollbackReason::DramPressure);
-            return Status::Ok;
-        }
-        r.stagedReserveBytes = staged_bytes;
-    }
-
-    // Price the staging: the stop-the-world deploy time of the new
-    // footprint, stretched by the IO-budget fraction.
-    sim::Tick full_time = 0;
-    try {
-        full_time = estimateDeployTime(spec, options_.ssd);
-    } catch (const sim::FatalError &) {
-        rollbackRedeploy(RollbackReason::DramPressure);
-        return Status::Ok;
-    } catch (const sim::PanicError &) {
-        // The INT4 footprint overruns the device DRAM entirely
-        // (ECSSD_ASSERT in the estimate): same graceful outcome.
-        rollbackRedeploy(RollbackReason::DramPressure);
-        return Status::Ok;
-    }
-    r.ledger.reset(spec.int4WeightBytes() + spec.fp32WeightBytes(),
-                   full_time, config.ioBudgetFraction,
-                   config.stepBytes);
-
-    // Probe targets: the top of the live device's logical space (the
-    // staging area's flash).  Real programs + verify-reads there
-    // surface the media faults foreground traffic would see.
-    ssdsim::Ftl &ftl = live_.system->ssd().ftl();
-    const std::uint64_t probes = std::min<std::uint64_t>(
-        config.stagingProbePages, ftl.logicalPages());
-    for (std::uint64_t i = 0; i < probes; ++i)
-        r.probePages.push_back(ftl.logicalPages() - 1 - i);
+    flippedAt_ = 0;
+    drainElapsed_ = 0;
+    redeploy_.begin(live_, weights, spec, trained_projection, config,
+                    options_, nullptr, versionCounter_ + 1,
+                    serviceClock_);
     return Status::Ok;
 }
 
 Status
 EcssdApi::redeployAdvance()
 {
-    if (!redeploy_ || !redeploy_->machine.active())
+    if (!redeploy_.machine().active())
         return Status::NoRedeploy;
-    const SpanPrefixScope prefixed(spans_, spanNamespace_);
-    StagedRedeploy &r = *redeploy_;
-
-    switch (r.machine.phase()) {
-    case RedeployPhase::Staging: {
-        // Staging stops the moment the device latches read-only —
-        // a read-only device can never accept the staged version.
-        if (live_.system->ssd().ftl().readOnly()) {
-            rollbackRedeploy(RollbackReason::DeviceReadOnly);
-            return Status::Ok;
-        }
-        RollbackReason reason = RollbackReason::None;
-        if (!stageProbePages(live_.system->ssd().ftl(), r.probePages,
-                             r.probeCursor, kProbesPerStep,
-                             serviceClock_, reason)) {
-            rollbackRedeploy(reason);
-            return Status::Ok;
-        }
-        // One budgeted chunk of background program time.
-        serviceClock_ += r.ledger.step();
-        if (!r.ledger.done())
-            return Status::Ok;
-        // Finish the probe tail before declaring staging complete.
-        if (!stageProbePages(
-                live_.system->ssd().ftl(), r.probePages,
-                r.probeCursor,
-                static_cast<unsigned>(r.probePages.size()),
-                serviceClock_, reason)) {
-            rollbackRedeploy(reason);
-            return Status::Ok;
-        }
-        try {
-            buildStagedVersion();
-        } catch (const sim::FatalError &) {
-            // The staged configuration is infeasible on this device
-            // (screener/cache residency): roll back, keep serving.
-            rollbackRedeploy(RollbackReason::DramPressure);
-            return Status::Ok;
-        } catch (const sim::PanicError &) {
-            rollbackRedeploy(RollbackReason::DramPressure);
-            return Status::Ok;
-        }
-        r.machine.advanceTo(RedeployPhase::Warming, serviceClock_);
-        return Status::Ok;
-    }
-    case RedeployPhase::Warming:
-        if (r.warmed < r.config.warmupQueries
-            && r.warmed < recentQueries_.size()) {
-            warmOneQuery();
-        } else {
-            r.machine.advanceTo(RedeployPhase::Validating,
-                                serviceClock_);
-        }
-        return Status::Ok;
-    case RedeployPhase::Validating: {
-        const std::size_t target = std::min<std::size_t>(
-            r.config.validationQueries, recentQueries_.size());
-        if (r.validated < target) {
-            validateOneQuery();
-            return Status::Ok;
-        }
-        r.recall = r.validated > 0
-            ? r.recallSum / static_cast<double>(r.validated)
-            : 1.0;
-        if (r.recall >= r.config.minValidationRecall)
-            flipEpoch();
-        else
-            rollbackRedeploy(RollbackReason::ValidationRecall);
-        return Status::Ok;
-    }
-    case RedeployPhase::Draining:
+    const sim::SpanPrefixScope prefixed(spans_, spanNamespace_);
+    if (redeploy_.machine().phase() == RedeployPhase::Draining) {
         // The background reclaim daemon's poll: service time passes
         // even when no request happens to arrive, so a drain always
         // reaches its deadline.
-        serviceClock_ += r.config.drainPollInterval;
+        serviceClock_ += redeploy_.config().drainPollInterval;
         pollDrain();
         return Status::Ok;
-    default:
-        return Status::NoRedeploy;
     }
+    redeploy_.step(live_, serviceClock_);
+    if (redeploy_.machine().phase() == RedeployPhase::Flipping)
+        flipEpoch();
+    return Status::Ok;
 }
 
 Status
 EcssdApi::redeployAbort()
 {
-    if (!redeploy_ || !redeploy_->machine.active())
+    if (!redeploy_.machine().active())
         return Status::NoRedeploy;
-    if (!redeploy_->machine.preFlip())
+    if (!redeploy_.machine().preFlip())
         return Status::RedeployActive;
-    rollbackRedeploy(RollbackReason::Aborted);
+    redeploy_.rollback(live_, RollbackReason::Aborted, serviceClock_);
     return Status::Ok;
 }
 
@@ -656,191 +432,78 @@ RedeployStatus
 EcssdApi::redeployStatus()
 {
     pollDrain();
-    RedeployStatus status;
-    if (!redeploy_)
-        return status;
-    const StagedRedeploy &r = *redeploy_;
-    status.phase = r.machine.phase();
-    status.reason = r.machine.reason();
-    status.stagedBytes = r.ledger.stagedBytes();
-    status.totalBytes = r.ledger.totalBytes();
-    status.validationRecall = r.recall;
-    status.oldEpoch = r.oldEpoch;
-    status.newEpoch = r.newEpoch;
-    status.weightVersion = r.version.versionId;
+    RedeployStatus status = redeploy_.status();
     status.inFlightOldSessions =
-        r.flippedAt > 0 || r.machine.phase() == RedeployPhase::Draining
-        ? openSessions(r.oldEpoch)
+        flippedAt_ > 0 || status.phase == RedeployPhase::Draining
+        ? openSessions(status.oldEpoch)
         : 0;
-    status.stagingTime = r.ledger.elapsed();
-    status.drainElapsed = r.drainElapsed;
+    status.drainElapsed = drainElapsed_;
     return status;
 }
 
 sim::Tick
 EcssdApi::redeployRun()
 {
-    if (!redeploy_ || !redeploy_->machine.active())
+    if (!redeploy_.machine().active())
         return 0;
-    while (redeploy_ && redeploy_->machine.active())
+    while (redeploy_.machine().active())
         redeployAdvance();
-    return redeploy_ ? redeploy_->ledger.elapsed() : 0;
-}
-
-EcssdApi::DeployedVersion
-EcssdApi::buildVersion(const numeric::FloatMatrix &weights,
-                       const xclass::BenchmarkSpec &spec,
-                       const numeric::FloatMatrix *trained_projection)
-    const
-{
-    DeployedVersion version;
-    version.weights = &weights;
-    version.spec = spec;
-    version.screener = std::make_unique<xclass::Screener>(
-        weights, spec, options_.seed, trained_projection);
-    version.classifier =
-        std::make_unique<xclass::CandidateClassifier>(weights);
-    version.system = std::make_unique<EcssdSystem>(spec, options_);
-    return version;
-}
-
-void
-EcssdApi::buildStagedVersion()
-{
-    StagedRedeploy &r = *redeploy_;
-    DeployedVersion version =
-        buildVersion(*r.weights, r.spec, r.projection);
-    version.versionId = r.version.versionId;
-    // The staged screener inherits the live screening policy so the
-    // shadow-scoring compares weights, not thresholds.
-    version.screener->setThreshold(live_.screener->threshold());
-    r.version = std::move(version);
-}
-
-void
-EcssdApi::warmOneQuery()
-{
-    StagedRedeploy &r = *redeploy_;
-    const std::vector<float> &query = recentQueries_[r.warmed];
-    ++r.warmed;
-    // A query recorded under a different input width cannot replay.
-    if (query.size() != r.spec.hiddenDim)
-        return;
-    const std::vector<std::uint64_t> rows =
-        screenWithFallback(*r.version.screener, query);
-    // Pre-fill the staged version's DRAM hot-row cache with the rows
-    // this query would fetch, so the flip lands warm.
-    r.version.system->pipeline().warmRows(rows, 0);
-}
-
-void
-EcssdApi::validateOneQuery()
-{
-    StagedRedeploy &r = *redeploy_;
-    const std::vector<float> &query = recentQueries_[r.validated];
-    ++r.validated;
-    if (query.size() != r.spec.hiddenDim
-        || query.size() != live_.spec->hiddenDim) {
-        // Not comparable across the swap; count it as full recall
-        // rather than penalizing an input-width migration.
-        r.recallSum += 1.0;
-        return;
-    }
-    r.recallSum +=
-        screenerRecall(*live_.screener, *r.version.screener, query);
+    return redeploy_.status().stagingTime;
 }
 
 void
 EcssdApi::flipEpoch()
 {
-    StagedRedeploy &r = *redeploy_;
-    r.machine.advanceTo(RedeployPhase::Flipping, serviceClock_);
-
-    // The staging claims on the old device end here: the staged
-    // version owns its own device from now on, and the old device
-    // only has to serve its draining sessions.
-    if (r.stagedReserveBytes > 0) {
-        live_.system->ssd().dram().release(r.stagedReserveBytes);
-        r.stagedReserveBytes = 0;
-    }
-    for (unsigned i = 0; i < r.probeCursor; ++i)
-        live_.system->ssd().ftl().trim(r.probePages[i]);
-
     draining_ = std::make_unique<DeployedVersion>(std::move(live_));
-    live_ = std::move(r.version);
-    live_.epoch = ++epochCounter_;
+    live_ = redeploy_.flip(*draining_, ++epochCounter_);
     versionCounter_ = live_.versionId;
     deployEpoch_ = live_.epoch;
-    r.newEpoch = live_.epoch;
     live_.system->setDeployVersion(live_.epoch, live_.versionId);
     live_.system->attachObservability(metrics_, spans_);
-    r.flippedAt = serviceClock_;
+    flippedAt_ = serviceClock_;
 
-    r.machine.advanceTo(RedeployPhase::Draining, serviceClock_);
+    redeploy_.machine().advanceTo(RedeployPhase::Draining,
+                                  serviceClock_);
     pollDrain();
 }
 
 void
 EcssdApi::pollDrain()
 {
-    if (!redeploy_
-        || redeploy_->machine.phase() != RedeployPhase::Draining)
+    if (redeploy_.machine().phase() != RedeployPhase::Draining)
         return;
-    StagedRedeploy &r = *redeploy_;
-    r.drainElapsed = serviceClock_ - r.flippedAt;
-    if (!draining_ || openSessions(r.oldEpoch) == 0) {
+    drainElapsed_ = serviceClock_ - flippedAt_;
+    if (!draining_ || openSessions(draining_->epoch) == 0) {
         commitRedeploy();
         return;
     }
-    if (r.drainElapsed >= r.config.drainDeadline) {
-        if (r.config.drainTimeoutRollsBack)
-            rollbackRedeploy(RollbackReason::DrainTimeout);
-        else
-            commitRedeploy();
+    const RedeployConfig &config = redeploy_.config();
+    if (drainElapsed_ < config.drainDeadline)
+        return;
+    if (!config.drainTimeoutRollsBack) {
+        commitRedeploy();
+        return;
     }
+    // The strict policy restores the old version as live.  Sessions
+    // bound to the rolled-back epoch turn stale; old-epoch sessions
+    // resume seamlessly — no request ever fails.
+    live_ = std::move(*draining_);
+    draining_.reset();
+    deployEpoch_ = live_.epoch;
+    live_.system->attachObservability(metrics_, spans_);
+    redeploy_.machine().rollback(RollbackReason::DrainTimeout,
+                                 serviceClock_);
 }
 
 void
 EcssdApi::commitRedeploy()
 {
-    StagedRedeploy &r = *redeploy_;
-    r.machine.advanceTo(RedeployPhase::Committed, serviceClock_);
-    ++redeployCommits_;
+    redeploy_.machine().advanceTo(RedeployPhase::Committed,
+                                  serviceClock_);
     // Reclaim the old version's capacity (its device, DRAM
     // residency, and cache go with it); any session still bound to
     // the old epoch is stale from here on.
     draining_.reset();
-}
-
-void
-EcssdApi::rollbackRedeploy(RollbackReason reason)
-{
-    StagedRedeploy &r = *redeploy_;
-    if (r.machine.preFlip()) {
-        // Release the staging claims on the live device.
-        if (r.stagedReserveBytes > 0) {
-            live_.system->ssd().dram().release(r.stagedReserveBytes);
-            r.stagedReserveBytes = 0;
-        }
-        for (unsigned i = 0; i < r.probeCursor; ++i)
-            live_.system->ssd().ftl().trim(r.probePages[i]);
-        r.version = DeployedVersion{};
-    } else if (draining_) {
-        // Post-flip: restore the old version as live.  Sessions
-        // bound to the rolled-back epoch turn stale; old-epoch
-        // sessions resume seamlessly — no request ever fails.
-        r.drainElapsed = serviceClock_ - r.flippedAt;
-        r.version = std::move(live_);
-        live_ = std::move(*draining_);
-        draining_.reset();
-        deployEpoch_ = live_.epoch;
-        live_.system->attachObservability(metrics_, spans_);
-        // The staging probes live on the restored device; drop them.
-        for (unsigned i = 0; i < r.probeCursor; ++i)
-            live_.system->ssd().ftl().trim(r.probePages[i]);
-    }
-    r.machine.rollback(reason, serviceClock_);
-    ++redeployRollbacks_;
 }
 
 void
@@ -851,12 +514,11 @@ EcssdApi::attachObservability(sim::MetricsRegistry *metrics,
     spans_ = spans;
     if (live_.system)
         live_.system->attachObservability(metrics, spans);
-    if (redeploy_)
-        redeploy_->machine.attachObservability(metrics, spans);
+    redeploy_.machine().attachObservability(metrics, spans);
     // Tenant engines observe through per-tenant scoped views, so
     // every counter/gauge/histogram they record lands in the user's
     // registry under "tenant.<name>."; spans share the user's tracer
-    // and are prefixed at emission (SpanPrefixScope).  Re-attach
+    // and are prefixed at emission (sim::SpanPrefixScope).  Re-attach
     // before dropping the old view: the engine must never hold a
     // dangling registry pointer.
     for (auto &[id, engine] : tenantEngines_) {
@@ -872,7 +534,8 @@ EcssdApi::attachObservability(sim::MetricsRegistry *metrics,
 void
 EcssdApi::publishRedeployMetrics(sim::MetricsRegistry &registry)
 {
-    if (!redeploy_)
+    const RedeployMachine &machine = redeploy_.machine();
+    if (machine.phase() == RedeployPhase::Idle)
         return;
     const RedeployStatus status = redeployStatus();
     registry.gaugeSet("redeploy.phase",
@@ -888,9 +551,9 @@ EcssdApi::publishRedeployMetrics(sim::MetricsRegistry &registry)
     registry.gaugeSet("redeploy.drain_ms",
                       sim::tickToMs(status.drainElapsed));
     registry.gaugeSet("redeploy.committed",
-                      static_cast<double>(redeployCommits_));
+                      static_cast<double>(machine.commits()));
     registry.gaugeSet("redeploy.rolled_back",
-                      static_cast<double>(redeployRollbacks_));
+                      static_cast<double>(machine.rollbacks()));
 }
 
 void
@@ -920,7 +583,7 @@ EcssdApi::publishKernelMetrics(sim::MetricsRegistry &registry)
 {
     if (!live_.deployed())
         return;
-    const numeric::KernelPlan &plan = live_.screener->kernelPlan();
+    const numeric::KernelPlan &plan = live_.screener().kernelPlan();
     registry.gaugeSet("kernel.isa",
                       static_cast<double>(static_cast<int>(plan.isa)));
     registry.gaugeSet("kernel.rows", static_cast<double>(plan.rows));
@@ -955,15 +618,10 @@ EcssdApi::createTenant(const TenantConfig &config, Status *status)
     // this tenant's cache *cannot* hold a byte past its quota, and
     // its screener residency is reserve()-checked against its own
     // partition, never the neighbours'.
-    EcssdOptions engine_options = options_;
-    engine_options.ssd.dramBytes = config.dramBytes;
-    engine_options.cache.capacityBytes = config.cacheQuotaBytes;
-    engine_options.tenants.clear();
-
     TenantEngine engine;
     engine.name = config.name;
     engine.ns = config.metricNamespace();
-    engine.api = std::make_unique<EcssdApi>(engine_options);
+    engine.api = std::make_unique<EcssdApi>(*tenantOptions(options_, config));
     engine.api->isTenantEngine_ = true;
     engine.api->spanNamespace_ = engine.ns;
     // Tenant work is accelerator-mode by definition.
@@ -1007,14 +665,9 @@ EcssdApi::tenantDeployFits(TenantHandle tenant,
         tenantRegistry_.entry(tenant);
     if (!entry)
         return Status::UnknownTenant;
-    const std::uint64_t screener_bytes =
-        options_.int4Placement == accel::Int4Placement::Dram
-        ? spec.int4WeightBytes()
-        : 0;
-    if (screener_bytes + entry->config.cacheQuotaBytes
-        > entry->config.dramBytes)
-        return Status::TenantQuotaExceeded;
-    return Status::Ok;
+    return tenantOptions(options_, entry->config, &spec)
+        ? Status::Ok
+        : Status::TenantQuotaExceeded;
 }
 
 void
@@ -1025,11 +678,8 @@ EcssdApi::syncTenantCharge(TenantHandle tenant)
     if (!api.live_.deployed()
         || api.live_.versionId == engine.chargedVersion)
         return;
-    const std::uint64_t screener_bytes =
-        options_.int4Placement == accel::Int4Placement::Dram
-        ? api.live_.spec->int4WeightBytes()
-        : 0;
-    tenantRegistry_.chargeScreener(tenant, screener_bytes);
+    tenantRegistry_.chargeScreener(
+        tenant, screenerDramBytes(options_, api.live_.spec));
     engine.chargedVersion = api.live_.versionId;
 }
 

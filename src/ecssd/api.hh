@@ -467,50 +467,10 @@ class EcssdApi
   private:
     friend class InferenceSession;
 
-    /** One weight generation: functional models plus its timed
-     *  system, stamped with the epoch it serves under. */
-    struct DeployedVersion
-    {
-        const numeric::FloatMatrix *weights = nullptr;
-        std::optional<xclass::BenchmarkSpec> spec;
-        std::unique_ptr<xclass::Screener> screener;
-        std::unique_ptr<xclass::CandidateClassifier> classifier;
-        std::unique_ptr<EcssdSystem> system;
-        std::uint64_t epoch = 0;
-        std::uint64_t versionId = 0;
-
-        bool deployed() const { return static_cast<bool>(screener); }
-    };
-
-    /** Everything one staged redeploy carries until it terminates. */
-    struct StagedRedeploy
-    {
-        RedeployMachine machine;
-        RedeployConfig config;
-        /** The version being staged (complete after Staging). */
-        DeployedVersion version;
-        const numeric::FloatMatrix *weights = nullptr;
-        xclass::BenchmarkSpec spec;
-        const numeric::FloatMatrix *projection = nullptr;
-        StagingLedger ledger;
-        /** Staging-area probe pages programmed through the live FTL. */
-        std::vector<ssdsim::LogicalPage> probePages;
-        unsigned probeCursor = 0;
-        /** DRAM reserved on the live device for the staged INT4. */
-        std::uint64_t stagedReserveBytes = 0;
-        unsigned warmed = 0;
-        unsigned validated = 0;
-        double recallSum = 0.0;
-        double recall = 1.0;
-        /** Epochs on either side of the flip (newEpoch 0 until the
-         *  flip assigns it). */
-        std::uint64_t oldEpoch = 0;
-        std::uint64_t newEpoch = 0;
-        /** Service tick of the epoch flip (drain start). */
-        sim::Tick flippedAt = 0;
-        /** Drain duration so far (frozen at the terminal phase). */
-        sim::Tick drainElapsed = 0;
-    };
+    /** Sessions screen by the deployed threshold, with the
+     *  top-ratio guard band (screenCandidates()). */
+    static constexpr xclass::FilterMode kScreenMode =
+        xclass::FilterMode::Threshold;
 
     /** One admitted tenant's backing engine: a private EcssdApi over
      *  a DRAM partition of this device, plus the persistent scoped
@@ -557,27 +517,6 @@ class EcssdApi
     /** Open sessions bound to @p epoch. */
     std::uint64_t openSessions(std::uint64_t epoch) const;
 
-    /** Record one query feature into the recent ring (warm-up and
-     *  validation replay material). */
-    void recordQuery(const std::vector<float> &feature);
-
-    /** Build one version's screener, classifier and timed system
-     *  (throws sim::FatalError on an infeasible configuration). */
-    DeployedVersion buildVersion(
-        const numeric::FloatMatrix &weights,
-        const xclass::BenchmarkSpec &spec,
-        const numeric::FloatMatrix *trained_projection) const;
-
-    /** Build the staged version under the live screening
-     *  threshold. */
-    void buildStagedVersion();
-
-    /** Run one warm-up query through the staged version. */
-    void warmOneQuery();
-
-    /** Shadow-score one query: staged-vs-live screener recall. */
-    void validateOneQuery();
-
     /** Flip the epoch: staged becomes live, live starts draining. */
     void flipEpoch();
 
@@ -587,9 +526,6 @@ class EcssdApi
 
     /** Commit: reclaim the draining version's capacity. */
     void commitRedeploy();
-
-    /** Roll back the active redeploy (any phase) with @p reason. */
-    void rollbackRedeploy(RollbackReason reason);
 
     EcssdOptions options_;
     Mode mode_ = Mode::Ssd;
@@ -605,8 +541,12 @@ class EcssdApi
     /** The previous version, serving old-epoch sessions during a
      *  drain; reclaimed at commit. */
     std::unique_ptr<DeployedVersion> draining_;
-    /** The in-flight (or last terminal) staged redeploy. */
-    std::unique_ptr<StagedRedeploy> redeploy_;
+    /** The staged-redeploy driver (and its recent-query ring). */
+    RedeployDriver redeploy_{kScreenMode};
+    /** Service tick of the last epoch flip (drain start). */
+    sim::Tick flippedAt_ = 0;
+    /** Drain duration so far (frozen at the terminal phase). */
+    sim::Tick drainElapsed_ = 0;
 
     /** The currently-serving epoch (what new sessions bind to). */
     std::uint64_t deployEpoch_ = 0;
@@ -619,14 +559,8 @@ class EcssdApi
     std::uint64_t epochCounter_ = 0;
     /** Monotone weight-version id source. */
     std::uint64_t versionCounter_ = 0;
-    /** Lifetime commit/rollback counts (across redeploy attempts). */
-    std::uint64_t redeployCommits_ = 0;
-    std::uint64_t redeployRollbacks_ = 0;
     /** Open InferenceSessions per epoch. */
     std::map<std::uint64_t, std::uint64_t> openSessions_;
-    /** Recent query features (ring, newest-overwrites-oldest). */
-    std::vector<std::vector<float>> recentQueries_;
-    std::size_t recentCursor_ = 0;
     /** Cumulative service clock (classify latencies + redeploy
      *  background work); drains are deadlined against it. */
     sim::Tick serviceClock_ = 0;

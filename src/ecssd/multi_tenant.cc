@@ -8,40 +8,6 @@
 namespace ecssd
 {
 
-namespace
-{
-
-/** RAII span-name prefix around one lane's serving quantum (no-op
- *  for a null tracer, so un-instrumented runs touch nothing). */
-class SpanPrefixScope
-{
-  public:
-    SpanPrefixScope(sim::SpanTracer *tracer,
-                    const std::string &prefix)
-        : tracer_(tracer)
-    {
-        if (tracer_) {
-            saved_ = tracer_->namePrefix();
-            tracer_->setNamePrefix(prefix);
-        }
-    }
-
-    ~SpanPrefixScope()
-    {
-        if (tracer_)
-            tracer_->setNamePrefix(saved_);
-    }
-
-    SpanPrefixScope(const SpanPrefixScope &) = delete;
-    SpanPrefixScope &operator=(const SpanPrefixScope &) = delete;
-
-  private:
-    sim::SpanTracer *tracer_;
-    std::string saved_;
-};
-
-} // namespace
-
 MultiTenantServer::MultiTenantServer(const EcssdOptions &options)
     : options_(options), registry_(options.ssd.dramBytes)
 {
@@ -82,14 +48,13 @@ MultiTenantServer::addTenant(
     const ServerConfig &server_config,
     const numeric::FloatMatrix *trained_projection, Status *status)
 {
-    // The tenant's screener residency plus its cache quota must fit
-    // its partition; checked before admission so a refusal leaves
+    // The lane's device: the shared architecture carved down to the
+    // tenant's partition.  Its screener residency plus its cache
+    // quota must fit; checked before admission so a refusal leaves
     // the ledger untouched.
-    const std::uint64_t screener_bytes =
-        options_.int4Placement == accel::Int4Placement::Dram
-        ? spec.int4WeightBytes()
-        : 0;
-    if (screener_bytes + config.cacheQuotaBytes > config.dramBytes) {
+    const std::optional<EcssdOptions> lane_options =
+        tenantOptions(options_, config, &spec);
+    if (!lane_options) {
         if (status)
             *status = Status::TenantQuotaExceeded;
         return TenantHandle{};
@@ -101,14 +66,7 @@ MultiTenantServer::addTenant(
         *status = admitted;
     if (admitted != Status::Ok)
         return TenantHandle{};
-    registry_.chargeScreener(handle, screener_bytes);
-
-    // The lane's device: the shared architecture with the DRAM
-    // budget cut to the partition and the cache sized to the quota.
-    EcssdOptions lane_options = options_;
-    lane_options.ssd.dramBytes = config.dramBytes;
-    lane_options.cache.capacityBytes = config.cacheQuotaBytes;
-    lane_options.tenants.clear();
+    registry_.chargeScreener(handle, screenerDramBytes(options_, spec));
 
     Lane lane;
     lane.name = config.name;
@@ -116,7 +74,7 @@ MultiTenantServer::addTenant(
     lane.config = config;
     lane.batchSize = spec.batchSize;
     lane.server = std::make_unique<InferenceServer>(
-        weights, spec, lane_options, trained_projection,
+        weights, spec, *lane_options, trained_projection,
         deriveServerConfig(config, server_config));
     if (metrics_)
         lane.metricsView = std::make_unique<sim::MetricsRegistry>(
@@ -142,7 +100,7 @@ MultiTenantServer::serveQuantum(
     // The device is shared: this lane's batch cannot start before
     // the device finished whatever another lane ran last.
     lane.server->alignDeviceClock(sharedClock_);
-    const SpanPrefixScope prefixed(spans_, lane.ns);
+    const sim::SpanPrefixScope prefixed(spans_, lane.ns);
     std::vector<InferenceServer::Response> batch =
         lane.server->serveBatch(k);
     sharedClock_ = std::max(sharedClock_, lane.server->deviceTime());
@@ -226,7 +184,7 @@ MultiTenantServer::run(const std::vector<TenantTraffic> &mix,
     // processAll() on an empty queue does exactly that.
     for (auto &[id, lane] : lanes_) {
         lane.server->alignDeviceClock(sharedClock_);
-        const SpanPrefixScope prefixed(spans_, lane.ns);
+        const sim::SpanPrefixScope prefixed(spans_, lane.ns);
         for (InferenceServer::Response &response :
              lane.server->processAll(k))
             outcomes.at(id).push_back(std::move(response));

@@ -1,8 +1,8 @@
 /**
  * @file
  * Zero-downtime weight hot-swap: the staged online-redeploy state
- * machine shared by every serving layer (EcssdApi, InferenceServer,
- * the scale-out fleet).
+ * machine and the one driver every serving owner (EcssdApi,
+ * InferenceServer) runs it through.
  *
  * A redeploy serves traffic *through* the swap instead of around it:
  *
@@ -12,7 +12,10 @@
  *  - Staging: the new version's INT4 screener + FP32/CFP16 rows
  *    program into spare flash capacity and leftover DRAM under an
  *    explicit IO budget (staging yields to foreground reads, like
- *    the patrol scrub).
+ *    the patrol scrub).  The staged screener reserves its DRAM on
+ *    the live device up front, and a few probe pages program and
+ *    verify-read through the live FTL so staging meets the media
+ *    faults foreground traffic would.
  *  - Warming: the staged screener and row cache replay a recorded
  *    sample of recent queries so the flip lands on a warm version.
  *  - Validating: a shadow-scoring pass compares the staged
@@ -23,6 +26,13 @@
  *  - Draining: old-epoch sessions finish on the old version under a
  *    bounded drain deadline; its capacity is reclaimed only after
  *    the drain completes.
+ *
+ * RedeployDriver runs Staging, Warming and Validating the same way
+ * for both owners, so a server swap reserves the staged screener's
+ * DRAM and runs the probes exactly as an API swap does.  Each owner
+ * keeps only its own guards and flip (the API drains its sessions,
+ * the server commits at the batch boundary).  The fleet's rolling
+ * redeploy (ScaleOutEcssd) is analytic and drives no machine.
  *
  * Any failure (validation below threshold, uncorrectable reads on
  * staged pages, the end-of-life read-only latch, DRAM pressure, a
@@ -35,12 +45,16 @@
 #define ECSSD_ECSSD_REDEPLOY_HH
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "ecssd/system.hh"
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 #include "ssdsim/ftl.hh"
+#include "xclass/screening.hh"
 
 namespace ecssd
 {
@@ -153,9 +167,9 @@ struct RedeployStatus
 
 /**
  * The redeploy phase machine: legal-transition bookkeeping plus
- * observability (redeploy.* counters and per-phase spans).  Owners
- * (EcssdApi, InferenceServer, ScaleOutEcssd) drive the transitions
- * and supply the clock; the machine guarantees that every begun
+ * observability (redeploy.* counters and per-phase spans).  Its
+ * RedeployDriver and the driver's owner make the transitions and
+ * supply the clock; the machine guarantees that every begun
  * redeploy terminates in exactly one of Committed / RolledBack.
  */
 class RedeployMachine
@@ -231,8 +245,7 @@ class RedeployMachine
 /**
  * Budgeted-staging ledger: tracks how many bytes of the new version
  * have programmed and how much background time the IO budget has
- * consumed.  Shared by every redeploy driver so the budget math is
- * identical across the API, the server, and the fleet.
+ * consumed.
  */
 class StagingLedger
 {
@@ -267,25 +280,152 @@ class StagingLedger
 };
 
 /**
- * Program + verify-read one batch of staged probe pages through
- * @p ftl.  The probes exercise the real flash path so staging
- * surfaces the same faults foreground traffic would: an
- * uncorrectable verify-read or a read-only rejection aborts the
- * staging with the corresponding rollback reason.
- *
- * @param ftl The live device's FTL.
- * @param pages The staging area's logical pages (probe targets).
- * @param cursor Resume position into @p pages (advanced).
- * @param budget Probes to run this step.
- * @param now Issue tick (the service clock).
- * @param[out] reason Set on failure (StagedMediaFault /
- *        DeviceReadOnly); untouched on success.
- * @return False when staging must roll back.
+ * One weight generation as a serving owner holds it: the functional
+ * model (INT4 screener + FP32 re-rank), its timed system, and the
+ * deploy epoch and version id it serves under.
  */
-bool stageProbePages(ssdsim::Ftl &ftl,
-                     const std::vector<ssdsim::LogicalPage> &pages,
-                     unsigned &cursor, unsigned budget, sim::Tick now,
-                     RollbackReason &reason);
+struct DeployedVersion
+{
+    xclass::BenchmarkSpec spec;
+    std::unique_ptr<xclass::ApproximateClassifier> classifier;
+    std::unique_ptr<EcssdSystem> system;
+    std::uint64_t epoch = 0;
+    std::uint64_t versionId = 0;
+
+    bool deployed() const { return static_cast<bool>(classifier); }
+    xclass::Screener &screener() const { return classifier->screener(); }
+};
+
+/**
+ * Build one version's classifier and timed system (epoch and version
+ * id stay 0).  Throws sim::FatalError on an infeasible configuration.
+ *
+ * @param pool Optional host-compute pool for the classifier.
+ */
+DeployedVersion buildVersion(const numeric::FloatMatrix &weights,
+                             const xclass::BenchmarkSpec &spec,
+                             const EcssdOptions &options,
+                             const numeric::FloatMatrix *trained_projection,
+                             sim::ThreadPool *pool = nullptr);
+
+/**
+ * Screen @p feature under an owner's serving policy: @p mode's
+ * selection, with the top-ratio selection as the guard band when a
+ * threshold passes nothing (an empty candidate set would stall the
+ * FP32 stage).
+ */
+std::vector<std::uint64_t> screenCandidates(
+    const xclass::Screener &screener, std::span<const float> feature,
+    xclass::FilterMode mode);
+
+/**
+ * The staged-redeploy driver.  A serving owner keeps one for its
+ * whole lifetime.  It holds everything a swap carries up to the flip
+ * — the phase machine, the staging ledger, the staged screener's
+ * DRAM reservation and the probe pages on the live device, the
+ * staged version, the warm-up and validation cursors, the recall —
+ * plus the ring of recent queries the warm-up and validation replay.
+ *
+ * The owner supplies its live version and its clock.  Once
+ * validation passes, step() leaves the machine in Flipping and the
+ * owner makes its flip: it takes the staged version with flip(),
+ * then advances the machine through Draining to Committed.
+ */
+class RedeployDriver
+{
+  public:
+    /** @param screen_mode The owner's serving screen policy; the
+     *  warm-up and the shadow scoring screen the way it serves. */
+    explicit RedeployDriver(xclass::FilterMode screen_mode)
+        : screenMode_(screen_mode)
+    {
+    }
+
+    RedeployMachine &machine() { return machine_; }
+    const RedeployMachine &machine() const { return machine_; }
+    const RedeployConfig &config() const { return config_; }
+
+    /** Record one served query (warm-up and validation material). */
+    void recordQuery(std::span<const float> feature);
+
+    /**
+     * Begin a redeploy from @p live at tick @p now: reserve the
+     * staged screener's DRAM on the live device, price the budgeted
+     * staging, and pick the probe pages.  A staged copy that cannot
+     * fit rolls back at once (RollbackReason::DramPressure).
+     *
+     * @param options Device configuration of the staged version.
+     * @param pool Host-compute pool of the staged classifier.
+     * @param version_id Id the staged version will serve under.
+     */
+    void begin(DeployedVersion &live, const numeric::FloatMatrix &weights,
+               const xclass::BenchmarkSpec &spec,
+               const numeric::FloatMatrix *trained_projection,
+               const RedeployConfig &config, const EcssdOptions &options,
+               sim::ThreadPool *pool, std::uint64_t version_id,
+               sim::Tick now);
+
+    /**
+     * Run one pre-flip step: a staging step (read-only check, probe
+     * pages, one budgeted chunk, and the build once the ledger is
+     * done), one warm-up query, or one validation query.  @p clock
+     * advances by the background time the step consumed.  Failures
+     * roll back; a passing validation leaves the machine in Flipping.
+     */
+    void step(DeployedVersion &live, sim::Tick &clock);
+
+    /**
+     * The flip's handover (machine in Flipping): release the staging
+     * claims on @p live and return the staged version, stamped with
+     * @p new_epoch.
+     */
+    DeployedVersion flip(DeployedVersion &live, std::uint64_t new_epoch);
+
+    /** Roll back before the flip: release the staging claims on
+     *  @p live and drop the staged version. */
+    void rollback(DeployedVersion &live, RollbackReason reason,
+                  sim::Tick now);
+
+    /** Snapshot of the current (or last) redeploy; the drain fields
+     *  are the owner's to fill. */
+    RedeployStatus status() const;
+
+  private:
+    /** Run @p budget probe pages at @p now; rolls back on a fault. */
+    bool probe(DeployedVersion &live, unsigned budget, sim::Tick now);
+
+    /** One Staging step. */
+    void stage(DeployedVersion &live, sim::Tick &clock);
+
+    /** Give back the DRAM reservation and probe pages on @p live. */
+    void releaseClaims(DeployedVersion &live);
+
+    xclass::FilterMode screenMode_;
+    RedeployMachine machine_;
+    RedeployConfig config_;
+    EcssdOptions options_;
+    sim::ThreadPool *pool_ = nullptr;
+    const numeric::FloatMatrix *weights_ = nullptr;
+    const numeric::FloatMatrix *projection_ = nullptr;
+    /** The version being staged (built once the ledger is done). */
+    DeployedVersion staged_;
+    StagingLedger ledger_;
+    /** Staging-area probe pages programmed through the live FTL. */
+    std::vector<ssdsim::LogicalPage> probePages_;
+    unsigned probeCursor_ = 0;
+    /** DRAM reserved on the live device for the staged INT4. */
+    std::uint64_t stagedReserveBytes_ = 0;
+    unsigned warmed_ = 0;
+    unsigned validated_ = 0;
+    double recallSum_ = 0.0;
+    double recall_ = 1.0;
+    std::uint64_t oldEpoch_ = 0;
+    std::uint64_t newEpoch_ = 0;
+    std::uint64_t versionId_ = 0;
+    /** Recent query features (ring, newest-overwrites-oldest). */
+    std::vector<std::vector<float>> recentQueries_;
+    std::size_t recentCursor_ = 0;
+};
 
 } // namespace ecssd
 

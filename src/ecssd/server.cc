@@ -75,22 +75,20 @@ InferenceServer::InferenceServer(
     const xclass::BenchmarkSpec &spec, const EcssdOptions &options,
     const numeric::FloatMatrix *trained_projection,
     const ServerConfig &server_config)
-    : weights_(&weights), spec_(spec),
-      options_(withIsaApplied(options)),
-      config_(server_config),
+    : options_(withIsaApplied(options)), config_(server_config),
       threadPool_(
           std::make_unique<sim::ThreadPool>(options.threads)),
-      classifier_(std::make_unique<xclass::ApproximateClassifier>(
-          weights, spec, options.seed, trained_projection,
-          threadPool_.get())),
-      system_(std::make_unique<EcssdSystem>(spec, options)),
+      live_(buildVersion(weights, spec, options_, trained_projection,
+                         threadPool_.get())),
       retryJitterRng_(server_config.retryJitterSeed)
 {
     ECSSD_ASSERT(weights.rows() == spec.categories
                      && weights.cols() == spec.hiddenDim,
                  "weights do not match the benchmark spec");
     config_.validate();
-    system_->setDeployVersion(deployEpoch_, weightVersion_);
+    live_.epoch = 1;
+    live_.versionId = 1;
+    live_.system->setDeployVersion(live_.epoch, live_.versionId);
 }
 
 void
@@ -99,9 +97,8 @@ InferenceServer::attachObservability(sim::MetricsRegistry *metrics,
 {
     metrics_ = metrics;
     spans_ = spans;
-    system_->attachObservability(metrics, spans);
-    if (swap_)
-        swap_->machine.attachObservability(metrics, spans);
+    live_.system->attachObservability(metrics, spans);
+    redeploy_.machine().attachObservability(metrics, spans);
 }
 
 void
@@ -154,20 +151,18 @@ InferenceServer::publishMetrics(sim::MetricsRegistry &registry) const
     }
     registry.gaugeSet("server.device_time_ms",
                       sim::tickToMs(deviceClock_));
-    gauge("deploy_epoch", deployEpoch_);
-    gauge("weight_version", weightVersion_);
-    if (swap_ || redeployCommits_ > 0 || redeployRollbacks_ > 0) {
-        gauge("redeploy_commits", redeployCommits_);
-        gauge("redeploy_rollbacks", redeployRollbacks_);
-        if (swap_) {
-            registry.gaugeSet(
-                "server.redeploy_staged_bytes",
-                static_cast<double>(swap_->ledger.stagedBytes()));
-            registry.gaugeSet("server.redeploy_staging_ms",
-                              sim::tickToMs(swap_->ledger.elapsed()));
-            registry.gaugeSet("server.redeploy_validation_recall",
-                              swap_->recall);
-        }
+    gauge("deploy_epoch", live_.epoch);
+    gauge("weight_version", live_.versionId);
+    const RedeployMachine &machine = redeploy_.machine();
+    if (machine.phase() != RedeployPhase::Idle) {
+        const RedeployStatus status = redeploy_.status();
+        gauge("redeploy_commits", machine.commits());
+        gauge("redeploy_rollbacks", machine.rollbacks());
+        gauge("redeploy_staged_bytes", status.stagedBytes);
+        registry.gaugeSet("server.redeploy_staging_ms",
+                          sim::tickToMs(status.stagingTime));
+        registry.gaugeSet("server.redeploy_validation_recall",
+                          status.validationRecall);
     }
 }
 
@@ -245,7 +240,7 @@ InferenceServer::RequestId
 InferenceServer::enqueueAt(std::vector<float> feature,
                            sim::Tick arrival, sim::RequestClass cls)
 {
-    ECSSD_ASSERT(feature.size() == spec_.hiddenDim,
+    ECSSD_ASSERT(feature.size() == live_.spec.hiddenDim,
                  "feature dimension mismatch");
     const RequestId id = nextId_++;
 
@@ -334,9 +329,9 @@ InferenceServer::timeBatchWithRetries(
     const std::vector<std::uint64_t> &candidates, sim::Tick &backoff)
 {
     backoff = 0;
-    system_->ssd().resetTimelines();
+    live_.system->ssd().resetTimelines();
     accel::BatchTiming timing =
-        system_->pipeline().runBatch(candidates, 0);
+        live_.system->pipeline().runBatch(candidates, 0);
 
     // FailBatch aborts retry with exponential backoff; every retry
     // re-reads the flash, so a transient ECC loss usually clears
@@ -359,8 +354,8 @@ InferenceServer::timeBatchWithRetries(
         }
         backoff += sim::microseconds(scaled);
         backoff_us *= 2.0;
-        system_->ssd().resetTimelines();
-        timing = system_->pipeline().runBatch(candidates, 0);
+        live_.system->ssd().resetTimelines();
+        timing = live_.system->pipeline().runBatch(candidates, 0);
     }
 
     if (timing.failed) {
@@ -369,12 +364,12 @@ InferenceServer::timeBatchWithRetries(
         ++stats_.exhaustedBatches;
         if (metrics_)
             metrics_->counterAdd("server.exhausted_batches");
-        accel::InferencePipeline &pipeline = system_->pipeline();
+        accel::InferencePipeline &pipeline = live_.system->pipeline();
         const accel::DegradedReadPolicy saved =
             pipeline.degradedPolicy();
         pipeline.setDegradedPolicy(
             accel::DegradedReadPolicy::ScreenerFallback);
-        system_->ssd().resetTimelines();
+        live_.system->ssd().resetTimelines();
         timing = pipeline.runBatch(candidates, 0);
         pipeline.setDegradedPolicy(saved);
     }
@@ -413,7 +408,7 @@ InferenceServer::serveOneBatch(std::size_t k)
     // deadline — serving a dead request burns device time that live
     // requests behind it are waiting for.
     std::vector<PendingRequest> batch;
-    while (batch.size() < spec_.batchSize && !pending_.empty()) {
+    while (batch.size() < live_.spec.batchSize && !pending_.empty()) {
         PendingRequest request = std::move(pending_.front());
         pending_.pop_front();
         if (expiredBy(request, deviceClock_)) {
@@ -448,6 +443,8 @@ InferenceServer::serveOneBatch(std::size_t k)
     // rungs shrink (ReducedCandidates) or empty (ScreenerOnly) each
     // request's contribution to the union — that is exactly the
     // flash-traffic relief the ladder buys.
+    const xclass::ApproximateClassifier &classifier = *live_.classifier;
+    const xclass::Screener &screener = classifier.screener();
     std::set<std::uint64_t> union_rows;
     std::vector<xclass::ApproximateClassifier::Prediction>
         predictions;
@@ -457,11 +454,11 @@ InferenceServer::serveOneBatch(std::size_t k)
         rungs.push_back(rung);
         switch (rung) {
         case BrownoutLevel::Full: {
-            predictions.push_back(
-                classifier_->predict(request.feature, k));
+            // One screen feeds both the re-rank and the batch union.
             const std::vector<std::uint64_t> rows =
-                classifier_->screener().screen(
-                    request.feature, xclass::FilterMode::TopRatio);
+                screenCandidates(screener, request.feature, kScreenMode);
+            predictions.push_back(
+                classifier.predictFrom(request.feature, rows, k));
             union_rows.insert(rows.begin(), rows.end());
             ++stats_.servedFull;
             break;
@@ -471,18 +468,16 @@ InferenceServer::serveOneBatch(std::size_t k)
             // screener score, then full-precision re-rank only the
             // survivors.
             std::vector<std::uint64_t> rows =
-                classifier_->screener().screen(
-                    request.feature, xclass::FilterMode::TopRatio);
+                screenCandidates(screener, request.feature, kScreenMode);
             const std::size_t budget = std::max<std::size_t>(
                 1, static_cast<std::size_t>(
                        static_cast<double>(rows.size())
                        * config_.brownout.reducedCandidateFraction));
             if (rows.size() > budget) {
                 const numeric::Int4Vector prepared =
-                    classifier_->screener().prepareFeature(
-                        request.feature);
+                    screener.prepareFeature(request.feature);
                 const std::vector<double> scores =
-                    classifier_->screener().scores(prepared);
+                    screener.scores(prepared);
                 std::partial_sort(
                     rows.begin(), rows.begin() + budget, rows.end(),
                     [&scores](std::uint64_t a, std::uint64_t b) {
@@ -494,7 +489,7 @@ InferenceServer::serveOneBatch(std::size_t k)
                 std::sort(rows.begin(), rows.end());
             }
             predictions.push_back(
-                classifier_->predictFrom(request.feature, rows, k));
+                classifier.predictFrom(request.feature, rows, k));
             union_rows.insert(rows.begin(), rows.end());
             ++stats_.servedReducedCandidates;
             break;
@@ -503,19 +498,14 @@ InferenceServer::serveOneBatch(std::size_t k)
             // ScreenerOnly: top-k straight from the INT4 scores —
             // no FP32 rows fetched for this request at all.
             predictions.push_back(
-                classifier_->screenerOnly(request.feature, k));
+                classifier.screenerOnly(request.feature, k));
             ++stats_.servedScreenerOnly;
             break;
         }
         }
         // Remember the feature: the next hot swap warms and
         // validates against the queries this server actually saw.
-        if (recentQueries_.size() < 32) {
-            recentQueries_.push_back(request.feature);
-        } else {
-            recentQueries_[recentCursor_] = request.feature;
-            recentCursor_ = (recentCursor_ + 1) % 32;
-        }
+        redeploy_.recordQuery(request.feature);
     }
 
     // Timing pass: the device fetches the union once per batch; the
@@ -795,7 +785,7 @@ InferenceServer::runTraffic(
         // remaining deadline slack.
         if (config_.batchMaxWait != 0) {
             while (have_next && !pending_.empty()
-                   && pending_.size() < spec_.batchSize
+                   && pending_.size() < live_.spec.batchSize
                    && next_arrival.at <= batchCloseAt()) {
                 deviceClock_ =
                     std::max(deviceClock_, next_arrival.at);
@@ -803,7 +793,7 @@ InferenceServer::runTraffic(
                 draw();
             }
             if (!pending_.empty()
-                && pending_.size() < spec_.batchSize) {
+                && pending_.size() < live_.spec.batchSize) {
                 const sim::Tick close = batchCloseAt();
                 if (close != sim::maxTick && close > deviceClock_)
                     deviceClock_ = close;
@@ -829,41 +819,18 @@ InferenceServer::beginRedeploy(
     const xclass::BenchmarkSpec &spec, const RedeployConfig &config,
     const numeric::FloatMatrix *trained_projection)
 {
-    if (swap_ && swap_->machine.active())
+    if (redeployActive())
         return Status::RedeployActive;
     if (weights.rows() != spec.categories
         || weights.cols() != spec.hiddenDim)
         return Status::DimensionMismatch;
     // Queued and future requests carry the serving input width; a
     // swap cannot change it under them.
-    if (spec.hiddenDim != spec_.hiddenDim)
+    if (spec.hiddenDim != live_.spec.hiddenDim)
         return Status::DimensionMismatch;
-    config.validate();
-
-    swap_ = std::make_unique<StagedSwap>();
-    StagedSwap &swap = *swap_;
-    swap.config = config;
-    swap.weights = &weights;
-    swap.spec = spec;
-    swap.projection = trained_projection;
-    swap.oldEpoch = deployEpoch_;
-    swap.versionId = weightVersion_ + 1;
-    swap.machine.attachObservability(metrics_, spans_);
-    swap.machine.begin(deviceClock_);
-
-    sim::Tick full_time = 0;
-    try {
-        full_time = estimateDeployTime(spec, options_.ssd);
-    } catch (const sim::FatalError &) {
-        rollbackSwap(RollbackReason::DramPressure);
-        return Status::Ok;
-    } catch (const sim::PanicError &) {
-        rollbackSwap(RollbackReason::DramPressure);
-        return Status::Ok;
-    }
-    swap.ledger.reset(spec.int4WeightBytes() + spec.fp32WeightBytes(),
-                      full_time, config.ioBudgetFraction,
-                      config.stepBytes);
+    redeploy_.begin(live_, weights, spec, trained_projection, config,
+                    options_, threadPool_.get(), live_.versionId + 1,
+                    deviceClock_);
     return Status::Ok;
 }
 
@@ -876,163 +843,26 @@ InferenceServer::redeployAdvance()
     return Status::Ok;
 }
 
-bool
-InferenceServer::redeployActive() const
-{
-    return swap_ && swap_->machine.active();
-}
-
-RedeployStatus
-InferenceServer::redeployStatus() const
-{
-    RedeployStatus status;
-    if (!swap_)
-        return status;
-    const StagedSwap &swap = *swap_;
-    status.phase = swap.machine.phase();
-    status.reason = swap.machine.reason();
-    status.stagedBytes = swap.ledger.stagedBytes();
-    status.totalBytes = swap.ledger.totalBytes();
-    status.validationRecall = swap.recall;
-    status.oldEpoch = swap.oldEpoch;
-    status.newEpoch = swap.newEpoch;
-    status.weightVersion = swap.versionId;
-    status.stagingTime = swap.ledger.elapsed();
-    return status;
-}
-
 void
 InferenceServer::stepRedeploy()
 {
     if (!redeployActive())
         return;
-    StagedSwap &swap = *swap_;
-
-    switch (swap.machine.phase()) {
-    case RedeployPhase::Staging: {
-        // A device that latched read-only can never program the
-        // staged version.
-        if (system_->ssd().ftl().readOnly()) {
-            rollbackSwap(RollbackReason::DeviceReadOnly);
-            return;
-        }
-        // One budgeted background-program chunk between batches: the
-        // foreground just had the device to itself, now staging gets
-        // its bounded slice.
-        deviceClock_ += swap.ledger.step();
-        if (!swap.ledger.done())
-            return;
-        try {
-            swap.classifier =
-                std::make_unique<xclass::ApproximateClassifier>(
-                    *swap.weights, swap.spec, options_.seed,
-                    swap.projection, threadPool_.get());
-            swap.system =
-                std::make_unique<EcssdSystem>(swap.spec, options_);
-        } catch (const sim::FatalError &) {
-            rollbackSwap(RollbackReason::DramPressure);
-            return;
-        } catch (const sim::PanicError &) {
-            rollbackSwap(RollbackReason::DramPressure);
-            return;
-        }
-        swap.machine.advanceTo(RedeployPhase::Warming, deviceClock_);
+    redeploy_.step(live_, deviceClock_);
+    if (redeploy_.machine().phase() != RedeployPhase::Flipping)
         return;
-    }
-    case RedeployPhase::Warming:
-        if (swap.warmed < swap.config.warmupQueries
-            && swap.warmed < recentQueries_.size()) {
-            // Pre-fill the staged device's hot-row cache with the
-            // rows this recorded query selects on the new weights.
-            const std::vector<std::uint64_t> rows =
-                swap.classifier->screener().screen(
-                    recentQueries_[swap.warmed],
-                    xclass::FilterMode::TopRatio);
-            swap.system->pipeline().warmRows(rows, 0);
-            ++swap.warmed;
-        } else {
-            swap.machine.advanceTo(RedeployPhase::Validating,
-                                   deviceClock_);
-        }
-        return;
-    case RedeployPhase::Validating: {
-        const std::size_t target = std::min<std::size_t>(
-            swap.config.validationQueries, recentQueries_.size());
-        if (swap.validated < target) {
-            // Shadow-score: of the candidates the live screener
-            // selects (the serving TopRatio path), what fraction
-            // does the staged screener also select?
-            const std::vector<float> &query =
-                recentQueries_[swap.validated];
-            ++swap.validated;
-            const std::vector<std::uint64_t> live_rows =
-                classifier_->screener().screen(
-                    query, xclass::FilterMode::TopRatio);
-            if (live_rows.empty()) {
-                swap.recallSum += 1.0;
-                return;
-            }
-            const std::vector<std::uint64_t> staged_rows =
-                swap.classifier->screener().screen(
-                    query, xclass::FilterMode::TopRatio);
-            std::vector<std::uint64_t> common;
-            std::set_intersection(live_rows.begin(), live_rows.end(),
-                                  staged_rows.begin(),
-                                  staged_rows.end(),
-                                  std::back_inserter(common));
-            swap.recallSum += static_cast<double>(common.size())
-                / static_cast<double>(live_rows.size());
-            return;
-        }
-        swap.recall = swap.validated > 0
-            ? swap.recallSum / static_cast<double>(swap.validated)
-            : 1.0;
-        if (swap.recall >= swap.config.minValidationRecall)
-            flipSwap();
-        else
-            rollbackSwap(RollbackReason::ValidationRecall);
-        return;
-    }
-    default:
-        return;
-    }
-}
-
-void
-InferenceServer::flipSwap()
-{
-    StagedSwap &swap = *swap_;
-    swap.machine.advanceTo(RedeployPhase::Flipping, deviceClock_);
-
-    weights_ = swap.weights;
-    spec_ = swap.spec;
-    classifier_ = std::move(swap.classifier);
-    system_ = std::move(swap.system);
-    ++deployEpoch_;
-    weightVersion_ = swap.versionId;
-    swap.newEpoch = deployEpoch_;
-    system_->setDeployVersion(deployEpoch_, weightVersion_);
-    system_->attachObservability(metrics_, spans_);
-
     // Serving is synchronous per batch, so at this boundary no
     // request is bound to the old version: the drain is empty and
     // commits immediately, reclaiming the old device and classifier.
-    swap.machine.advanceTo(RedeployPhase::Draining, deviceClock_);
-    swap.machine.advanceTo(RedeployPhase::Committed, deviceClock_);
-    ++redeployCommits_;
+    live_ = redeploy_.flip(live_, live_.epoch + 1);
+    live_.system->setDeployVersion(live_.epoch, live_.versionId);
+    live_.system->attachObservability(metrics_, spans_);
+    redeploy_.machine().advanceTo(RedeployPhase::Draining, deviceClock_);
+    redeploy_.machine().advanceTo(RedeployPhase::Committed,
+                                  deviceClock_);
     if (metrics_)
         metrics_->gaugeSet("server.deploy_epoch",
-                           static_cast<double>(deployEpoch_));
-}
-
-void
-InferenceServer::rollbackSwap(RollbackReason reason)
-{
-    StagedSwap &swap = *swap_;
-    swap.classifier.reset();
-    swap.system.reset();
-    swap.machine.rollback(reason, deviceClock_);
-    ++redeployRollbacks_;
+                           static_cast<double>(live_.epoch));
 }
 
 } // namespace ecssd

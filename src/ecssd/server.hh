@@ -15,14 +15,15 @@
  * resort so the server keeps answering on a dying device).
  *
  * Zero-downtime weight hot swap: beginRedeploy() stages a new weight
- * version alongside the serving one; the staged-redeploy state
- * machine (redeploy.hh) advances one step between served batches, so
- * staging IO yields to foreground requests.  The version flip happens
- * at a batch boundary — the server serves requests synchronously, so
- * no request is ever in flight across the flip and the drain commits
- * immediately.  A validation failure or a device fault during staging
- * rolls back automatically; the old version keeps serving and no
- * request fails.
+ * version alongside the serving one; the staged-redeploy driver
+ * (redeploy.hh, the same one EcssdApi runs) advances one step between
+ * served batches, so staging IO yields to foreground requests.  The
+ * version flip happens at a batch boundary — the server serves
+ * requests synchronously, so no request is ever in flight across the
+ * flip and the drain commits immediately.  DRAM pressure, a staged
+ * media fault, a read-only device or a validation failure rolls back
+ * automatically; the old version keeps serving and no request
+ * fails.
  */
 
 #ifndef ECSSD_ECSSD_SERVER_HH
@@ -329,7 +330,7 @@ class InferenceServer
     /** Device health at the server's cumulative device time. */
     ssdsim::HealthReport health() const
     {
-        return system_->health(deviceClock_);
+        return live_.system->health(deviceClock_);
     }
 
     // --- Weight hot swap ------------------------------------------
@@ -344,10 +345,10 @@ class InferenceServer
      * Returns RedeployActive while a swap is in flight and
      * DimensionMismatch when @p weights do not match @p spec or
      * @p spec changes the input width (queued requests could no
-     * longer be served).  A swap whose staging footprint cannot fit
-     * the device returns Ok and immediately rolls back
-     * (RollbackReason::DramPressure) — observable via
-     * redeployStatus().
+     * longer be served).  A swap whose staged screener cannot fit
+     * the device DRAM next to the serving one returns Ok and
+     * immediately rolls back (RollbackReason::DramPressure) —
+     * observable via redeployStatus().
      *
      * @param weights The new L x D layer (must outlive the swap).
      * @param spec The new version's benchmark parameters.
@@ -366,16 +367,16 @@ class InferenceServer
     Status redeployAdvance();
 
     /** Snapshot of the current (or last) hot swap. */
-    RedeployStatus redeployStatus() const;
+    RedeployStatus redeployStatus() const { return redeploy_.status(); }
 
     /** True while a hot swap is between begin and terminal. */
-    bool redeployActive() const;
+    bool redeployActive() const { return redeploy_.machine().active(); }
 
     /** Deploy epoch of the serving version (bumped per flip). */
-    std::uint64_t deployEpoch() const { return deployEpoch_; }
+    std::uint64_t deployEpoch() const { return live_.epoch; }
 
     /** Monotone id of the serving weight version. */
-    std::uint64_t weightVersion() const { return weightVersion_; }
+    std::uint64_t weightVersion() const { return live_.versionId; }
 
     /**
      * Attach (or detach, with nullptr) observability sinks.  The
@@ -446,54 +447,24 @@ class InferenceServer
         const std::vector<std::uint64_t> &candidates,
         sim::Tick &backoff);
 
-    /** Everything one server hot swap stages until it terminates. */
-    struct StagedSwap
-    {
-        RedeployMachine machine;
-        RedeployConfig config;
-        const numeric::FloatMatrix *weights = nullptr;
-        xclass::BenchmarkSpec spec;
-        const numeric::FloatMatrix *projection = nullptr;
-        StagingLedger ledger;
-        /** Built once staging completes. */
-        std::unique_ptr<xclass::ApproximateClassifier> classifier;
-        std::unique_ptr<EcssdSystem> system;
-        unsigned warmed = 0;
-        unsigned validated = 0;
-        double recallSum = 0.0;
-        double recall = 1.0;
-        std::uint64_t oldEpoch = 0;
-        std::uint64_t newEpoch = 0;
-        std::uint64_t versionId = 0;
-    };
-
-    /** Advance the in-flight swap one step (between batches). */
+    /** Advance the in-flight swap one step (between batches); a
+     *  passing validation flips and commits at once. */
     void stepRedeploy();
 
-    /** Flip to the staged version at a batch boundary and commit. */
-    void flipSwap();
+    /** Full and ReducedCandidates requests screen by top ratio. */
+    static constexpr xclass::FilterMode kScreenMode =
+        xclass::FilterMode::TopRatio;
 
-    /** Roll the in-flight swap back; the old version keeps serving. */
-    void rollbackSwap(RollbackReason reason);
-
-    const numeric::FloatMatrix *weights_;
-    xclass::BenchmarkSpec spec_;
     EcssdOptions options_;
     ServerConfig config_;
-    /** Host-compute pool shared by the functional classifier
-     *  (options.threads workers); declared before classifier_ so it
-     *  outlives every parallel consumer. */
+    /** Host-compute pool shared by the functional classifiers
+     *  (options.threads workers); declared before live_ and
+     *  redeploy_ so it outlives every parallel consumer. */
     std::unique_ptr<sim::ThreadPool> threadPool_;
-    std::unique_ptr<xclass::ApproximateClassifier> classifier_;
-    std::unique_ptr<EcssdSystem> system_;
-    /** The in-flight (or last terminal) hot swap. */
-    std::unique_ptr<StagedSwap> swap_;
-    std::uint64_t deployEpoch_ = 1;
-    std::uint64_t weightVersion_ = 1;
-    /** Recent request features (ring): hot-swap warm-up/validation
-     *  replay material. */
-    std::vector<std::vector<float>> recentQueries_;
-    std::size_t recentCursor_ = 0;
+    /** The serving version. */
+    DeployedVersion live_;
+    /** The hot-swap driver (and its recent-request ring). */
+    RedeployDriver redeploy_{kScreenMode};
     std::deque<PendingRequest> pending_;
     /** Terminal responses produced outside a served batch (shed at
      *  admission, dropped at expiry); drained by processAll /
@@ -533,9 +504,6 @@ class InferenceServer
     /** Seeded retry-backoff jitter stream (never advanced when
      *  retryJitterFraction == 0). */
     sim::Rng retryJitterRng_;
-    /** Lifetime hot-swap outcome counts. */
-    std::uint64_t redeployCommits_ = 0;
-    std::uint64_t redeployRollbacks_ = 0;
     /** Optional observability sinks (null = uninstrumented); kept so
      *  an epoch flip can re-instrument the new system. */
     sim::MetricsRegistry *metrics_ = nullptr;

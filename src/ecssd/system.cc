@@ -73,9 +73,7 @@ EcssdOptions::validate(const xclass::BenchmarkSpec *spec) const
         // that alone exceeds DRAM is refused later, by
         // deployTimeEstimate() — Section 7.1's scale-out case.)
         const std::uint64_t screener_bytes =
-            int4Placement == accel::Int4Placement::Dram
-            ? spec->int4WeightBytes()
-            : 0;
+            screenerDramBytes(*this, *spec);
         const std::uint64_t remaining =
             ssd.dramBytes > screener_bytes
             ? ssd.dramBytes - screener_bytes
@@ -471,6 +469,30 @@ sim::Tick
 EcssdSystem::deployTimeEstimate() const
 {
     return estimateDeployTime(spec_, options_.ssd);
+}
+
+std::uint64_t
+screenerDramBytes(const EcssdOptions &options,
+                  const xclass::BenchmarkSpec &spec)
+{
+    return options.int4Placement == accel::Int4Placement::Dram
+        ? spec.int4WeightBytes()
+        : 0;
+}
+
+std::optional<EcssdOptions>
+tenantOptions(const EcssdOptions &device, const TenantConfig &tenant,
+              const xclass::BenchmarkSpec *spec)
+{
+    if (spec
+        && screenerDramBytes(device, *spec) + tenant.cacheQuotaBytes
+            > tenant.dramBytes)
+        return std::nullopt;
+    EcssdOptions options = device;
+    options.ssd.dramBytes = tenant.dramBytes;
+    options.cache.capacityBytes = tenant.cacheQuotaBytes;
+    options.tenants.clear();
+    return options;
 }
 
 sim::Tick

@@ -10,6 +10,7 @@
 #define ECSSD_ECSSD_SYSTEM_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -328,6 +329,25 @@ EcssdOptions::builder()
 
 /** Human-readable one-line description of an option set. */
 std::string describe(const EcssdOptions &options);
+
+/** DRAM the INT4 screener of @p spec claims on a device configured
+ *  by @p options (0 when the screener is not DRAM-resident). */
+std::uint64_t screenerDramBytes(const EcssdOptions &options,
+                                const xclass::BenchmarkSpec &spec);
+
+/**
+ * One tenant's engine options, carved out of the device's: the DRAM
+ * budget becomes the tenant's partition, the row cache its quota,
+ * and tenants do not nest.
+ *
+ * @param spec When given, a deployment to check: its DRAM-resident
+ *        screener plus the tenant's cache quota must fit the
+ *        partition.
+ * @return The carved options; nullopt when @p spec does not fit.
+ */
+std::optional<EcssdOptions> tenantOptions(
+    const EcssdOptions &device, const TenantConfig &tenant,
+    const xclass::BenchmarkSpec *spec = nullptr);
 
 /**
  * Analytic weight-deployment (preparation) time of @p spec on a

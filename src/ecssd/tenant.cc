@@ -28,8 +28,6 @@ TenantConfig::validate() const
         sim::fatal("tenant '", name, "': cache quota (",
                    cacheQuotaBytes, ") exceeds the DRAM partition (",
                    dramBytes, ")");
-    if (goldShare < 0.0 || goldShare > 1.0)
-        sim::fatal("tenant '", name, "': goldShare must be in [0, 1]");
     if (p99TargetMs < 0.0)
         sim::fatal("tenant '", name, "': p99TargetMs must be >= 0");
 }

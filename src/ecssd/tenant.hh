@@ -7,7 +7,7 @@
  * partition (its INT4 screener residency plus a hot-row cache byte
  * quota carved out of it), its own deploy epoch and redeploy state
  * machine, a metric/span namespace ("tenant.<name>."), and an SLO
- * record (deadline, p99 target, Gold share) the admission/brownout
+ * record (deadline, p99 target) the admission/brownout
  * stack enforces per tenant.
  *
  * The TenantRegistry is pure accounting, in the spirit of
@@ -58,9 +58,6 @@ struct TenantConfig
     /** Serving p99 target in milliseconds; drives the tenant's
      *  admission target and brownout thresholds (0 = no target). */
     double p99TargetMs = 0.0;
-    /** Expected Gold share of the tenant's traffic, in [0, 1]
-     *  (accounting only — the traffic engine decides classes). */
-    double goldShare = 0.0;
 
     /** Die fatally (sim::FatalError) on an inconsistent config. */
     void validate() const;

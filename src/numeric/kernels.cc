@@ -571,6 +571,8 @@ __attribute__((target("avx2"))) void
 quantizePackAvx2(const float *values, std::size_t n, float scale,
                  std::uint8_t *out)
 {
+    if (n == 0)
+        return;
     if (scale == 0.0f) {
         std::memset(out, 0, (n + 1) / 2);
         return;

@@ -179,6 +179,38 @@ class SpanTracer
 };
 
 /**
+ * RAII span-name prefix for one tenant's device-side work: every span
+ * opened while the scope is alive carries the tenant namespace.  A
+ * null tracer or an empty prefix (the default tenant) touches
+ * nothing, so single-tenant span dumps stay byte-identical.
+ */
+class SpanPrefixScope
+{
+  public:
+    SpanPrefixScope(SpanTracer *tracer, const std::string &prefix)
+        : tracer_(prefix.empty() ? nullptr : tracer)
+    {
+        if (tracer_) {
+            saved_ = tracer_->namePrefix();
+            tracer_->setNamePrefix(prefix);
+        }
+    }
+
+    ~SpanPrefixScope()
+    {
+        if (tracer_)
+            tracer_->setNamePrefix(saved_);
+    }
+
+    SpanPrefixScope(const SpanPrefixScope &) = delete;
+    SpanPrefixScope &operator=(const SpanPrefixScope &) = delete;
+
+  private:
+    SpanTracer *tracer_;
+    std::string saved_;
+};
+
+/**
  * RAII helper for span emission in instrumented code.  A null tracer
  * makes the whole object a no-op, which is the zero-cost-when-disabled
  * path.

@@ -239,6 +239,13 @@ class ApproximateClassifier
     Screener &screener() { return screener_; }
     const Screener &screener() const { return screener_; }
 
+    /** The full-precision stage on its own (scores an explicit
+     *  candidate set). */
+    const CandidateClassifier &candidateClassifier() const
+    {
+        return classifier_;
+    }
+
     /** Run the full algorithm for one query. */
     Prediction predict(
         std::span<const float> feature, std::size_t k,

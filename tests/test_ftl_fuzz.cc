@@ -8,33 +8,19 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <unordered_map>
 
 #include "sim/rng.hh"
 #include "ssdsim/ftl.hh"
 
+#include "fuzz_iters.hh"
+
 using namespace ecssd;
 using namespace ecssd::ssdsim;
 
 namespace
 {
-
-/**
- * Iteration count scaled by the ECSSD_FUZZ_ITERS environment
- * variable (a multiplier; the scheduled CI long-fuzz job sets it to
- * soak the FTL far beyond the per-commit budget).
- */
-int
-fuzzIters(int base)
-{
-    const char *env = std::getenv("ECSSD_FUZZ_ITERS");
-    if (env == nullptr)
-        return base;
-    const long mult = std::strtol(env, nullptr, 10);
-    return mult > 1 ? base * static_cast<int>(mult) : base;
-}
 
 class FtlFuzz : public ::testing::TestWithParam<std::uint64_t>
 {

@@ -28,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -37,21 +36,12 @@
 #include "sim/traffic.hh"
 #include "xclass/metrics.hh"
 
+#include "fuzz_iters.hh"
+
 using namespace ecssd;
 
 namespace
 {
-
-/** Iteration count scaled by the ECSSD_FUZZ_ITERS multiplier. */
-int
-fuzzIters(int base)
-{
-    const char *env = std::getenv("ECSSD_FUZZ_ITERS");
-    if (env == nullptr)
-        return base;
-    const long mult = std::strtol(env, nullptr, 10);
-    return mult > 1 ? base * static_cast<int>(mult) : base;
-}
 
 xclass::BenchmarkSpec
 chaosSpec()

@@ -610,6 +610,22 @@ struct ServerFixture
     xclass::SyntheticModel model;
 };
 
+/** Every id in @p ids answered exactly once, and none shed. */
+void
+expectEachAnsweredOnce(
+    const std::vector<InferenceServer::Response> &responses,
+    const std::vector<InferenceServer::RequestId> &ids)
+{
+    std::vector<InferenceServer::RequestId> seen;
+    for (const auto &response : responses) {
+        seen.push_back(response.id);
+        EXPECT_NE(response.status,
+                  InferenceServer::Response::Status::Shed);
+    }
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, ids);
+}
+
 } // namespace
 
 TEST(ServerRedeploy, SwapCommitsUnderLoadWithNoLostRequests)
@@ -698,6 +714,70 @@ TEST(ServerRedeploy, ValidationFailureKeepsOldVersionServing)
               RedeployPhase::RolledBack);
     EXPECT_EQ(server.redeployStatus().reason,
               RollbackReason::ValidationRecall);
+    EXPECT_EQ(server.deployEpoch(), 1u);
+    EXPECT_EQ(server.weightVersion(), 1u);
+}
+
+TEST(ServerRedeploy, DramPressureRollsBackBeforeStaging)
+{
+    // The device DRAM holds the serving screener with a sliver to
+    // spare: the staged copy cannot fit next to it, so the swap
+    // rolls back at begin and the old version serves on.
+    ServerFixture f;
+    EcssdOptions tight = EcssdOptions::full();
+    tight.ssd.dramBytes = f.spec.int4WeightBytes() + 16;
+    InferenceServer server(f.model.weights(), f.spec, tight,
+                           &f.model.basis());
+    sim::Rng rng(41);
+    std::vector<InferenceServer::RequestId> ids;
+    for (int i = 0; i < 8; ++i)
+        ids.push_back(server.enqueue(f.model.sampleQuery(rng)));
+
+    ASSERT_EQ(server.beginRedeploy(f.model.weights(), f.spec,
+                                  RedeployConfig{}, &f.model.basis()),
+              Status::Ok);
+    const RedeployStatus begun = server.redeployStatus();
+    EXPECT_EQ(begun.phase, RedeployPhase::RolledBack);
+    EXPECT_EQ(begun.reason, RollbackReason::DramPressure);
+    EXPECT_EQ(begun.stagedBytes, 0u);
+    EXPECT_FALSE(server.redeployActive());
+
+    const auto responses = server.processAll(5);
+    ASSERT_EQ(responses.size(), ids.size());
+    expectEachAnsweredOnce(responses, ids);
+    EXPECT_EQ(server.redeployStatus().phase,
+              RedeployPhase::RolledBack);
+    EXPECT_EQ(server.deployEpoch(), 1u);
+    EXPECT_EQ(server.weightVersion(), 1u);
+}
+
+TEST(ServerRedeploy, StagedMediaFaultRollsBack)
+{
+    // Every flash read is uncorrectable: requests still answer from
+    // the screener (ScreenerFallback), but the staging probes'
+    // verify-reads fail, so the swap must never flip onto this media.
+    ServerFixture f;
+    EcssdOptions failing = EcssdOptions::full();
+    failing.ssd.uncorrectableReadRate = 1.0;
+    failing.degradedPolicy =
+        accel::DegradedReadPolicy::ScreenerFallback;
+    InferenceServer server(f.model.weights(), f.spec, failing,
+                           &f.model.basis());
+    sim::Rng rng(43);
+    std::vector<InferenceServer::RequestId> ids;
+    for (int i = 0; i < 8; ++i)
+        ids.push_back(server.enqueue(f.model.sampleQuery(rng)));
+
+    ASSERT_EQ(server.beginRedeploy(f.model.weights(), f.spec,
+                                  RedeployConfig{}, &f.model.basis()),
+              Status::Ok);
+    const auto responses = server.processAll(5);
+    ASSERT_EQ(responses.size(), ids.size());
+    expectEachAnsweredOnce(responses, ids);
+
+    const RedeployStatus status = server.redeployStatus();
+    EXPECT_EQ(status.phase, RedeployPhase::RolledBack);
+    EXPECT_EQ(status.reason, RollbackReason::StagedMediaFault);
     EXPECT_EQ(server.deployEpoch(), 1u);
     EXPECT_EQ(server.weightVersion(), 1u);
 }

@@ -4,7 +4,8 @@
  * steps, session traffic, aborts, and injected device faults (high
  * uncorrectable-read rates, the read-only end-of-life latch, DRAM
  * pressure, hostile validation targets, tiny drain deadlines under
- * both expiry policies) against the staged hot-swap machinery.
+ * both expiry policies) against the staged hot-swap machinery, on
+ * the API's sessions and on the server's request queue.
  *
  * Invariants asserted on every interleaving:
  *  - every begun redeploy terminates in exactly one of Committed /
@@ -35,21 +36,12 @@
 #include "ecssd/server.hh"
 #include "sim/rng.hh"
 
+#include "fuzz_iters.hh"
+
 using namespace ecssd;
 
 namespace
 {
-
-/** Iteration count scaled by the ECSSD_FUZZ_ITERS multiplier. */
-int
-fuzzIters(int base)
-{
-    const char *env = std::getenv("ECSSD_FUZZ_ITERS");
-    if (env == nullptr)
-        return base;
-    const long mult = std::strtol(env, nullptr, 10);
-    return mult > 1 ? base * static_cast<int>(mult) : base;
-}
 
 xclass::BenchmarkSpec
 chaosSpec()
@@ -237,6 +229,12 @@ TEST(ChaosSwap, ServerSwapNeverLosesOrDoublesRequests)
                 ? accel::DegradedReadPolicy::FailBatch
                 : accel::DegradedReadPolicy::ScreenerFallback;
         }
+        // DRAM pressure on every third run: the device DRAM holds
+        // the serving screener with a sliver to spare, so the staged
+        // copy cannot fit.
+        const bool dramPressure = iter % 3 == 2;
+        if (dramPressure)
+            options.ssd.dramBytes = spec.int4WeightBytes() + 16;
         InferenceServer server(model.weights(), spec, options,
                                &model.basis());
 
@@ -286,6 +284,9 @@ TEST(ChaosSwap, ServerSwapNeverLosesOrDoublesRequests)
             EXPECT_EQ(server.deployEpoch(), 2u);
         else
             EXPECT_EQ(server.deployEpoch(), 1u);
+        if (dramPressure) {
+            EXPECT_EQ(status.reason, RollbackReason::DramPressure);
+        }
 
         // The surviving version keeps serving.
         server.enqueue(model.sampleQuery(rng));

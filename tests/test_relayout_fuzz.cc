@@ -28,21 +28,12 @@
 #include "ecssd/system.hh"
 #include "sim/rng.hh"
 
+#include "fuzz_iters.hh"
+
 using namespace ecssd;
 
 namespace
 {
-
-/** Iteration count scaled by the ECSSD_FUZZ_ITERS multiplier. */
-int
-fuzzIters(int base)
-{
-    const char *env = std::getenv("ECSSD_FUZZ_ITERS");
-    if (env == nullptr)
-        return base;
-    const long mult = std::strtol(env, nullptr, 10);
-    return mult > 1 ? base * static_cast<int>(mult) : base;
-}
 
 xclass::BenchmarkSpec
 fuzzSpec()

@@ -111,10 +111,6 @@ TEST(TenantConfig, ValidationRejectsInconsistentDeclarations)
     TenantConfig inverted = config;
     inverted.cacheQuotaBytes = inverted.dramBytes + 1;
     EXPECT_THROW(inverted.validate(), sim::FatalError);
-
-    TenantConfig gold = config;
-    gold.goldShare = 1.5;
-    EXPECT_THROW(gold.validate(), sim::FatalError);
 }
 
 TEST(TenantConfig, MetricNamespaceIsTenantScoped)
