@@ -36,6 +36,7 @@
 #include "ecssd/server.hh"
 #include "ecssd/streaming_deploy.hh"
 #include "ecssd/system.hh"
+#include "fig8_steps.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -514,17 +515,7 @@ void
 benchBreakdown(BaselineDoc &doc)
 {
     // The Fig 8 ladder on one benchmark at smoke scale.
-    EcssdOptions step0 = EcssdOptions::startingBaseline();
-    EcssdOptions step1 = step0;
-    step1.layoutKind = layout::LayoutKind::Uniform;
-    EcssdOptions step2 = step1;
-    step2.fpKind = circuit::FpMacKind::AlignmentFree;
-    EcssdOptions step3 = step2;
-    step3.int4Placement = accel::Int4Placement::Dram;
-    EcssdOptions step4 = step3;
-    step4.layoutKind = layout::LayoutKind::LearningAdaptive;
-    const EcssdOptions steps[] = {step0, step1, step2, step3, step4};
-
+    const auto steps = bench::fig8Steps();
     const xclass::BenchmarkSpec spec = xclass::scaledDown(
         xclass::benchmarkByName("XMLCNN-S10M"), kE2eScale);
     for (std::size_t s = 0; s < 5; ++s) {

@@ -171,10 +171,10 @@ simulate(Architecture arch, const xclass::BenchmarkSpec &spec,
         ssd_config.internalBandwidthGbps();
 
     // Candidate statistics for the -AP variants.
-    xclass::CandidateTrace trace(spec, seed);
     double cand_bytes = 0.0;
     double cand_rows = 0.0;
     if (usesScreening(arch)) {
+        xclass::CandidateTrace trace(spec, seed);
         for (unsigned b = 0; b < batches; ++b) {
             const std::vector<std::uint64_t> candidates =
                 trace.drawCandidates();

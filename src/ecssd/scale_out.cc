@@ -43,10 +43,8 @@ unsigned
 ScaleOutEcssd::devicesNeeded(const xclass::BenchmarkSpec &spec,
                              std::uint64_t dram_bytes)
 {
-    // The paper plans DRAM at ~80% fill (the rest holds L2P tables
-    // and management data).
     const std::uint64_t usable = static_cast<std::uint64_t>(
-        static_cast<double>(dram_bytes) * 0.8);
+        static_cast<double>(dram_bytes) * dramFillTarget);
     if (usable == 0) {
         // A user/configuration error, not a simulator bug: without
         // usable DRAM the shard count is unbounded (and the division

@@ -28,6 +28,14 @@
 namespace ecssd
 {
 
+/**
+ * Share of a device's DRAM the paper plans to fill with the INT4
+ * screener; the FTL's L2P map and management data keep the rest.
+ * This is how the 16 GB device tops out at the 12.8 GB screener of
+ * the 100M-category layer.
+ */
+constexpr double dramFillTarget = 0.8;
+
 /** Liveness and service record of one fleet shard. */
 struct ShardHealth
 {
@@ -215,7 +223,7 @@ class ScaleOutEcssd
 
     /**
      * Minimum device count for @p spec given a per-device DRAM
-     * capacity and the ~80% fill target the paper plans with.
+     * capacity and the dramFillTarget the paper plans with.
      *
      * Fatal when @p dram_bytes leaves no usable weight capacity (a
      * zero-DRAM device can never hold a shard).
