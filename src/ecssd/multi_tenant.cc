@@ -48,13 +48,11 @@ MultiTenantServer::addTenant(
     const ServerConfig &server_config,
     const numeric::FloatMatrix *trained_projection, Status *status)
 {
-    // The lane's device: the shared architecture carved down to the
-    // tenant's partition.  Its screener residency plus its cache
-    // quota must fit; checked before admission so a refusal leaves
-    // the ledger untouched.
-    const std::optional<EcssdOptions> lane_options =
-        tenantOptions(options_, config, &spec);
-    if (!lane_options) {
+    // The lane's screener residency plus its cache quota must fit
+    // the tenant's partition; checked before admission so a refusal
+    // leaves the ledger untouched.
+    if (screenerDramBytes(options_, spec) + config.cacheQuotaBytes
+        > config.dramBytes) {
         if (status)
             *status = Status::TenantQuotaExceeded;
         return TenantHandle{};
@@ -68,13 +66,19 @@ MultiTenantServer::addTenant(
         return TenantHandle{};
     registry_.chargeScreener(handle, screenerDramBytes(options_, spec));
 
+    // The lane's device: the shared architecture carved down to the
+    // tenant's partition, its row cache sized to the tenant's quota.
+    EcssdOptions lane_options = options_;
+    lane_options.ssd.dramBytes = config.dramBytes;
+    lane_options.cache.capacityBytes = config.cacheQuotaBytes;
+
     Lane lane;
     lane.name = config.name;
     lane.ns = config.metricNamespace();
     lane.config = config;
     lane.batchSize = spec.batchSize;
     lane.server = std::make_unique<InferenceServer>(
-        weights, spec, *lane_options, trained_projection,
+        weights, spec, lane_options, trained_projection,
         deriveServerConfig(config, server_config));
     if (metrics_)
         lane.metricsView = std::make_unique<sim::MetricsRegistry>(

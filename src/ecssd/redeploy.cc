@@ -29,13 +29,10 @@ toString(RollbackReason reason)
 {
     switch (reason) {
       case RollbackReason::None: return "None";
-      case RollbackReason::Aborted: return "Aborted";
       case RollbackReason::ValidationRecall: return "ValidationRecall";
       case RollbackReason::StagedMediaFault: return "StagedMediaFault";
       case RollbackReason::DeviceReadOnly: return "DeviceReadOnly";
       case RollbackReason::DramPressure: return "DramPressure";
-      case RollbackReason::DrainTimeout: return "DrainTimeout";
-      case RollbackReason::ShardLoss: return "ShardLoss";
     }
     return "?";
 }
@@ -51,8 +48,6 @@ RedeployConfig::validate() const
     if (minValidationRecall < 0.0 || minValidationRecall > 1.0)
         sim::fatal("redeploy minValidationRecall must be in [0, 1], "
                    "got ", minValidationRecall);
-    if (drainPollInterval == 0)
-        sim::fatal("redeploy drainPollInterval must be positive");
 }
 
 // ---------------------------------------------------------------------
@@ -221,6 +216,9 @@ namespace
 
 /** Recent-query ring capacity (warm-up / validation material). */
 constexpr std::size_t kRecentQueryCapacity = 32;
+
+/** The warm-up and the shadow scoring screen as the server serves. */
+constexpr xclass::FilterMode kScreenMode = xclass::FilterMode::TopRatio;
 
 /** Staged probe programs run per staging step. */
 constexpr unsigned kProbesPerStep = 4;
@@ -394,7 +392,7 @@ RedeployDriver::step(DeployedVersion &live, sim::Tick &clock)
             if (query.size() == staged_.spec.hiddenDim) {
                 staged_.system->pipeline().warmRows(
                     screenCandidates(staged_.screener(), query,
-                                     screenMode_),
+                                     kScreenMode),
                     0);
             }
         } else {
@@ -412,7 +410,7 @@ RedeployDriver::step(DeployedVersion &live, sim::Tick &clock)
             recallSum_ += query.size() == staged_.spec.hiddenDim
                     && query.size() == live.spec.hiddenDim
                 ? screenerRecall(live.screener(), staged_.screener(),
-                                 query, screenMode_)
+                                 query, kScreenMode)
                 : 1.0;
             return;
         }

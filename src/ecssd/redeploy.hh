@@ -1,8 +1,7 @@
 /**
  * @file
  * Zero-downtime weight hot-swap: the staged online-redeploy state
- * machine and the one driver every serving owner (EcssdApi,
- * InferenceServer) runs it through.
+ * machine and the driver InferenceServer runs it through.
  *
  * A redeploy serves traffic *through* the swap instead of around it:
  *
@@ -21,24 +20,17 @@
  *  - Validating: a shadow-scoring pass compares the staged
  *    screener's candidates against the live version on the same
  *    queries; recall below the configured floor rolls back.
- *  - Flipping: the deploy epoch advances atomically — new sessions
- *    bind to the new version, in-flight sessions keep the old one.
- *  - Draining: old-epoch sessions finish on the old version under a
- *    bounded drain deadline; its capacity is reclaimed only after
- *    the drain completes.
- *
- * RedeployDriver runs Staging, Warming and Validating the same way
- * for both owners, so a server swap reserves the staged screener's
- * DRAM and runs the probes exactly as an API swap does.  Each owner
- * keeps only its own guards and flip (the API drains its sessions,
- * the server commits at the batch boundary).  The fleet's rolling
- * redeploy (ScaleOutEcssd) is analytic and drives no machine.
+ *  - Flipping: the deploy epoch advances atomically.
+ *  - Draining: requests bound to the old version finish on it.  The
+ *    server serves synchronously per batch and flips at a batch
+ *    boundary, so its drain is empty and commits at once; the phase
+ *    stays in the diagram because redeploy.phase is published as a
+ *    number.
  *
  * Any failure (validation below threshold, uncorrectable reads on
- * staged pages, the end-of-life read-only latch, DRAM pressure, a
- * drain timeout under the strict policy) rolls back to the old
- * version with zero failed requests: the machine's owner keeps the
- * old version serving until Committed.
+ * staged pages, the end-of-life read-only latch, DRAM pressure) rolls
+ * back to the old version with zero failed requests: the machine's
+ * owner keeps the old version serving until Committed.
  */
 
 #ifndef ECSSD_ECSSD_REDEPLOY_HH
@@ -72,7 +64,8 @@ enum class RedeployPhase
     /** The atomic epoch flip (instantaneous; never observed from
      *  outside a transition). */
     Flipping,
-    /** Old-epoch sessions finishing on the old version. */
+    /** Requests bound to the old version finishing on it (empty
+     *  for the server, which flips at a batch boundary). */
     Draining,
     /** Terminal: the new version serves, old capacity reclaimed. */
     Committed,
@@ -84,8 +77,6 @@ enum class RedeployPhase
 enum class RollbackReason
 {
     None,
-    /** redeployAbort() before the flip. */
-    Aborted,
     /** Shadow-scoring recall fell below the configured floor. */
     ValidationRecall,
     /** A staged page verify-read came back uncorrectable. */
@@ -95,10 +86,6 @@ enum class RollbackReason
     /** The new version does not fit the DRAM left after current
      *  residency. */
     DramPressure,
-    /** Drain deadline expired under the strict rollback policy. */
-    DrainTimeout,
-    /** The shard being swapped died mid-redeploy (fleet swaps). */
-    ShardLoss,
 };
 
 const char *toString(RedeployPhase phase);
@@ -121,18 +108,6 @@ struct RedeployConfig
     unsigned validationQueries = 4;
     /** Minimum staged-vs-live screener recall; below it: rollback. */
     double minValidationRecall = 0.9;
-    /** Drain budget after the flip, in service-clock ticks. */
-    sim::Tick drainDeadline = sim::milliseconds(50.0);
-    /** Service-clock ticks one Draining advance step models (the
-     *  background reclaim daemon's poll interval). */
-    sim::Tick drainPollInterval = sim::microseconds(100.0);
-    /**
-     * Deadline-expiry policy.  False (default): the swap commits and
-     * remaining old-epoch sessions are force-retired (StaleSession
-     * from then on).  True: the swap rolls back instead, restoring
-     * the old epoch so those sessions keep serving.
-     */
-    bool drainTimeoutRollsBack = false;
     /** Staged pages actually programmed + verify-read through the
      *  FTL (the rest of the footprint is accounted analytically).
      *  The probe reads surface real media faults on staged pages. */
@@ -157,12 +132,8 @@ struct RedeployStatus
     std::uint64_t newEpoch = 0;
     /** Monotone id of the weight version being (or last) deployed. */
     std::uint64_t weightVersion = 0;
-    /** Old-epoch sessions still open (Draining only). */
-    std::uint64_t inFlightOldSessions = 0;
     /** Background ticks consumed by the budgeted staging so far. */
     sim::Tick stagingTime = 0;
-    /** Service-clock ticks since the flip (Draining and later). */
-    sim::Tick drainElapsed = 0;
 };
 
 /**
@@ -192,15 +163,6 @@ class RedeployMachine
     {
         return phase_ == RedeployPhase::Committed
             || phase_ == RedeployPhase::RolledBack;
-    }
-
-    /** True before the flip (abort is still possible). */
-    bool
-    preFlip() const
-    {
-        return phase_ == RedeployPhase::Staging
-            || phase_ == RedeployPhase::Warming
-            || phase_ == RedeployPhase::Validating;
     }
 
     /** Idle (or terminal, restarting) -> Staging at tick @p now. */
@@ -280,9 +242,10 @@ class StagingLedger
 };
 
 /**
- * One weight generation as a serving owner holds it: the functional
- * model (INT4 screener + FP32 re-rank), its timed system, and the
- * deploy epoch and version id it serves under.
+ * One weight generation as a serving owner (EcssdApi,
+ * InferenceServer) holds it: the functional model (INT4 screener +
+ * FP32 re-rank), its timed system, and the deploy epoch and version
+ * id it serves under.
  */
 struct DeployedVersion
 {
@@ -319,12 +282,14 @@ std::vector<std::uint64_t> screenCandidates(
     xclass::FilterMode mode);
 
 /**
- * The staged-redeploy driver.  A serving owner keeps one for its
+ * The staged-redeploy driver.  InferenceServer keeps one for its
  * whole lifetime.  It holds everything a swap carries up to the flip
  * — the phase machine, the staging ledger, the staged screener's
  * DRAM reservation and the probe pages on the live device, the
  * staged version, the warm-up and validation cursors, the recall —
  * plus the ring of recent queries the warm-up and validation replay.
+ * The warm-up and the shadow scoring screen the way the server
+ * serves, by top ratio.
  *
  * The owner supplies its live version and its clock.  Once
  * validation passes, step() leaves the machine in Flipping and the
@@ -334,16 +299,8 @@ std::vector<std::uint64_t> screenCandidates(
 class RedeployDriver
 {
   public:
-    /** @param screen_mode The owner's serving screen policy; the
-     *  warm-up and the shadow scoring screen the way it serves. */
-    explicit RedeployDriver(xclass::FilterMode screen_mode)
-        : screenMode_(screen_mode)
-    {
-    }
-
     RedeployMachine &machine() { return machine_; }
     const RedeployMachine &machine() const { return machine_; }
-    const RedeployConfig &config() const { return config_; }
 
     /** Record one served query (warm-up and validation material). */
     void recordQuery(std::span<const float> feature);
@@ -386,8 +343,7 @@ class RedeployDriver
     void rollback(DeployedVersion &live, RollbackReason reason,
                   sim::Tick now);
 
-    /** Snapshot of the current (or last) redeploy; the drain fields
-     *  are the owner's to fill. */
+    /** Snapshot of the current (or last) redeploy. */
     RedeployStatus status() const;
 
   private:
@@ -400,7 +356,6 @@ class RedeployDriver
     /** Give back the DRAM reservation and probe pages on @p live. */
     void releaseClaims(DeployedVersion &live);
 
-    xclass::FilterMode screenMode_;
     RedeployMachine machine_;
     RedeployConfig config_;
     EcssdOptions options_;

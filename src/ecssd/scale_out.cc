@@ -8,6 +8,15 @@
 namespace ecssd
 {
 
+namespace
+{
+
+/** The fleet's one deployment: every shard reports it. */
+constexpr std::uint64_t kFleetEpoch = 1;
+constexpr std::uint64_t kFleetVersion = 1;
+
+} // namespace
+
 ScaleOutEcssd::ScaleOutEcssd(const xclass::BenchmarkSpec &spec,
                              unsigned devices,
                              const EcssdOptions &options)
@@ -34,7 +43,7 @@ ScaleOutEcssd::ScaleOutEcssd(const xclass::BenchmarkSpec &spec,
         shard_options.threads = 1;
         shards_.push_back(std::make_unique<EcssdSystem>(
             shardSpec_, shard_options));
-        shards_.back()->setDeployVersion(fleetEpoch_, fleetVersion_);
+        shards_.back()->setDeployVersion(kFleetEpoch, kFleetVersion);
     }
     health_.resize(devices);
 }
@@ -122,8 +131,8 @@ ScaleOutEcssd::drainShard(unsigned shard)
     shard_options.threads = 1;
     shards_[shard] = std::make_unique<EcssdSystem>(shardSpec_,
                                                    shard_options);
-    // The spare deploys whatever version the fleet currently serves.
-    shards_[shard]->setDeployVersion(fleetEpoch_, fleetVersion_);
+    // The spare deploys the version the fleet serves.
+    shards_[shard]->setDeployVersion(kFleetEpoch, kFleetVersion);
     ShardHealth &health = health_[shard];
     health.alive = true;
     health.failAfterBatches = std::numeric_limits<unsigned>::max();
@@ -131,66 +140,6 @@ ScaleOutEcssd::drainShard(unsigned shard)
     ++health.replacements;
     --spares_;
     return shards_[shard]->deployTimeEstimate();
-}
-
-FleetRedeployResult
-ScaleOutEcssd::rollingRedeploy(const RedeployConfig &config)
-{
-    config.validate();
-    FleetRedeployResult result;
-    result.weightVersion = fleetVersion_ + 1;
-
-    // Each shard re-stages the same partition footprint; under the
-    // IO budget the background copy is stretched by 1/budget over
-    // the stop-the-world deploy time.
-    const sim::Tick full_time =
-        estimateDeployTime(shardSpec_, options_.ssd);
-    const sim::Tick per_shard = static_cast<sim::Tick>(
-        static_cast<double>(full_time) / config.ioBudgetFraction);
-
-    std::vector<unsigned> swapped;
-    for (unsigned d = 0; d < devices(); ++d) {
-        if (!health_[d].alive) {
-            // A dead shard cannot stage; the spare that eventually
-            // replaces it deploys the then-current fleet version.
-            ++result.shardsSkipped;
-            continue;
-        }
-        if (shards_[d]->ssd().ftl().readOnly()) {
-            // Shard lost mid-roll: revert every shard already
-            // swapped so the fleet never serves a mixed deployment.
-            sim::warn("shard ", d, " read-only during rolling "
-                      "redeploy; reverting ", swapped.size(),
-                      " swapped shards");
-            for (const unsigned s : swapped)
-                shards_[s]->setDeployVersion(fleetEpoch_,
-                                             fleetVersion_);
-            result.shardsSwapped = 0;
-            result.rolledBack = true;
-            result.reason = RollbackReason::ShardLoss;
-            ++fleetRedeployRollbacks_;
-            return result;
-        }
-        // One shard at a time: its staging completes (and ages its
-        // service clock) before the roll moves on.
-        result.stagingTime += per_shard;
-        health_[d].serviceTime += per_shard;
-        shards_[d]->setDeployVersion(fleetEpoch_ + 1,
-                                     fleetVersion_ + 1);
-        swapped.push_back(d);
-        ++result.shardsSwapped;
-    }
-    if (result.shardsSwapped == 0) {
-        // Nothing live to swap: the roll never took effect.
-        result.rolledBack = true;
-        result.reason = RollbackReason::ShardLoss;
-        ++fleetRedeployRollbacks_;
-        return result;
-    }
-    ++fleetEpoch_;
-    ++fleetVersion_;
-    ++fleetRedeployCommits_;
-    return result;
 }
 
 ScaleOutResult
@@ -307,150 +256,6 @@ ScaleOutEcssd::runInference(unsigned batches)
 }
 
 void
-RoutingConfig::validate() const
-{
-    if (replicasPerShard == 0)
-        sim::fatal("RoutingConfig: replicasPerShard must be >= 1");
-}
-
-RoutedServeResult
-ScaleOutEcssd::serveRouted(const std::vector<sim::Tick> &arrivals,
-                           const RoutingConfig &routing)
-{
-    routing.validate();
-    RoutedServeResult result;
-    if (arrivals.empty())
-        return result;
-
-    // Calibration probe: one real batch per live shard pins the
-    // per-shard service time the router schedules with (and ages the
-    // shard accordingly — the probe is served work).  The routed run
-    // itself is a scheduling model over those times: replicas of a
-    // shard serve the same partition at the same speed.
-    std::vector<sim::Tick> service(devices(), 0);
-    unsigned live = 0;
-    for (unsigned d = 0; d < devices(); ++d) {
-        if (!health_[d].alive)
-            continue;
-        const accel::RunResult probe = shards_[d]->runInference(1);
-        service[d] = std::max<sim::Tick>(probe.totalTime, 1);
-        health_[d].batchesServed += 1;
-        health_[d].serviceTime += probe.totalTime;
-        ++live;
-    }
-    if (live == 0)
-        sim::fatal("serveRouted: every shard is dead; nothing can "
-                   "serve the partition");
-
-    const unsigned replicas = routing.replicasPerShard;
-    // busyUntil clock per (shard, replica): the router's whole view
-    // of backlog.  Dead shards keep zeroed slots that are never
-    // consulted.
-    std::vector<sim::Tick> busy(
-        static_cast<std::size_t>(devices()) * replicas, 0);
-    const sim::Tick merge = sim::microseconds(5.0) * live;
-
-    double latency_sum_ms = 0.0;
-    sim::Tick previous_arrival = 0;
-    for (const sim::Tick arrival : arrivals) {
-        ECSSD_ASSERT(arrival >= previous_arrival,
-                     "serveRouted arrivals must be non-decreasing");
-        previous_arrival = arrival;
-        sim::Tick completion = 0;
-        for (unsigned d = 0; d < devices(); ++d) {
-            if (!health_[d].alive)
-                continue;
-            // Queue-depth-aware routing: least-busy replica wins,
-            // lowest index on ties, so the schedule is a pure
-            // function of the arrival stream.
-            const std::size_t base =
-                static_cast<std::size_t>(d) * replicas;
-            unsigned primary = 0;
-            for (unsigned r = 1; r < replicas; ++r) {
-                if (busy[base + r] < busy[base + primary])
-                    primary = r;
-            }
-            const sim::Tick backlog_tick =
-                busy[base + primary] > arrival
-                    ? busy[base + primary] - arrival
-                    : 0;
-            const std::uint64_t backlog =
-                (backlog_tick + service[d] - 1) / service[d];
-            result.maxReplicaBacklog =
-                std::max(result.maxReplicaBacklog, backlog);
-            const sim::Tick start =
-                std::max(arrival, busy[base + primary]);
-            sim::Tick done = start + service[d];
-            busy[base + primary] = done;
-            ++result.subRequests;
-
-            // Deadline-triggered hedge: the expected completion is
-            // known at dispatch (the schedule is deterministic), so
-            // the duplicate launches immediately on the
-            // next-least-busy replica; first response wins and the
-            // loser's work is the capacity price of the tail cut.
-            if (routing.hedgeDelay != 0 && replicas > 1
-                && done > arrival + routing.hedgeDelay) {
-                unsigned hedge = primary == 0 ? 1 : 0;
-                for (unsigned r = 0; r < replicas; ++r) {
-                    if (r == primary)
-                        continue;
-                    if (busy[base + r] < busy[base + hedge])
-                        hedge = r;
-                }
-                const sim::Tick hedge_start =
-                    std::max(arrival, busy[base + hedge]);
-                const sim::Tick hedge_done =
-                    hedge_start + service[d];
-                busy[base + hedge] = hedge_done;
-                ++result.hedgesIssued;
-                ++result.subRequests;
-                if (hedge_done < done) {
-                    ++result.hedgeWins;
-                    done = hedge_done;
-                }
-            }
-            completion = std::max(completion, done);
-        }
-        completion += merge;
-        ++result.requests;
-        result.makespan = std::max(result.makespan, completion);
-        const double ms = sim::tickToMs(completion - arrival);
-        latency_sum_ms += ms;
-        result.latencyMs.sample(ms);
-    }
-    result.meanLatencyMs =
-        latency_sum_ms / static_cast<double>(result.requests);
-    return result;
-}
-
-void
-ScaleOutEcssd::publishRoutedMetrics(
-    sim::MetricsRegistry &registry,
-    const RoutedServeResult &result) const
-{
-    registry.gaugeSet("fleet.routed.requests",
-                      static_cast<double>(result.requests));
-    registry.gaugeSet("fleet.routed.sub_requests",
-                      static_cast<double>(result.subRequests));
-    registry.gaugeSet("fleet.routed.hedges_issued",
-                      static_cast<double>(result.hedgesIssued));
-    registry.gaugeSet("fleet.routed.hedge_wins",
-                      static_cast<double>(result.hedgeWins));
-    registry.gaugeSet("fleet.routed.makespan_ms",
-                      sim::tickToMs(result.makespan));
-    registry.gaugeSet("fleet.routed.mean_latency_ms",
-                      result.meanLatencyMs);
-    registry.gaugeSet("fleet.routed.p50_latency_ms",
-                      result.latencyMs.p50());
-    registry.gaugeSet("fleet.routed.p99_latency_ms",
-                      result.latencyMs.p99());
-    registry.gaugeSet(
-        "fleet.routed.max_replica_backlog",
-        static_cast<double>(result.maxReplicaBacklog));
-}
-
-void
 ScaleOutEcssd::publishMetrics(sim::MetricsRegistry &registry,
                               const ScaleOutResult &result) const
 {
@@ -505,16 +310,6 @@ ScaleOutEcssd::publishMetrics(sim::MetricsRegistry &registry,
                       sim::tickToMs(result.totalTime));
     registry.gaugeSet("fleet.recall_loss_estimate",
                       result.recallLossEstimate);
-    registry.gaugeSet("fleet.deploy_epoch",
-                      static_cast<double>(fleetEpoch_));
-    registry.gaugeSet("fleet.weight_version",
-                      static_cast<double>(fleetVersion_));
-    registry.gaugeSet(
-        "fleet.redeploy_commits",
-        static_cast<double>(fleetRedeployCommits_));
-    registry.gaugeSet(
-        "fleet.redeploy_rollbacks",
-        static_cast<double>(fleetRedeployRollbacks_));
 }
 
 } // namespace ecssd

@@ -21,9 +21,7 @@
 #include <memory>
 #include <vector>
 
-#include "ecssd/redeploy.hh"
 #include "ecssd/system.hh"
-#include "sim/stats.hh"
 
 namespace ecssd
 {
@@ -125,75 +123,6 @@ struct ScaleOutResult
 };
 
 /**
- * Replica and tail-latency policy of the routed serving front-end
- * (serveRouted).  A request fans out to every shard (the partition
- * is row-wise, so every shard must score its category range); within
- * a shard the router balances reads across replicas by backlog and
- * hedges sub-requests whose expected completion runs late.
- */
-struct RoutingConfig
-{
-    /** Read replicas per shard (>= 1).  Replicas serve the same row
-     *  partition, so a hot shard is served from more than one
-     *  device; reads balance across them by backlog. */
-    unsigned replicasPerShard = 1;
-    /**
-     * Deadline-triggered hedging: when a sub-request's expected
-     * completion (on its least-busy replica) exceeds its arrival by
-     * more than this, a duplicate is issued to the next-least-busy
-     * replica and the first response wins — the straggler's work is
-     * wasted capacity, which is the standard hedging trade.  0
-     * disables hedging; so does a single replica (nowhere to hedge).
-     */
-    sim::Tick hedgeDelay = 0;
-
-    /** Die fatally (sim::FatalError) on an inconsistent config. */
-    void validate() const;
-};
-
-/** Outcome of one routed open-loop serving run. */
-struct RoutedServeResult
-{
-    /** Requests served (one per arrival). */
-    std::uint64_t requests = 0;
-    /** Sub-requests executed across shards and replicas, hedges
-     *  included. */
-    std::uint64_t subRequests = 0;
-    /** Hedged duplicates issued. */
-    std::uint64_t hedgesIssued = 0;
-    /** Hedges whose response beat the primary replica's. */
-    std::uint64_t hedgeWins = 0;
-    /** Completion time of the last request. */
-    sim::Tick makespan = 0;
-    /** End-to-end request latency quantiles, milliseconds. */
-    sim::Percentiles latencyMs;
-    double meanLatencyMs = 0.0;
-    /** Peak backlog (queued sub-requests) of any single replica —
-     *  the balance measure replica routing is supposed to keep
-     *  low. */
-    std::uint64_t maxReplicaBacklog = 0;
-};
-
-/** Outcome of one rolling fleet weight redeploy. */
-struct FleetRedeployResult
-{
-    /** Shards whose deploy epoch flipped to the new version. */
-    unsigned shardsSwapped = 0;
-    /** Dead shards the roll passed over (they pick the new version
-     *  up when a spare replaces them). */
-    unsigned shardsSkipped = 0;
-    /** Background staging time summed over the swapped shards (each
-     *  shard stages serially, one at a time, under the IO budget). */
-    sim::Tick stagingTime = 0;
-    /** The fleet-wide weight version this roll targeted. */
-    std::uint64_t weightVersion = 0;
-    /** True when the roll aborted and every already-swapped shard
-     *  reverted to the old version. */
-    bool rolledBack = false;
-    RollbackReason reason = RollbackReason::None;
-};
-
-/**
  * A row-partitioned fleet of ECSSDs serving one huge classification
  * layer.
  */
@@ -269,29 +198,6 @@ class ScaleOutEcssd
     /** Direct access to one shard's system (fault injection). */
     EcssdSystem &shardSystem(unsigned shard);
 
-    // --- Rolling weight redeploy ----------------------------------
-
-    /**
-     * Hot-swap the fleet to a new weight version, one shard at a
-     * time: each live shard stages the new layout in the background
-     * under @p config's IO budget and flips its deploy epoch before
-     * the roll moves to the next shard, so at most one shard is ever
-     * mid-swap and the merged top-k keeps serving throughout.  Dead
-     * shards are skipped (a spare replacing them deploys the current
-     * version).  A shard found read-only mid-roll aborts the roll:
-     * every already-swapped shard reverts to the old version
-     * (RollbackReason::ShardLoss) so the fleet never serves a mixed
-     * deployment.
-     */
-    FleetRedeployResult rollingRedeploy(
-        const RedeployConfig &config = RedeployConfig{});
-
-    /** Fleet-wide deploy epoch (bumped per completed roll). */
-    std::uint64_t deployEpoch() const { return fleetEpoch_; }
-
-    /** Fleet-wide weight version currently deployed. */
-    std::uint64_t weightVersion() const { return fleetVersion_; }
-
     /**
      * Run @p batches batches on every live shard in parallel and
      * merge over the survivors.  A shard whose scheduled failure
@@ -300,27 +206,6 @@ class ScaleOutEcssd
      * recall loss.  Fatal when no shard serves any batch.
      */
     ScaleOutResult runInference(unsigned batches);
-
-    /**
-     * Serve an open-loop arrival stream through the routed
-     * front-end: every arrival fans out one sub-request per shard,
-     * the router picks the least-backlogged replica (lowest index on
-     * ties, so the schedule is deterministic), and late sub-requests
-     * are hedged per @p routing.  The request completes when its
-     * slowest shard answers plus the host merge; per-shard service
-     * time comes from a one-batch calibration probe against the live
-     * device at the start of the run.
-     *
-     * @param arrivals Non-decreasing request arrival times.
-     * @param routing Replica/hedging policy.
-     */
-    RoutedServeResult serveRouted(
-        const std::vector<sim::Tick> &arrivals,
-        const RoutingConfig &routing = RoutingConfig{});
-
-    /** Snapshot one routed run as "fleet.routed.*" gauges. */
-    void publishRoutedMetrics(sim::MetricsRegistry &registry,
-                              const RoutedServeResult &result) const;
 
     /**
      * Snapshot fleet state and the per-shard outcome of @p result
@@ -348,12 +233,6 @@ class ScaleOutEcssd
     std::vector<ShardHealth> health_;
     DrainPolicy drainPolicy_;
     unsigned spares_ = 0;
-    /** Fleet-wide serving identity (every shard reports it). */
-    std::uint64_t fleetEpoch_ = 1;
-    std::uint64_t fleetVersion_ = 1;
-    /** Lifetime rolling-redeploy outcome counts. */
-    std::uint64_t fleetRedeployCommits_ = 0;
-    std::uint64_t fleetRedeployRollbacks_ = 0;
 };
 
 } // namespace ecssd

@@ -16,14 +16,15 @@
  *
  * Zero-downtime weight hot swap: beginRedeploy() stages a new weight
  * version alongside the serving one; the staged-redeploy driver
- * (redeploy.hh, the same one EcssdApi runs) advances one step between
- * served batches, so staging IO yields to foreground requests.  The
- * version flip happens at a batch boundary — the server serves
- * requests synchronously, so no request is ever in flight across the
- * flip and the drain commits immediately.  DRAM pressure, a staged
- * media fault, a read-only device or a validation failure rolls back
- * automatically; the old version keeps serving and no request
- * fails.
+ * (redeploy.hh; the server is its one owner) advances one step
+ * between served batches, so staging IO yields to foreground
+ * requests.  The version flip happens at a batch boundary — the
+ * server serves requests synchronously, so no request is ever in
+ * flight across the flip and the drain commits immediately.  DRAM
+ * pressure, a staged media fault, a read-only device or a validation
+ * failure rolls back automatically; the old version keeps serving and
+ * no request fails.  This is the swap `ecssd-sim --redeploy-at` and
+ * bench_smoke's redeploy.* keys drive.
  */
 
 #ifndef ECSSD_ECSSD_SERVER_HH
@@ -464,7 +465,7 @@ class InferenceServer
     /** The serving version. */
     DeployedVersion live_;
     /** The hot-swap driver (and its recent-request ring). */
-    RedeployDriver redeploy_{kScreenMode};
+    RedeployDriver redeploy_;
     std::deque<PendingRequest> pending_;
     /** Terminal responses produced outside a served batch (shed at
      *  admission, dropped at expiry); drained by processAll /

@@ -41,7 +41,7 @@ enum class Status
     /** The feature length does not match the deployed layer. */
     DimensionMismatch,
     /** The session's weight version is gone: it predates the current
-     *  deployment, or its drain window closed after an epoch flip. */
+     *  deployment. */
     StaleSession,
     /** A staged redeploy is already in flight (one at a time). */
     RedeployActive,

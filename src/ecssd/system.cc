@@ -51,22 +51,6 @@ EcssdOptions::validate(const xclass::BenchmarkSpec *spec) const
         sim::fatal("EcssdOptions: unknown ECSSD_ISA '", env,
                    "' (want scalar|avx2|avx512|auto)");
     ssd.validate();
-    if (!tenants.empty()) {
-        std::uint64_t partitioned = 0;
-        for (std::size_t a = 0; a < tenants.size(); ++a) {
-            tenants[a].validate();
-            for (std::size_t b = a + 1; b < tenants.size(); ++b) {
-                if (tenants[a].name == tenants[b].name)
-                    sim::fatal("EcssdOptions: duplicate tenant '",
-                               tenants[a].name, "'");
-            }
-            partitioned += tenants[a].dramBytes;
-        }
-        if (partitioned > ssd.dramBytes)
-            sim::fatal("EcssdOptions: tenant DRAM partitions (",
-                       partitioned, " bytes) over-subscribe the SSD "
-                       "DRAM (", ssd.dramBytes, " bytes)");
-    }
     if (spec != nullptr) {
         // DRAM residency: the INT4 screener claims its bytes first;
         // the hot-row cache may only take what is left.  (A screener
@@ -106,20 +90,6 @@ describe(const EcssdOptions &options)
     if (options.cache.enabled())
         os << " cache=" << (options.cache.capacityBytes >> 20)
            << "MiB/" << accel::toString(options.cache.admission);
-    // Tenant partition table, only for multi-tenant option sets —
-    // tenant-less configs keep describe() byte-identical.
-    if (!options.tenants.empty()) {
-        os << " tenants=[";
-        bool first = true;
-        for (const TenantConfig &tenant : options.tenants) {
-            if (!first)
-                os << " ";
-            first = false;
-            os << tenant.name << ":" << (tenant.dramBytes >> 20)
-               << "/" << (tenant.cacheQuotaBytes >> 20) << "MiB";
-        }
-        os << "]";
-    }
     return os.str();
 }
 
@@ -478,21 +448,6 @@ screenerDramBytes(const EcssdOptions &options,
     return options.int4Placement == accel::Int4Placement::Dram
         ? spec.int4WeightBytes()
         : 0;
-}
-
-std::optional<EcssdOptions>
-tenantOptions(const EcssdOptions &device, const TenantConfig &tenant,
-              const xclass::BenchmarkSpec *spec)
-{
-    if (spec
-        && screenerDramBytes(device, *spec) + tenant.cacheQuotaBytes
-            > tenant.dramBytes)
-        return std::nullopt;
-    EcssdOptions options = device;
-    options.ssd.dramBytes = tenant.dramBytes;
-    options.cache.capacityBytes = tenant.cacheQuotaBytes;
-    options.tenants.clear();
-    return options;
 }
 
 sim::Tick

@@ -10,14 +10,11 @@
 #define ECSSD_ECSSD_SYSTEM_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "accel/pipeline.hh"
 #include "circuit/energy.hh"
-#include "ecssd/tenant.hh"
 #include "layout/strategy.hh"
 #include "sim/event_queue.hh"
 #include "sim/thread_pool.hh"
@@ -107,19 +104,13 @@ struct EcssdOptions
     accel::CacheConfig cache;
     /**
      * Hard ceiling on transient host bytes during a weight deploy
-     * (EcssdApi::weightDeploy, tenant deploys included): enforced by
-     * an accounting allocator, fatal (E_DEPLOY_BUDGET) on overdraft.
-     * 0 = unlimited.  Every deploy honours it.
+     * (EcssdApi::weightDeploy): enforced by an accounting allocator,
+     * fatal (E_DEPLOY_BUDGET) on overdraft.  0 = unlimited.  Every
+     * deploy honours it.
      */
     std::uint64_t deployHostBudgetBytes = 0;
     /** Background re-layout policy (disabled by default). */
     RelayoutConfig relayout;
-    /**
-     * Tenants to admit at construction (EcssdApi::createTenant runs
-     * for each).  Empty (the default) is the single-tenant device,
-     * byte-identical to a build without the tenant layer.
-     */
-    std::vector<TenantConfig> tenants;
 
     /**
      * Validate the option set, dying fatally (sim::FatalError) on an
@@ -163,7 +154,6 @@ struct EcssdOptions
  *   EcssdOptions options = EcssdOptions::builder()
  *                              .threads(8)
  *                              .cacheMb(64)
- *                              .tenant(tenant_a)
  *                              .build();
  *
  * build() runs validate() exactly once — replacing the ad-hoc
@@ -296,14 +286,6 @@ class EcssdOptions::Builder
         return *this;
     }
 
-    /** Admit one tenant (repeatable). */
-    Builder &
-    tenant(TenantConfig config)
-    {
-        options_.tenants.push_back(std::move(config));
-        return *this;
-    }
-
     /**
      * Finish: validates the assembled option set exactly once
      * (dying fatally on an inconsistent configuration) and returns
@@ -334,20 +316,6 @@ std::string describe(const EcssdOptions &options);
  *  by @p options (0 when the screener is not DRAM-resident). */
 std::uint64_t screenerDramBytes(const EcssdOptions &options,
                                 const xclass::BenchmarkSpec &spec);
-
-/**
- * One tenant's engine options, carved out of the device's: the DRAM
- * budget becomes the tenant's partition, the row cache its quota,
- * and tenants do not nest.
- *
- * @param spec When given, a deployment to check: its DRAM-resident
- *        screener plus the tenant's cache quota must fit the
- *        partition.
- * @return The carved options; nullopt when @p spec does not fit.
- */
-std::optional<EcssdOptions> tenantOptions(
-    const EcssdOptions &device, const TenantConfig &tenant,
-    const xclass::BenchmarkSpec *spec = nullptr);
 
 /**
  * Analytic weight-deployment (preparation) time of @p spec on a

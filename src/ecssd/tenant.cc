@@ -1,7 +1,5 @@
 #include "tenant.hh"
 
-#include <cstdio>
-
 #include "sim/logging.hh"
 
 namespace ecssd
@@ -85,7 +83,7 @@ TenantRegistry::chargeScreener(TenantHandle handle,
 std::uint64_t
 TenantRegistry::committedBytes() const
 {
-    std::uint64_t sum = reservedBytes_;
+    std::uint64_t sum = 0;
     for (const auto &[id, entry] : tenants_)
         sum += entry.config.dramBytes;
     return sum;
@@ -114,24 +112,6 @@ TenantRegistry::publishMetrics(sim::MetricsRegistry &registry) const
         registry.gaugeSet(ns + "deploys",
                           static_cast<double>(entry.deploys));
     }
-}
-
-std::string
-TenantRegistry::describeTable() const
-{
-    std::string out;
-    for (const auto &[id, entry] : tenants_) {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf), "%s%s:%.0f/%.0fMiB",
-                      out.empty() ? "" : " ",
-                      entry.config.name.c_str(),
-                      static_cast<double>(entry.config.dramBytes)
-                          / (1 << 20),
-                      static_cast<double>(entry.config.cacheQuotaBytes)
-                          / (1 << 20));
-        out += buf;
-    }
-    return out;
 }
 
 } // namespace ecssd

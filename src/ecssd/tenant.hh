@@ -5,18 +5,18 @@
  * A production fleet serves several extreme-classification models
  * from one device.  Each model is a *tenant*: it owns a DRAM
  * partition (its INT4 screener residency plus a hot-row cache byte
- * quota carved out of it), its own deploy epoch and redeploy state
- * machine, a metric/span namespace ("tenant.<name>."), and an SLO
- * record (deadline, p99 target) the admission/brownout
- * stack enforces per tenant.
+ * quota carved out of it), a metric/span namespace
+ * ("tenant.<name>."), and an SLO record (deadline, p99 target) the
+ * admission/brownout stack enforces per tenant.  MultiTenantServer
+ * (multi_tenant.hh) serves them, one lane per tenant.
  *
  * The TenantRegistry is pure accounting, in the spirit of
  * DramModel::reserve(): it decides who may claim how much of the
  * device DRAM, while the partitions themselves are enforced
- * mechanically — every tenant's systems are built against a DRAM
- * budget equal to its partition, and its row cache is sized to its
- * byte quota, so one tenant can never evict another tenant's rows
- * past that tenant's quota by construction.
+ * mechanically — every tenant's lane is built against a DRAM budget
+ * equal to its partition, and its row cache is sized to its byte
+ * quota, so one tenant can never evict another tenant's rows past
+ * that tenant's quota by construction.
  */
 
 #ifndef ECSSD_ECSSD_TENANT_HH
@@ -33,7 +33,7 @@
 namespace ecssd
 {
 
-/** Dense tenant identifier (0 is the implicit default tenant). */
+/** Dense tenant identifier (admission numbers tenants from 1). */
 using TenantId = std::uint32_t;
 
 /** One tenant's partition, quota, and SLO declaration. */
@@ -69,8 +69,9 @@ struct TenantConfig
 /**
  * An opaque reference to an admitted tenant.  Handles are plain
  * values: copying is free, and a handle that names no admitted
- * tenant (stale, foreign, or forged) makes every call report
- * Status::UnknownTenant instead of dying.
+ * tenant (stale, foreign, or forged) is reported, never followed:
+ * ledger calls return Status::UnknownTenant and
+ * MultiTenantServer::server() returns nullptr.
  */
 class TenantHandle
 {
@@ -109,15 +110,9 @@ class TenantRegistry
         std::uint64_t deploys = 0;
     };
 
-    /**
-     * @param dram_budget_bytes Device DRAM the partitions share.
-     * @param reserved_bytes Bytes spoken for outside the registry
-     *        (the default tenant's un-partitioned residency).
-     */
-    explicit TenantRegistry(std::uint64_t dram_budget_bytes,
-                            std::uint64_t reserved_bytes = 0)
-        : dramBudgetBytes_(dram_budget_bytes),
-          reservedBytes_(reserved_bytes)
+    /** @param dram_budget_bytes Device DRAM the partitions share. */
+    explicit TenantRegistry(std::uint64_t dram_budget_bytes)
+        : dramBudgetBytes_(dram_budget_bytes)
     {
     }
 
@@ -148,7 +143,7 @@ class TenantRegistry
     /** Admitted tenant count. */
     std::size_t size() const { return tenants_.size(); }
 
-    /** Sum of admitted partitions plus the outside reservation. */
+    /** Sum of admitted partitions. */
     std::uint64_t committedBytes() const;
 
     std::uint64_t dramBudgetBytes() const { return dramBudgetBytes_; }
@@ -168,12 +163,8 @@ class TenantRegistry
      */
     void publishMetrics(sim::MetricsRegistry &registry) const;
 
-    /** One-line ledger for describe(): "a:64MiB/8MiB b:...". */
-    std::string describeTable() const;
-
   private:
     std::uint64_t dramBudgetBytes_;
-    std::uint64_t reservedBytes_;
     TenantId nextId_ = 1;
     std::map<TenantId, Entry> tenants_;
 };

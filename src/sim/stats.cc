@@ -161,52 +161,5 @@ Histogram::bucketLow(std::size_t i) const
     return lo_ + width_ * static_cast<double>(i);
 }
 
-void
-StatGroup::addScalar(const std::string &name, const Scalar *stat)
-{
-    ECSSD_ASSERT(stat, "null scalar registered");
-    scalars_[name] = stat;
-}
-
-void
-StatGroup::addDistribution(const std::string &name,
-                           const Distribution *stat)
-{
-    ECSSD_ASSERT(stat, "null distribution registered");
-    distributions_[name] = stat;
-}
-
-double
-StatGroup::scalar(const std::string &name) const
-{
-    const auto it = scalars_.find(name);
-    if (it == scalars_.end())
-        fatal("unknown scalar stat '", name_, ".", name, "'");
-    return it->second->value();
-}
-
-const Distribution &
-StatGroup::distribution(const std::string &name) const
-{
-    const auto it = distributions_.find(name);
-    if (it == distributions_.end())
-        fatal("unknown distribution stat '", name_, ".", name, "'");
-    return *it->second;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[name, stat] : scalars_)
-        os << name_ << "." << name << " " << stat->value() << "\n";
-    for (const auto &[name, stat] : distributions_) {
-        os << name_ << "." << name << ".count " << stat->count()
-           << "\n";
-        os << name_ << "." << name << ".mean " << stat->mean() << "\n";
-        os << name_ << "." << name << ".min " << stat->min() << "\n";
-        os << name_ << "." << name << ".max " << stat->max() << "\n";
-    }
-}
-
 } // namespace sim
 } // namespace ecssd

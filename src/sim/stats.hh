@@ -1,20 +1,15 @@
 /**
  * @file
- * Lightweight statistics collection.
- *
- * Components register named statistics with a StatGroup; benches and
- * tests read them back by name or dump the whole group.  The design is
- * a slimmed-down take on gem5's stats package: scalars, averages, and
- * fixed-bucket histograms/distributions.
+ * Lightweight statistics collection: counters, scalars, running
+ * distributions, fixed-bucket histograms and exact percentiles, a
+ * slimmed-down take on gem5's stats package.  Components own their
+ * statistics and read them directly.
  */
 
 #ifndef ECSSD_SIM_STATS_HH
 #define ECSSD_SIM_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace ecssd
@@ -181,35 +176,6 @@ class Percentiles
     // sample.
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/**
- * A named collection of statistics; owns nothing, only indexes
- * statistics that live inside their components.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Register a scalar under @p name (must outlive the group). */
-    void addScalar(const std::string &name, const Scalar *stat);
-    void addDistribution(const std::string &name,
-                         const Distribution *stat);
-
-    const std::string &name() const { return name_; }
-
-    /** Look up a registered scalar value; fatal if missing. */
-    double scalar(const std::string &name) const;
-    const Distribution &distribution(const std::string &name) const;
-
-    /** Write "group.stat value" lines for everything registered. */
-    void dump(std::ostream &os) const;
-
-  private:
-    std::string name_;
-    std::map<std::string, const Scalar *> scalars_;
-    std::map<std::string, const Distribution *> distributions_;
 };
 
 } // namespace sim

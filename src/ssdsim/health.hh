@@ -3,9 +3,9 @@
  * SMART-style device health telemetry.
  *
  * The FTL assembles a HealthReport from its wear bookkeeping plus the
- * flash array's media counters; the SSD front-end and the NVMe
- * controller re-export it (the NVMe SMART / Health Information log
- * page analog), and the serving layers above use it to act *before*
+ * flash array's media counters (the NVMe SMART / Health Information
+ * log page analog); SsdDevice::health() and EcssdSystem::health()
+ * re-export it, and the serving layers above use it to act *before*
  * data is lost — the scale-out fleet drains a degrading shard onto a
  * spare device instead of waiting for the reactive failover path.
  */

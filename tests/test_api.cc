@@ -230,6 +230,25 @@ TEST(EcssdApi, DeployOutcomeDescribesTheLatestDeploy)
                      2048.0);
 }
 
+TEST(EcssdApi, HealthReportCarriesServingIdentity)
+{
+    ApiFixture f;
+    EcssdApi api(f.options);
+    api.ecssdEnable();
+    api.weightDeploy(f.model.weights(), f.spec);
+    const ssdsim::HealthReport first = api.system().health(0);
+    EXPECT_EQ(first.deployEpoch, 1u);
+    EXPECT_EQ(first.weightVersion, 1u);
+
+    // Every deploy stamps the next epoch and version into the report.
+    api.weightDeploy(f.model.weights(), f.spec);
+    const ssdsim::HealthReport second = api.system().health(0);
+    EXPECT_EQ(second.deployEpoch, 2u);
+    EXPECT_EQ(second.weightVersion, 2u);
+    EXPECT_EQ(api.deployEpoch(), 2u);
+    EXPECT_EQ(api.weightVersion(), 2u);
+}
+
 TEST(EcssdApi, SsdModeReadWrite)
 {
     ApiFixture f;

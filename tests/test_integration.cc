@@ -1,9 +1,9 @@
 /**
  * @file
- * Whole-stack integration: one scenario exercising SSD mode through
- * the NVMe front-end, a mode switch, a functional deployment, timed
- * screened inference, energy accounting, and scale-out — the path a
- * downstream user walks.
+ * Whole-stack integration: one scenario exercising SSD-mode block
+ * I/O, a mode switch, a functional deployment, timed screened
+ * inference, a switch back to SSD mode, energy accounting, and
+ * scale-out — the path a downstream user walks.
  */
 
 #include <gtest/gtest.h>
@@ -12,30 +12,21 @@
 #include "ecssd/scale_out.hh"
 #include "ecssd/server.hh"
 #include "sim/rng.hh"
-#include "ssdsim/nvme.hh"
 #include "xclass/metrics.hh"
 
 using namespace ecssd;
 
 TEST(Integration, FullUserJourney)
 {
-    // --- 1. Block storage via NVMe -----------------------------------
-    sim::EventQueue queue;
-    ssdsim::SsdDevice block_device(ssdsim::smallTestConfig(),
-                                   queue);
-    ssdsim::NvmeController nvme(block_device, 2, 16);
-    for (std::uint64_t lpa = 0; lpa < 32; ++lpa)
-        ASSERT_TRUE(nvme.submit(
-            lpa % 2, ssdsim::NvmeCommand{ssdsim::NvmeOpcode::Write,
-                                         lpa, 1, lpa}));
-    nvme.drain();
-    ASSERT_TRUE(nvme.submit(
-        0, ssdsim::NvmeCommand{ssdsim::NvmeOpcode::Read, 0, 32,
-                               999}));
-    nvme.drain();
-    const auto completions = nvme.pollCompletions(0);
-    ASSERT_FALSE(completions.empty());
-    EXPECT_TRUE(completions.back().success);
+    // --- 1. Block storage in SSD mode --------------------------------
+    EcssdApi api;
+    sim::Tick last_write = 0;
+    for (ssdsim::LogicalPage lpa = 0; lpa < 32; ++lpa) {
+        const sim::Tick done = api.ssdWrite(lpa);
+        EXPECT_GT(done, last_write);
+        last_write = done;
+    }
+    EXPECT_GT(api.ssdRead(0), 0u);
 
     // --- 2. Deploy a classifier and run screened inference -----------
     xclass::BenchmarkSpec spec = xclass::scaledDown(
@@ -43,7 +34,6 @@ TEST(Integration, FullUserJourney)
     spec.hiddenDim = 128;
     const xclass::SyntheticModel model(spec, 71);
 
-    EcssdApi api;
     api.ecssdEnable();
     const sim::Tick deploy =
         api.weightDeploy(model.weights(), spec, &model.basis());
@@ -73,6 +63,10 @@ TEST(Integration, FullUserJourney)
     EXPECT_GE(xclass::recall(exact.topCategories,
                              prediction.topCategories),
               0.6);
+
+    // Block data written in SSD mode survives the deployment.
+    api.ecssdDisable();
+    EXPECT_GT(api.ssdRead(31), 0u);
 
     // --- 3. Timed run + energy on a trace-tier workload --------------
     const xclass::BenchmarkSpec big = xclass::scaledDown(

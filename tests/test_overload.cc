@@ -4,8 +4,7 @@
  * shedding with Gold eviction (the priority-inversion regression),
  * the hysteresis-guarded brownout ladder and its guaranteed
  * recovery, deadline-slack dynamic batching, the queue-depth
- * high-watermark gauge, retry-backoff jitter, and the routed
- * scale-out front-end (replica balancing + hedged requests).
+ * high-watermark gauge and retry-backoff jitter.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <set>
 #include <vector>
 
-#include "ecssd/scale_out.hh"
 #include "ecssd/server.hh"
 #include "sim/rng.hh"
 #include "sim/traffic.hh"
@@ -372,94 +370,4 @@ TEST(RetryJitter, JitterPerturbsTheBackoffSchedule)
     for (std::size_t i = 0; i < rp.size(); ++i)
         EXPECT_EQ(rp[i].prediction.topCategories,
                   rj[i].prediction.topCategories);
-}
-
-TEST(RoutedFleet, ReplicasAbsorbBacklogAndCutTheTail)
-{
-    xclass::BenchmarkSpec spec = xclass::scaledDown(
-        xclass::benchmarkByName("GNMT-E32K"), 2048);
-    spec.hiddenDim = 128;
-
-    // One arrival burst far above a single replica's service rate.
-    const auto arrivals = [] {
-        std::vector<sim::Tick> at;
-        for (int i = 0; i < 64; ++i)
-            at.push_back(sim::microseconds(10.0)
-                         * static_cast<sim::Tick>(i));
-        return at;
-    }();
-
-    ScaleOutEcssd single(spec, 2);
-    RoutingConfig one;
-    one.replicasPerShard = 1;
-    const RoutedServeResult r1 = single.serveRouted(arrivals, one);
-
-    ScaleOutEcssd replicated(spec, 2);
-    RoutingConfig three;
-    three.replicasPerShard = 3;
-    const RoutedServeResult r3 =
-        replicated.serveRouted(arrivals, three);
-
-    EXPECT_EQ(r1.requests, 64u);
-    EXPECT_EQ(r3.requests, 64u);
-    // Same offered load over 3x the read capacity: the backlog peak
-    // and the tail latency both drop.
-    EXPECT_LT(r3.maxReplicaBacklog, r1.maxReplicaBacklog);
-    EXPECT_LT(r3.latencyMs.p99(), r1.latencyMs.p99());
-    EXPECT_LT(r3.makespan, r1.makespan);
-}
-
-TEST(RoutedFleet, HedgesFireOnLateSubRequestsAndWin)
-{
-    xclass::BenchmarkSpec spec = xclass::scaledDown(
-        xclass::benchmarkByName("GNMT-E32K"), 2048);
-    spec.hiddenDim = 128;
-
-    std::vector<sim::Tick> arrivals;
-    for (int i = 0; i < 48; ++i)
-        arrivals.push_back(sim::microseconds(5.0)
-                           * static_cast<sim::Tick>(i));
-
-    ScaleOutEcssd fleet(spec, 2);
-    RoutingConfig routing;
-    routing.replicasPerShard = 2;
-    routing.hedgeDelay = sim::microseconds(50.0);
-    const RoutedServeResult hedged =
-        fleet.serveRouted(arrivals, routing);
-    EXPECT_GT(hedged.hedgesIssued, 0u);
-    // First response wins: a hedge win means the duplicate beat the
-    // primary, and wins never exceed issues.
-    EXPECT_LE(hedged.hedgeWins, hedged.hedgesIssued);
-    EXPECT_EQ(hedged.subRequests,
-              2 * hedged.requests + hedged.hedgesIssued);
-
-    sim::MetricsRegistry registry;
-    fleet.publishRoutedMetrics(registry, hedged);
-    EXPECT_EQ(registry.gauge("fleet.routed.requests").value(), 48.0);
-    EXPECT_EQ(registry.gauge("fleet.routed.hedges_issued").value(),
-              static_cast<double>(hedged.hedgesIssued));
-}
-
-TEST(RoutedFleet, ScheduleIsDeterministic)
-{
-    xclass::BenchmarkSpec spec = xclass::scaledDown(
-        xclass::benchmarkByName("GNMT-E32K"), 2048);
-    spec.hiddenDim = 128;
-    std::vector<sim::Tick> arrivals;
-    for (int i = 0; i < 32; ++i)
-        arrivals.push_back(sim::microseconds(7.0)
-                           * static_cast<sim::Tick>(i));
-    RoutingConfig routing;
-    routing.replicasPerShard = 2;
-    routing.hedgeDelay = sim::microseconds(40.0);
-
-    ScaleOutEcssd a(spec, 2);
-    ScaleOutEcssd b(spec, 2);
-    const RoutedServeResult ra = a.serveRouted(arrivals, routing);
-    const RoutedServeResult rb = b.serveRouted(arrivals, routing);
-    EXPECT_EQ(ra.makespan, rb.makespan);
-    EXPECT_EQ(ra.subRequests, rb.subRequests);
-    EXPECT_EQ(ra.hedgesIssued, rb.hedgesIssued);
-    EXPECT_EQ(ra.hedgeWins, rb.hedgeWins);
-    EXPECT_EQ(ra.maxReplicaBacklog, rb.maxReplicaBacklog);
 }

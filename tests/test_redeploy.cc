@@ -1,10 +1,8 @@
 /**
  * @file
  * Zero-downtime weight hot-swap tests: the redeploy state machine,
- * the budgeted staging ledger, the full EcssdApi session lifecycle
- * across an epoch flip (drain windows, staleness, abort, rollback
- * triggers), the metamorphic identical-weights swap, the server's
- * batch-boundary flip, and the fleet's rolling redeploy.
+ * the budgeted staging ledger, and the server's batch-boundary flip
+ * with its rollback triggers.
  */
 
 #include <algorithm>
@@ -12,107 +10,11 @@
 
 #include <gtest/gtest.h>
 
-#include "ecssd/api.hh"
-#include "ecssd/scale_out.hh"
 #include "ecssd/server.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
 
 using namespace ecssd;
-
-namespace
-{
-
-struct ApiFixture
-{
-    /** A deployed accelerator-mode API on a small device. */
-    ApiFixture()
-        : spec(makeSpec()), model(spec, 1), api(makeOptions())
-    {
-        api.ecssdEnable();
-        api.weightDeploy(model.weights(), spec);
-    }
-
-    static xclass::BenchmarkSpec
-    makeSpec()
-    {
-        xclass::BenchmarkSpec spec = xclass::scaledDown(
-            xclass::benchmarkByName("GNMT-E32K"), 512);
-        spec.hiddenDim = 128;
-        return spec;
-    }
-
-    static EcssdOptions
-    makeOptions()
-    {
-        EcssdOptions options;
-        options.ssd = ssdsim::smallTestConfig();
-        options.ssd.channels = 8;
-        return options;
-    }
-
-    /** Run one full query through @p session; every step must be Ok.
-     *  @return The prediction. */
-    xclass::ApproximateClassifier::Prediction
-    serve(InferenceSession &session, const std::vector<float> &query,
-          std::size_t k = 5)
-    {
-        EXPECT_EQ(session.sendInt4(query), Status::Ok);
-        EXPECT_EQ(session.sendCfp32(query), Status::Ok);
-        EXPECT_EQ(session.screen(), Status::Ok);
-        EXPECT_EQ(session.classify(), Status::Ok);
-        xclass::ApproximateClassifier::Prediction prediction;
-        EXPECT_EQ(session.results(k, prediction), Status::Ok);
-        return prediction;
-    }
-
-    /** Record @p count queries into the API's recent-query ring (the
-     *  warm-up / validation replay material). */
-    std::vector<std::vector<float>>
-    recordQueries(int count, std::uint64_t seed = 7)
-    {
-        sim::Rng rng(seed);
-        std::vector<std::vector<float>> queries;
-        for (int q = 0; q < count; ++q) {
-            queries.push_back(model.sampleQuery(rng));
-            auto session = api.beginInference();
-            serve(session, queries.back());
-        }
-        return queries;
-    }
-
-    /** Advance the active redeploy until it reaches @p phase (dies if
-     *  it terminates first). */
-    void
-    advanceUntil(RedeployPhase phase)
-    {
-        for (int step = 0; step < 100000; ++step) {
-            const RedeployStatus status = api.redeployStatus();
-            if (status.phase == phase)
-                return;
-            ASSERT_FALSE(status.phase == RedeployPhase::Committed
-                         || status.phase == RedeployPhase::RolledBack)
-                << "redeploy terminated in " << toString(status.phase)
-                << " before reaching " << toString(phase);
-            api.redeployAdvance();
-        }
-        FAIL() << "redeploy never reached " << toString(phase);
-    }
-
-    xclass::BenchmarkSpec spec;
-    xclass::SyntheticModel model;
-    EcssdApi api;
-};
-
-bool
-samePrediction(const xclass::ApproximateClassifier::Prediction &a,
-               const xclass::ApproximateClassifier::Prediction &b)
-{
-    return a.topCategories == b.topCategories
-        && a.topScores == b.topScores;
-}
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // RedeployMachine / StagingLedger
@@ -126,11 +28,9 @@ TEST(RedeployMachine, LegalPathCommits)
 
     machine.begin(0);
     EXPECT_TRUE(machine.active());
-    EXPECT_TRUE(machine.preFlip());
     machine.advanceTo(RedeployPhase::Warming, 10);
     machine.advanceTo(RedeployPhase::Validating, 20);
     machine.advanceTo(RedeployPhase::Flipping, 30);
-    EXPECT_FALSE(machine.preFlip());
     machine.advanceTo(RedeployPhase::Draining, 30);
     machine.advanceTo(RedeployPhase::Committed, 40);
     EXPECT_TRUE(machine.terminal());
@@ -150,7 +50,7 @@ TEST(RedeployMachine, IllegalTransitionsDie)
     // No redeploy active: neither advance nor rollback is legal.
     EXPECT_THROW(machine.advanceTo(RedeployPhase::Warming, 0),
                  sim::PanicError);
-    EXPECT_THROW(machine.rollback(RollbackReason::Aborted, 0),
+    EXPECT_THROW(machine.rollback(RollbackReason::ValidationRecall, 0),
                  sim::PanicError);
 
     machine.begin(0);
@@ -193,396 +93,6 @@ TEST(StagingLedger, BudgetStretchesBackgroundTime)
     EXPECT_NEAR(static_cast<double>(elapsed), 4000.0, 2.0);
     // A done ledger stages nothing further.
     EXPECT_EQ(ledger.step(), 0u);
-}
-
-// ---------------------------------------------------------------------
-// EcssdApi: guards and the commit path
-// ---------------------------------------------------------------------
-
-TEST(ApiRedeploy, GuardsReportThroughStatus)
-{
-    ApiFixture f;
-    EcssdApi api(ApiFixture::makeOptions());
-    // Accelerator mode is a precondition.
-    EXPECT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::WrongMode);
-    api.ecssdEnable();
-    // So is a first stop-the-world deployment.
-    EXPECT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::NotDeployed);
-    api.weightDeploy(f.model.weights(), f.spec);
-
-    // Mismatched weights/spec.
-    xclass::BenchmarkSpec wrong = f.spec;
-    wrong.categories *= 2;
-    EXPECT_EQ(api.redeployBegin(f.model.weights(), wrong),
-              Status::DimensionMismatch);
-
-    // Redeploy calls with nothing in flight.
-    EXPECT_EQ(api.redeployAdvance(), Status::NoRedeploy);
-    EXPECT_EQ(api.redeployAbort(), Status::NoRedeploy);
-    EXPECT_EQ(api.redeployStatus().phase, RedeployPhase::Idle);
-
-    // One redeploy at a time: a second begin is rejected, the first
-    // stays active.
-    EXPECT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::Ok);
-    EXPECT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::RedeployActive);
-    EXPECT_EQ(api.redeployStatus().phase, RedeployPhase::Staging);
-}
-
-TEST(ApiRedeploy, IdenticalWeightsSwapCommits)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    f.recordQueries(4);
-    EXPECT_EQ(api.deployEpoch(), 1u);
-    EXPECT_EQ(api.weightVersion(), 1u);
-
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::Ok);
-    const sim::Tick staging = api.redeployRun();
-    EXPECT_GT(staging, 0u);
-
-    const RedeployStatus status = api.redeployStatus();
-    EXPECT_EQ(status.phase, RedeployPhase::Committed);
-    EXPECT_EQ(status.reason, RollbackReason::None);
-    EXPECT_EQ(status.stagedBytes, status.totalBytes);
-    EXPECT_GT(status.totalBytes, 0u);
-    // Identical weights screen identically: exact full recall.
-    EXPECT_DOUBLE_EQ(status.validationRecall, 1.0);
-    EXPECT_EQ(status.oldEpoch, 1u);
-    EXPECT_EQ(status.newEpoch, 2u);
-    EXPECT_EQ(api.deployEpoch(), 2u);
-    EXPECT_EQ(api.weightVersion(), 2u);
-
-    // The new epoch serves.
-    sim::Rng rng(9);
-    auto session = api.beginInference();
-    EXPECT_EQ(session.epoch(), 2u);
-    f.serve(session, f.model.sampleQuery(rng));
-}
-
-TEST(ApiRedeploy, OldSessionServesThroughDrainThenCloses)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    const auto queries = f.recordQueries(2);
-
-    // Hold a session open across the flip; a generous deadline keeps
-    // the drain window open while we serve on it.
-    RedeployConfig config;
-    config.drainDeadline = sim::milliseconds(10000.0);
-    auto old_session = api.beginInference();
-    EXPECT_EQ(old_session.epoch(), 1u);
-
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec, config),
-              Status::Ok);
-    f.advanceUntil(RedeployPhase::Draining);
-    EXPECT_EQ(api.deployEpoch(), 2u);
-    EXPECT_EQ(api.redeployStatus().inFlightOldSessions, 1u);
-
-    // The old-epoch session keeps serving on the draining version.
-    f.serve(old_session, queries[0]);
-    EXPECT_EQ(api.redeployStatus().phase, RedeployPhase::Draining);
-
-    // Closing the last old-epoch session commits the drain at once.
-    { InferenceSession closer = std::move(old_session); }
-    EXPECT_EQ(api.redeployStatus().phase, RedeployPhase::Committed);
-    EXPECT_EQ(api.redeployStatus().inFlightOldSessions, 0u);
-}
-
-TEST(ApiRedeploy, StaleSessionOnlyAfterDrainDeadline)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    const auto queries = f.recordQueries(2);
-
-    RedeployConfig config;
-    config.drainDeadline = sim::milliseconds(500.0);
-    config.drainPollInterval = sim::milliseconds(100.0);
-    auto old_session = api.beginInference();
-
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec, config),
-              Status::Ok);
-    f.advanceUntil(RedeployPhase::Draining);
-
-    // Inside the drain window the old session is NOT stale.
-    EXPECT_EQ(old_session.sendInt4(queries[0]), Status::Ok);
-
-    // Burn through the deadline with drain polls; the default policy
-    // commits and force-retires the straggler.
-    while (api.redeployStatus().phase == RedeployPhase::Draining)
-        api.redeployAdvance();
-    EXPECT_EQ(api.redeployStatus().phase, RedeployPhase::Committed);
-    EXPECT_GE(api.redeployStatus().drainElapsed,
-              config.drainDeadline);
-
-    EXPECT_EQ(old_session.sendInt4(queries[0]),
-              Status::StaleSession);
-    EXPECT_EQ(old_session.classify(), Status::StaleSession);
-
-    // New-epoch sessions are untouched.
-    auto fresh = api.beginInference();
-    f.serve(fresh, queries[1]);
-}
-
-TEST(ApiRedeploy, DrainTimeoutRollsBackUnderStrictPolicy)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    const auto queries = f.recordQueries(2);
-
-    RedeployConfig config;
-    config.drainDeadline = sim::milliseconds(1.0);
-    config.drainPollInterval = sim::milliseconds(1.0);
-    config.drainTimeoutRollsBack = true;
-    auto old_session = api.beginInference();
-
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec, config),
-              Status::Ok);
-    f.advanceUntil(RedeployPhase::Draining);
-    // A session admitted during the drain binds to the new epoch.
-    auto new_session = api.beginInference();
-    EXPECT_EQ(new_session.epoch(), 2u);
-
-    while (api.redeployStatus().phase == RedeployPhase::Draining)
-        api.redeployAdvance();
-
-    const RedeployStatus status = api.redeployStatus();
-    EXPECT_EQ(status.phase, RedeployPhase::RolledBack);
-    EXPECT_EQ(status.reason, RollbackReason::DrainTimeout);
-
-    // The old epoch serves again; the rolled-back epoch is burned.
-    EXPECT_EQ(api.deployEpoch(), 1u);
-    EXPECT_EQ(api.weightVersion(), 1u);
-    f.serve(old_session, queries[0]);
-    EXPECT_EQ(new_session.sendInt4(queries[1]),
-              Status::StaleSession);
-    // And the next admitted session never reuses the burned epoch.
-    auto after = api.beginInference();
-    EXPECT_EQ(after.epoch(), 1u);
-}
-
-TEST(ApiRedeploy, AbortMidWarmingRollsBackAndReleasesCapacity)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    f.recordQueries(4);
-
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::Ok);
-    f.advanceUntil(RedeployPhase::Warming);
-    EXPECT_EQ(api.redeployAbort(), Status::Ok);
-
-    const RedeployStatus status = api.redeployStatus();
-    EXPECT_EQ(status.phase, RedeployPhase::RolledBack);
-    EXPECT_EQ(status.reason, RollbackReason::Aborted);
-    EXPECT_EQ(api.deployEpoch(), 1u);
-
-    // The live version was never disturbed...
-    sim::Rng rng(11);
-    auto session = api.beginInference();
-    f.serve(session, f.model.sampleQuery(rng));
-    // ...and the staged reservation was released: a fresh redeploy
-    // can claim the same capacity again.
-    EXPECT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::Ok);
-    EXPECT_EQ(api.redeployStatus().phase, RedeployPhase::Staging);
-}
-
-TEST(ApiRedeploy, AbortAfterFlipIsRejected)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    f.recordQueries(2);
-
-    RedeployConfig config;
-    config.drainDeadline = sim::milliseconds(10000.0);
-    auto old_session = api.beginInference();
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec, config),
-              Status::Ok);
-    f.advanceUntil(RedeployPhase::Draining);
-
-    // Post-flip the swap is already serving: abort is too late.
-    EXPECT_EQ(api.redeployAbort(), Status::RedeployActive);
-    EXPECT_EQ(api.redeployStatus().phase, RedeployPhase::Draining);
-}
-
-// ---------------------------------------------------------------------
-// EcssdApi: rollback triggers
-// ---------------------------------------------------------------------
-
-TEST(ApiRedeploy, ValidationRecallBelowFloorRollsBack)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    f.recordQueries(4);
-
-    // Freshly-drawn synthetic weights share no screening structure
-    // with the deployed version: shadow recall collapses and the
-    // default 0.9 floor must roll the swap back.
-    xclass::SyntheticModel next(f.spec, 2);
-    ASSERT_EQ(api.redeployBegin(next.weights(), f.spec), Status::Ok);
-    api.redeployRun();
-
-    const RedeployStatus status = api.redeployStatus();
-    EXPECT_EQ(status.phase, RedeployPhase::RolledBack);
-    EXPECT_EQ(status.reason, RollbackReason::ValidationRecall);
-    EXPECT_LT(status.validationRecall, 0.9);
-    EXPECT_EQ(api.deployEpoch(), 1u);
-    EXPECT_EQ(api.weightVersion(), 1u);
-
-    // Zero failed requests: the old version serves on.
-    sim::Rng rng(13);
-    auto session = api.beginInference();
-    f.serve(session, f.model.sampleQuery(rng));
-}
-
-TEST(ApiRedeploy, ReadOnlyDeviceRollsBackStaging)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    f.recordQueries(2);
-
-    // The end-of-life latch: a read-only device can never accept the
-    // staged programs.
-    api.system().ssd().ftl().forceReadOnly();
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::Ok);
-    api.redeployRun();
-
-    const RedeployStatus status = api.redeployStatus();
-    EXPECT_EQ(status.phase, RedeployPhase::RolledBack);
-    EXPECT_EQ(status.reason, RollbackReason::DeviceReadOnly);
-    EXPECT_EQ(api.deployEpoch(), 1u);
-
-    // Reads still serve on the read-only device.
-    sim::Rng rng(17);
-    auto session = api.beginInference();
-    f.serve(session, f.model.sampleQuery(rng));
-}
-
-TEST(ApiRedeploy, DramPressureRollsBackBeforeStaging)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-
-    // Eat the device's leftover DRAM down to a sliver the staged
-    // INT4 screener cannot fit.
-    ssdsim::DramModel &dram = api.system().ssd().dram();
-    dram.reserve(dram.availableBytes() - 16);
-
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::Ok);
-    const RedeployStatus status = api.redeployStatus();
-    EXPECT_EQ(status.phase, RedeployPhase::RolledBack);
-    EXPECT_EQ(status.reason, RollbackReason::DramPressure);
-    EXPECT_EQ(api.deployEpoch(), 1u);
-
-    sim::Rng rng(19);
-    auto session = api.beginInference();
-    f.serve(session, f.model.sampleQuery(rng));
-}
-
-// ---------------------------------------------------------------------
-// Metamorphic: a swap to identical weights is invisible
-// ---------------------------------------------------------------------
-
-TEST(ApiRedeploy, IdenticalWeightsSwapIsBitIdentical)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    const auto queries = f.recordQueries(3);
-
-    // Reference predictions before the swap.
-    std::vector<xclass::ApproximateClassifier::Prediction> before;
-    for (const auto &query : queries) {
-        auto session = api.beginInference();
-        before.push_back(f.serve(session, query));
-    }
-
-    RedeployConfig config;
-    config.drainDeadline = sim::milliseconds(10000.0);
-    auto old_session = api.beginInference();
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec, config),
-              Status::Ok);
-    f.advanceUntil(RedeployPhase::Draining);
-
-    // During the drain, the old-epoch session answers bit-identically
-    // (it still runs the old version's datapaths).
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        const auto during = f.serve(old_session, queries[q]);
-        EXPECT_TRUE(samePrediction(before[q], during))
-            << "old-epoch prediction diverged during drain, query "
-            << q;
-    }
-
-    { InferenceSession closer = std::move(old_session); }
-    ASSERT_EQ(api.redeployStatus().phase, RedeployPhase::Committed);
-    EXPECT_DOUBLE_EQ(api.redeployStatus().validationRecall, 1.0);
-
-    // After the commit, the new version's datapaths are rebuilt from
-    // the same weights and seed: still bit-identical.
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        auto session = api.beginInference();
-        const auto after = f.serve(session, queries[q]);
-        EXPECT_TRUE(samePrediction(before[q], after))
-            << "prediction diverged across the swap, query " << q;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Observability and health
-// ---------------------------------------------------------------------
-
-TEST(ApiRedeploy, NoRedeployRunPublishesNoRedeployKeys)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    sim::MetricsRegistry registry;
-    api.attachObservability(&registry, nullptr);
-    f.recordQueries(2);
-
-    // A run that never began a redeploy must stay clean of the
-    // redeploy namespace (byte-identity with pre-hot-swap builds).
-    api.publishRedeployMetrics(registry);
-    std::ostringstream json;
-    registry.writeJson(json);
-    EXPECT_EQ(json.str().find("redeploy."), std::string::npos);
-
-    // After a committed swap the namespace appears.
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::Ok);
-    api.redeployRun();
-    ASSERT_EQ(api.redeployStatus().phase, RedeployPhase::Committed);
-    api.publishRedeployMetrics(registry);
-    std::ostringstream after;
-    registry.writeJson(after);
-    EXPECT_NE(after.str().find("redeploy.phase"), std::string::npos);
-    EXPECT_NE(after.str().find("redeploy.commits"),
-              std::string::npos);
-}
-
-TEST(ApiRedeploy, HealthReportCarriesServingIdentity)
-{
-    ApiFixture f;
-    EcssdApi &api = f.api;
-    f.recordQueries(2);
-
-    ssdsim::HealthReport before = api.system().health(0);
-    EXPECT_EQ(before.deployEpoch, 1u);
-    EXPECT_EQ(before.weightVersion, 1u);
-
-    ASSERT_EQ(api.redeployBegin(f.model.weights(), f.spec),
-              Status::Ok);
-    api.redeployRun();
-    ASSERT_EQ(api.redeployStatus().phase, RedeployPhase::Committed);
-
-    ssdsim::HealthReport after = api.system().health(0);
-    EXPECT_EQ(after.deployEpoch, 2u);
-    EXPECT_EQ(after.weightVersion, 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -677,6 +187,47 @@ TEST(ServerRedeploy, SwapCommitsUnderLoadWithNoLostRequests)
     const auto post = server.processAll(5);
     ASSERT_EQ(post.size(), 1u);
     EXPECT_EQ(post[0].status, InferenceServer::Response::Status::Ok);
+}
+
+TEST(ServerRedeploy, IdenticalWeightsSwapIsBitIdentical)
+{
+    // Metamorphic: a swap to the same weights and seed rebuilds the
+    // same datapaths, so every answer after the commit is
+    // bit-identical to the answer before the swap.
+    ServerFixture f;
+    InferenceServer server(f.model.weights(), f.spec,
+                           EcssdOptions::full(), &f.model.basis());
+    sim::Rng rng(47);
+    std::vector<std::vector<float>> queries;
+    for (int i = 0; i < 8; ++i)
+        queries.push_back(f.model.sampleQuery(rng));
+    const auto serveAll = [&] {
+        for (const auto &query : queries)
+            server.enqueue(query);
+        return server.processAll(5);
+    };
+    const auto before = serveAll();
+
+    ASSERT_EQ(server.beginRedeploy(f.model.weights(), f.spec,
+                                  RedeployConfig{}, &f.model.basis()),
+              Status::Ok);
+    while (server.redeployActive())
+        ASSERT_EQ(server.redeployAdvance(), Status::Ok);
+    ASSERT_EQ(server.redeployStatus().phase,
+              RedeployPhase::Committed);
+    EXPECT_DOUBLE_EQ(server.redeployStatus().validationRecall, 1.0);
+    EXPECT_EQ(server.redeployAdvance(), Status::NoRedeploy);
+
+    const auto after = serveAll();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+        EXPECT_EQ(after[i].prediction.topCategories,
+                  before[i].prediction.topCategories)
+            << "prediction diverged across the swap, response " << i;
+        EXPECT_EQ(after[i].prediction.topScores,
+                  before[i].prediction.topScores)
+            << "prediction diverged across the swap, response " << i;
+    }
 }
 
 TEST(ServerRedeploy, DimensionChangeIsRejected)
@@ -782,6 +333,40 @@ TEST(ServerRedeploy, StagedMediaFaultRollsBack)
     EXPECT_EQ(server.weightVersion(), 1u);
 }
 
+TEST(RedeployDriver, ReadOnlyDeviceRollsBackStaging)
+{
+    // The end-of-life latch mid-staging: a read-only device can never
+    // accept the staged programs, so the next staging step rolls back
+    // and hands the staged screener's DRAM back to the live device.
+    ServerFixture f;
+    const EcssdOptions options = EcssdOptions::full();
+    DeployedVersion live = buildVersion(f.model.weights(), f.spec,
+                                        options, &f.model.basis());
+    const ssdsim::DramModel &dram = live.system->ssd().dram();
+    const std::uint64_t available = dram.availableBytes();
+
+    RedeployConfig config;
+    config.stepBytes = 64 * 1024; // several staging steps
+    RedeployDriver driver;
+    sim::Tick clock = 0;
+    driver.begin(live, f.model.weights(), f.spec, &f.model.basis(),
+                 config, options, nullptr, 2, clock);
+    ASSERT_EQ(driver.machine().phase(), RedeployPhase::Staging);
+    EXPECT_LT(dram.availableBytes(), available);
+
+    driver.step(live, clock);
+    ASSERT_EQ(driver.machine().phase(), RedeployPhase::Staging);
+    live.system->ssd().ftl().forceReadOnly();
+    driver.step(live, clock);
+
+    const RedeployStatus status = driver.status();
+    EXPECT_EQ(status.phase, RedeployPhase::RolledBack);
+    EXPECT_EQ(status.reason, RollbackReason::DeviceReadOnly);
+    EXPECT_LT(status.stagedBytes, status.totalBytes);
+    EXPECT_EQ(dram.availableBytes(), available);
+    EXPECT_TRUE(live.deployed());
+}
+
 TEST(ServerRedeploy, RetryBackoffServesThroughTheFlip)
 {
     // A flaky device under the FailBatch policy retries batches with
@@ -860,87 +445,4 @@ TEST(ServerRedeploy, PublishesServingIdentityAndSwapCounters)
     EXPECT_EQ(after.gauge("server.deploy_epoch").value(), 2.0);
     EXPECT_EQ(after.gauge("server.redeploy_commits").value(), 1.0);
     EXPECT_EQ(after.gauge("server.redeploy_rollbacks").value(), 0.0);
-}
-
-// ---------------------------------------------------------------------
-// Scale-out fleet: rolling redeploy
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-xclass::BenchmarkSpec
-fleetSpec()
-{
-    xclass::BenchmarkSpec spec = xclass::scaledDown(
-        xclass::benchmarkByName("GNMT-E32K"), 2048);
-    spec.hiddenDim = 128;
-    return spec;
-}
-
-} // namespace
-
-TEST(FleetRedeploy, RollingSwapFlipsEveryShard)
-{
-    ScaleOutEcssd fleet(fleetSpec(), 4);
-    EXPECT_EQ(fleet.deployEpoch(), 1u);
-    EXPECT_EQ(fleet.weightVersion(), 1u);
-
-    const FleetRedeployResult result = fleet.rollingRedeploy();
-    EXPECT_FALSE(result.rolledBack);
-    EXPECT_EQ(result.shardsSwapped, 4u);
-    EXPECT_EQ(result.shardsSkipped, 0u);
-    EXPECT_GT(result.stagingTime, 0u);
-    EXPECT_EQ(result.weightVersion, 2u);
-    EXPECT_EQ(fleet.deployEpoch(), 2u);
-    EXPECT_EQ(fleet.weightVersion(), 2u);
-    // Every shard reports the new serving identity through SMART.
-    for (unsigned d = 0; d < fleet.devices(); ++d) {
-        const ssdsim::HealthReport report = fleet.shardHealthReport(d);
-        EXPECT_EQ(report.deployEpoch, 2u);
-        EXPECT_EQ(report.weightVersion, 2u);
-    }
-    // The rolled fleet still serves.
-    const ScaleOutResult run = fleet.runInference(1);
-    EXPECT_EQ(run.survivingDevices, 4u);
-}
-
-TEST(FleetRedeploy, DeadShardIsSkippedNotFatal)
-{
-    ScaleOutEcssd fleet(fleetSpec(), 4);
-    fleet.failShard(2);
-
-    const FleetRedeployResult result = fleet.rollingRedeploy();
-    EXPECT_FALSE(result.rolledBack);
-    EXPECT_EQ(result.shardsSwapped, 3u);
-    EXPECT_EQ(result.shardsSkipped, 1u);
-    EXPECT_EQ(fleet.deployEpoch(), 2u);
-}
-
-TEST(FleetRedeploy, ReadOnlyShardRevertsTheWholeRoll)
-{
-    ScaleOutEcssd fleet(fleetSpec(), 4);
-    // Shard 2 latches read-only: the roll swaps shards 0 and 1, then
-    // must revert them — the fleet never serves a mixed deployment.
-    fleet.shardSystem(2).ssd().ftl().forceReadOnly();
-
-    const FleetRedeployResult result = fleet.rollingRedeploy();
-    EXPECT_TRUE(result.rolledBack);
-    EXPECT_EQ(result.reason, RollbackReason::ShardLoss);
-    EXPECT_EQ(result.shardsSwapped, 0u);
-    EXPECT_EQ(fleet.deployEpoch(), 1u);
-    EXPECT_EQ(fleet.weightVersion(), 1u);
-    for (unsigned d = 0; d < fleet.devices(); ++d) {
-        const ssdsim::HealthReport report = fleet.shardHealthReport(d);
-        EXPECT_EQ(report.deployEpoch, 1u) << "shard " << d;
-        EXPECT_EQ(report.weightVersion, 1u) << "shard " << d;
-    }
-    // A fleet with no live shard at all also reports a rollback.
-    ScaleOutEcssd dead(fleetSpec(), 2);
-    dead.failShard(0);
-    dead.failShard(1);
-    const FleetRedeployResult none = dead.rollingRedeploy();
-    EXPECT_TRUE(none.rolledBack);
-    EXPECT_EQ(none.reason, RollbackReason::ShardLoss);
-    EXPECT_EQ(dead.deployEpoch(), 1u);
 }

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -196,44 +194,4 @@ TEST(Histogram, ResetClearsMoments)
     EXPECT_EQ(h.min(), 0.0);
     EXPECT_EQ(h.max(), 0.0);
     EXPECT_EQ(h.quantile(0.5), 0.0);
-}
-
-TEST(StatGroup, LooksUpRegisteredScalars)
-{
-    Scalar s;
-    s.set(7.0);
-    StatGroup group("ssd");
-    group.addScalar("pages_read", &s);
-    EXPECT_DOUBLE_EQ(group.scalar("pages_read"), 7.0);
-}
-
-TEST(StatGroup, UnknownStatIsFatal)
-{
-    StatGroup group("ssd");
-    EXPECT_THROW(group.scalar("nope"), FatalError);
-    EXPECT_THROW(group.distribution("nope"), FatalError);
-}
-
-TEST(StatGroup, DumpEmitsAllStats)
-{
-    Scalar s;
-    s.set(3.0);
-    Distribution d;
-    d.sample(4.0);
-    StatGroup group("g");
-    group.addScalar("s", &s);
-    group.addDistribution("d", &d);
-    std::ostringstream os;
-    group.dump(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("g.s 3"), std::string::npos);
-    EXPECT_NE(text.find("g.d.count 1"), std::string::npos);
-    EXPECT_NE(text.find("g.d.mean 4"), std::string::npos);
-}
-
-TEST(StatGroup, NullRegistrationPanics)
-{
-    StatGroup group("g");
-    EXPECT_THROW(group.addScalar("s", nullptr), PanicError);
-    EXPECT_THROW(group.addDistribution("d", nullptr), PanicError);
 }

@@ -4,7 +4,7 @@
  * determinism guarantee for zero-coefficient configurations, the
  * patrol scrub, static wear leveling, end-of-life read-only mode,
  * configuration validation, and the HealthReport exported through
- * the SSD/NVMe front ends.
+ * the SSD front end.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "sim/event_queue.hh"
 #include "ssdsim/flash.hh"
 #include "ssdsim/ftl.hh"
-#include "ssdsim/nvme.hh"
 #include "ssdsim/ssd.hh"
 
 using namespace ecssd;
@@ -489,35 +488,28 @@ TEST(HealthReport, MediaErrorTrendTracksObservedFailures)
     EXPECT_NEAR(report.observedErrorRate, 0.2, 0.15);
 }
 
-TEST(HealthReport, ExportedThroughSsdAndNvmeFrontEnds)
+TEST(HealthReport, ExportedThroughTheSsdFrontEnd)
 {
     SsdConfig config = smallTestConfig();
     config.retentionErrorCoefficient = 1e-3;
     config.scrubErrorThreshold = 1e-5;
     sim::EventQueue queue;
     SsdDevice ssd(config, queue);
-    NvmeController nvme(ssd, 2, 8);
 
-    for (LogicalPage lpa = 0; lpa < 16; ++lpa) {
-        NvmeCommand cmd;
-        cmd.opcode = NvmeOpcode::Write;
-        cmd.startPage = lpa;
-        cmd.commandId = lpa;
-        ASSERT_TRUE(nvme.submit(0, cmd));
-    }
-    const sim::Tick done = nvme.drain();
+    sim::Tick done = 0;
+    for (LogicalPage lpa = 0; lpa < 16; ++lpa)
+        ssd.hostWrite(lpa, [&done](sim::Tick t) { done = t; });
+    queue.run();
+    ASSERT_GT(done, 0u);
 
     // Idle-time maintenance after a long retention gap refreshes
-    // pages; the SMART log page reflects it at every level.
+    // pages; the SMART report reflects it.
     const sim::Tick later = done + sim::seconds(60.0);
     ssd.idleMaintenance(later);
 
-    const HealthReport via_ssd = ssd.health(later);
-    const HealthReport via_nvme = nvme.healthLogPage(later);
-    EXPECT_GT(via_ssd.scrubbedPages, 0u);
-    EXPECT_GT(via_ssd.scrubRelocations, 0u);
-    EXPECT_EQ(via_ssd.scrubbedPages, via_nvme.scrubbedPages);
-    EXPECT_EQ(via_ssd.lifeRemaining, via_nvme.lifeRemaining);
-    EXPECT_EQ(via_nvme.capturedAt, later);
-    EXPECT_FALSE(via_nvme.readOnly);
+    const HealthReport report = ssd.health(later);
+    EXPECT_GT(report.scrubbedPages, 0u);
+    EXPECT_GT(report.scrubRelocations, 0u);
+    EXPECT_EQ(report.capturedAt, later);
+    EXPECT_FALSE(report.readOnly);
 }

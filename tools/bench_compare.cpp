@@ -10,7 +10,7 @@
  * must exist in CURRENT and sit within its tolerance — 10% for
  * "latency." keys, 1% for everything else by default (see
  * src/sim/baseline.hh).  Exit 0 = within tolerance, 1 = drift or
- * missing metrics, 2 = usage/IO error.
+ * missing metrics, 2 = usage, IO or malformed-JSON error.
  */
 
 #include <cstdio>
@@ -23,6 +23,7 @@
 
 #include "sim/baseline.hh"
 #include "sim/json.hh"
+#include "sim/logging.hh"
 
 namespace
 {
@@ -41,10 +42,8 @@ readFile(const std::string &path)
     return buffer.str();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::vector<std::string> files;
     ecssd::sim::BaselineTolerance tolerance;
@@ -116,4 +115,17 @@ main(int argc, char **argv)
     for (const std::string &failure : failures)
         std::fprintf(stderr, "  %s\n", failure.c_str());
     return 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const ecssd::sim::FatalError &) {
+        // Malformed input: fatal() already printed the reason.
+        return 2;
+    }
 }

@@ -8,6 +8,9 @@
  *   ecssd_sim --list
  *   ecssd_sim --benchmark LSTM-W33K --sweep-layouts --energy
  *
+ * Exit status: 0 on success, 2 on a usage or configuration error
+ * (the reason is on stderr).
+ *
  * Options:
  *   --benchmark NAME      Table 3 benchmark (see --list)
  *   --scale N             cap the category count at N
@@ -25,8 +28,8 @@
  *   --threads N           host-compute worker threads (wall-clock
  *                         only: output is bit-identical for any N)
  *   --isa LEVEL           host-compute SIMD level: auto | scalar |
- *                         vector | avx2 | avx512 (wall-clock only,
- *                         like --threads; ECSSD_ISA overrides)
+ *                         avx2 | avx512 (wall-clock only, like
+ *                         --threads; ECSSD_ISA overrides)
  *   --cache-mb N          SSD-DRAM hot-row candidate cache capacity
  *                         in MiB (0 = disabled, the default)
  *   --list                list benchmarks and architectures
@@ -54,9 +57,6 @@
  *   --wear-coefficient C          erase-count error term weight
  *   --wear-exponent E             erase-count error term exponent
  *   --retention-coefficient C     per-second retention error term
- *   --scrub-threshold P           refresh pages predicted above P
- *   --scrub-budget N              patrol-scrub pages per pass
- *   --wear-level-bound N          erase-spread bound for leveling
  *   --health                      print the device SMART report
  *
  * Observability (see docs/MODELING.md Section 9):
@@ -130,6 +130,7 @@
 #include "ecssd/server.hh"
 #include "ecssd/streaming_deploy.hh"
 #include "ecssd/system.hh"
+#include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
 #include "sim/trace.hh"
@@ -191,8 +192,7 @@ usage(const char *argv0, int code)
                 "[--read-retry-rate P]\n"
                 "  [--erase-failure-rate P] [--wear-coefficient C]\n"
                 "  [--wear-exponent E] [--retention-coefficient C]\n"
-                "  [--scrub-threshold P] [--scrub-budget N]\n"
-                "  [--wear-level-bound N] [--health]\n"
+                "  [--health]\n"
                 "  [--metrics-json FILE] [--metrics-prom FILE]\n"
                 "  [--span-log FILE] [--serve-requests N]\n"
                 "  [--redeploy-at N] [--redeploy-io-budget F]\n"
@@ -680,10 +680,8 @@ writeDump(const std::string &path, WriteFn &&write)
     write(os);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliOptions cli;
     for (int i = 1; i < argc; ++i) {
@@ -787,16 +785,6 @@ main(int argc, char **argv)
         } else if (arg == "--retention-coefficient") {
             cli.device.ssd.retentionErrorCoefficient = std::strtod(
                 next("--retention-coefficient").c_str(), nullptr);
-        } else if (arg == "--scrub-threshold") {
-            cli.device.ssd.scrubErrorThreshold = std::strtod(
-                next("--scrub-threshold").c_str(), nullptr);
-        } else if (arg == "--scrub-budget") {
-            cli.device.ssd.scrubBudgetPages = static_cast<unsigned>(
-                std::strtoul(next("--scrub-budget").c_str(), nullptr,
-                             10));
-        } else if (arg == "--wear-level-bound") {
-            cli.device.ssd.wearLevelSpreadBound = std::strtoull(
-                next("--wear-level-bound").c_str(), nullptr, 10);
         } else if (arg == "--health") {
             cli.health = true;
         } else if (arg == "--metrics-json") {
@@ -884,9 +872,7 @@ main(int argc, char **argv)
             sim::fatal("--tenant needs a serving pass; add "
                        "--serve-requests N (arrivals per tenant)");
         if (cli.redeployAt > 0)
-            sim::fatal("--redeploy-at and --tenant are exclusive; "
-                       "tenant redeploys run through the tenant "
-                       "API");
+            sim::fatal("--redeploy-at and --tenant are exclusive");
     }
     if (!cli.traffic.empty()) {
         if (cli.serveRequests == 0)
@@ -966,4 +952,17 @@ main(int argc, char **argv)
 
     report(spec, cli.device, cli.batches, cli.energy, cli.health);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const sim::FatalError &) {
+        // A configuration error: fatal() already printed the reason.
+        return 2;
+    }
 }
