@@ -33,12 +33,12 @@ tenantConfig(const char *name, double p99_target_ms)
 int
 main()
 {
-    // One physical device; the builder validates the option set once.
-    const EcssdOptions options = EcssdOptions::builder()
-                                     .ssd(ssdsim::smallTestConfig())
-                                     .threads(1)
-                                     .seed(7)
-                                     .build();
+    // One physical device; every lane's EcssdSystem validates the
+    // option set it is built from.
+    EcssdOptions options;
+    options.ssd = ssdsim::smallTestConfig();
+    options.threads = 1;
+    options.seed = 7;
 
     xclass::BenchmarkSpec spec = xclass::scaledDown(
         xclass::benchmarkByName("GNMT-E32K"), 1024);

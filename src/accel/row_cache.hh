@@ -92,7 +92,7 @@ struct RowCacheStats
     /** Misses rejected by the admission policy (set stayed as-is). */
     std::uint64_t admissionRejects = 0;
     /** Entries dropped because their flash block was relocated
-     *  (patrol scrub / wear leveling / GC). */
+     *  (GC or a re-layout migration). */
     std::uint64_t invalidations = 0;
     /** Relocation notifications examined (whether or not a resident
      *  entry matched). */
@@ -123,8 +123,8 @@ struct RowCacheStats
  * degree seed from the layout strategy's predictor plus a decayed
  * observed-candidate-frequency count, mirroring the paper's
  * learning-based interleaving at the caching layer.  The cache tracks
- * the flash blocks backing each resident group so relocations (patrol
- * scrub, wear leveling) invalidate the stale DRAM copy.
+ * the flash blocks backing each resident group so relocations (GC,
+ * re-layout migrations) invalidate the stale DRAM copy.
  */
 class RowCache
 {

@@ -112,21 +112,6 @@ wideAccumulator()
     return {"wide_accumulator_72b", 420.0, 79.0};
 }
 
-/** 15x15-bit multiplier of the half-width CFP16 MAC extension
- *  (area ~ (15/24)^2 of the 24-bit multiplier). */
-inline ComponentCost
-mantissaMultiplier15()
-{
-    return {"mantissa_mult_15b", 410.0, 105.0};
-}
-
-/** 48-bit accumulator of the CFP16 MAC. */
-inline ComponentCost
-narrowAccumulator()
-{
-    return {"narrow_accumulator_48b", 280.0, 53.0};
-}
-
 /** 4x4-bit multiplier of the INT4 screener MAC. */
 inline ComponentCost
 int4Multiplier()

@@ -109,14 +109,6 @@ int4Mac()
 }
 
 CircuitBlock
-cfp16Mac()
-{
-    CircuitBlock mac("cfp16_mac");
-    mac.add(mantissaMultiplier15()).add(narrowAccumulator());
-    return mac;
-}
-
-CircuitBlock
 macArray(const CircuitBlock &mac, unsigned count)
 {
     CircuitBlock array(mac.name() + "_array");

@@ -73,10 +73,6 @@ CircuitBlock alignmentFreeFp32Mac();
 /** One INT4 screener MAC. */
 CircuitBlock int4Mac();
 
-/** One half-width (CFP16) alignment-free MAC: this repo's
- *  extension; ~2.9x smaller than the CFP32 datapath. */
-CircuitBlock cfp16Mac();
-
 /**
  * An array of @p count MAC blocks.
  *

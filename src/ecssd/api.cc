@@ -270,47 +270,6 @@ EcssdApi::attachObservability(sim::MetricsRegistry *metrics,
         live_.system->attachObservability(metrics, spans);
 }
 
-void
-EcssdApi::publishDeployMetrics(sim::MetricsRegistry &registry)
-{
-    if (!lastStreaming_)
-        return;
-    const StreamingDeployResult &outcome = *lastStreaming_;
-    registry.gaugeSet("deploy.streaming_ms",
-                      sim::tickToMs(outcome.deployTime));
-    registry.gaugeSet("deploy.host_peak_bytes",
-                      static_cast<double>(outcome.hostPeakBytes));
-    registry.gaugeSet("deploy.host_budget_bytes",
-                      static_cast<double>(outcome.hostBudgetBytes));
-    registry.gaugeSet("deploy.runs_spilled",
-                      static_cast<double>(outcome.runsSpilled));
-    registry.gaugeSet("deploy.spill_pages_written",
-                      static_cast<double>(outcome.spillPagesWritten));
-    registry.gaugeSet("deploy.spill_pages_read",
-                      static_cast<double>(outcome.spillPagesRead));
-    registry.gaugeSet("deploy.rows_placed",
-                      static_cast<double>(outcome.rowsPlaced));
-}
-
-void
-EcssdApi::publishKernelMetrics(sim::MetricsRegistry &registry)
-{
-    if (!live_.deployed())
-        return;
-    const numeric::KernelPlan &plan = live_.screener().kernelPlan();
-    registry.gaugeSet("kernel.isa",
-                      static_cast<double>(static_cast<int>(plan.isa)));
-    registry.gaugeSet("kernel.rows", static_cast<double>(plan.rows));
-    registry.gaugeSet("kernel.cols", static_cast<double>(plan.cols));
-    registry.gaugeSet("kernel.row_chunk",
-                      static_cast<double>(plan.rowChunk));
-    registry.gaugeSet("kernel.query_tile",
-                      static_cast<double>(plan.queryTile));
-    registry.gaugeSet("kernel.ns_per_row", plan.nsPerRow);
-    registry.gaugeSet("kernel.candidates",
-                      static_cast<double>(plan.candidates.size()));
-}
-
 // --- SSD mode --------------------------------------------------------
 
 sim::Tick

@@ -247,21 +247,6 @@ class EcssdApi
     void attachObservability(sim::MetricsRegistry *metrics,
                              sim::SpanTracer *spans);
 
-    /** Snapshot the most recent streaming deploy ("deploy.*"
-     *  gauges: wall-time, peak/budget host bytes, spill volume)
-     *  into @p registry; no-op while streamingDeploy() is null. */
-    void publishDeployMetrics(sim::MetricsRegistry &registry);
-
-    /**
-     * Snapshot the live screener's tuned kernel plan ("kernel.*"
-     * gauges: ISA level, row chunk, query tile, measured ns/row)
-     * into @p registry; no-op before the first weightDeploy().
-     * Explicit — never part of publishMetrics() — because the
-     * ns/row gauge is wall-clock and would break byte-identical
-     * metric goldens across machines and ISA levels.
-     */
-    void publishKernelMetrics(sim::MetricsRegistry &registry);
-
   private:
     friend class InferenceSession;
 

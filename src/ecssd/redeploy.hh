@@ -10,11 +10,11 @@
  *
  *  - Staging: the new version's INT4 screener + FP32/CFP16 rows
  *    program into spare flash capacity and leftover DRAM under an
- *    explicit IO budget (staging yields to foreground reads, like
- *    the patrol scrub).  The staged screener reserves its DRAM on
- *    the live device up front, and a few probe pages program and
- *    verify-read through the live FTL so staging meets the media
- *    faults foreground traffic would.
+ *    explicit IO budget (staging yields to foreground reads).  The
+ *    staged screener reserves its DRAM on the live device up front,
+ *    and a few probe pages program and verify-read through the live
+ *    FTL so staging meets the media faults foreground traffic
+ *    would.
  *  - Warming: the staged screener and row cache replay a recorded
  *    sample of recent queries so the flip lands on a warm version.
  *  - Validating: a shadow-scoring pass compares the staged

@@ -181,10 +181,10 @@ EcssdSystem::EcssdSystem(const xclass::BenchmarkSpec &spec,
                      ssd_->dram().availableBytes()));
     if (accel::RowCache *cache = pipeline_->rowCache()) {
         ssd_->dram().reserve(options.cache.capacityBytes);
-        // Flash relocations (patrol scrub, wear leveling, GC) may
-        // rewrite a cached group's backing block; drop the stale DRAM
-        // copy.  The pipeline outlives every FTL call this system
-        // makes, so the captured pointer stays valid.
+        // Flash relocations (GC, re-layout migrations) may rewrite a
+        // cached group's backing block; drop the stale DRAM copy.
+        // The pipeline outlives every FTL call this system makes, so
+        // the captured pointer stays valid.
         ssd_->ftl().setRelocationListener(
             [cache](const ssdsim::PhysicalPage &src) {
                 cache->invalidatePhysical(src);
@@ -336,7 +336,7 @@ EcssdSystem::relayoutStep(sim::Tick now)
     relayoutStats_.recoveredBalance = balance;
 
     // IO-budget share: the flash time the pass consumed is spread
-    // over 1/fraction of wall-time, like the patrol scrub.
+    // over 1/fraction of wall-time.
     const sim::Tick flash_busy = busy_until - now;
     return now
         + static_cast<sim::Tick>(

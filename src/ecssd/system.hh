@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "accel/pipeline.hh"
 #include "circuit/energy.hh"
@@ -29,9 +28,9 @@ namespace ecssd
  * observed-frequency counters show the channel traffic diverging
  * from what the layout's hot-degree predictor promised, an FTL-level
  * migration task re-homes the hottest mis-placed page groups onto
- * the under-loaded channels, under an IO-budget share (the patrol
- * scrub's pattern).  Disabled by default: a disabled config is
- * byte-identical to a build without the subsystem.
+ * the under-loaded channels, under an IO-budget share of device
+ * time.  Disabled by default: a disabled config is byte-identical
+ * to a build without the subsystem.
  */
 struct RelayoutConfig
 {
@@ -141,173 +140,7 @@ struct EcssdOptions
         options.int4Placement = accel::Int4Placement::Flash;
         return options;
     }
-
-    class Builder;
-
-    /** Start a validated option build (see EcssdOptions::Builder). */
-    static Builder builder();
 };
-
-/**
- * Fluent, validated construction of an option set:
- *
- *   EcssdOptions options = EcssdOptions::builder()
- *                              .threads(8)
- *                              .cacheMb(64)
- *                              .build();
- *
- * build() runs validate() exactly once — replacing the ad-hoc
- * mutate-then-maybe-validate pattern where half the call sites forgot
- * the validate and the other half ran it twice.
- */
-class EcssdOptions::Builder
-{
-  public:
-    Builder() = default;
-
-    /** Start from an explicit base (e.g. startingBaseline()). */
-    explicit Builder(EcssdOptions base) : options_(std::move(base)) {}
-
-    Builder &
-    mac(circuit::FpMacKind kind)
-    {
-        options_.fpKind = kind;
-        return *this;
-    }
-
-    Builder &
-    layout(layout::LayoutKind kind)
-    {
-        options_.layoutKind = kind;
-        return *this;
-    }
-
-    Builder &
-    int4Placement(accel::Int4Placement placement)
-    {
-        options_.int4Placement = placement;
-        return *this;
-    }
-
-    Builder &
-    overlapStages(bool on)
-    {
-        options_.overlapStages = on;
-        return *this;
-    }
-
-    Builder &
-    screening(bool on)
-    {
-        options_.screening = on;
-        return *this;
-    }
-
-    Builder &
-    weightPrecision(accel::WeightPrecision precision)
-    {
-        options_.weightPrecision = precision;
-        return *this;
-    }
-
-    Builder &
-    degradedPolicy(accel::DegradedReadPolicy policy)
-    {
-        options_.degradedPolicy = policy;
-        return *this;
-    }
-
-    Builder &
-    predictorNoise(double noise)
-    {
-        options_.predictorNoise = noise;
-        return *this;
-    }
-
-    Builder &
-    threads(unsigned count)
-    {
-        options_.threads = count;
-        return *this;
-    }
-
-    Builder &
-    isa(std::string level)
-    {
-        options_.isa = std::move(level);
-        return *this;
-    }
-
-    Builder &
-    seed(std::uint64_t value)
-    {
-        options_.seed = value;
-        return *this;
-    }
-
-    Builder &
-    ssd(const ssdsim::SsdConfig &config)
-    {
-        options_.ssd = config;
-        return *this;
-    }
-
-    Builder &
-    cacheBytes(std::uint64_t bytes)
-    {
-        options_.cache.capacityBytes = bytes;
-        return *this;
-    }
-
-    Builder &
-    cacheMb(std::uint64_t mib)
-    {
-        return cacheBytes(mib << 20);
-    }
-
-    Builder &
-    cacheAdmission(accel::CacheConfig::Admission admission)
-    {
-        options_.cache.admission = admission;
-        return *this;
-    }
-
-    Builder &
-    deployHostBudgetBytes(std::uint64_t bytes)
-    {
-        options_.deployHostBudgetBytes = bytes;
-        return *this;
-    }
-
-    Builder &
-    relayout(const RelayoutConfig &config)
-    {
-        options_.relayout = config;
-        return *this;
-    }
-
-    /**
-     * Finish: validates the assembled option set exactly once
-     * (dying fatally on an inconsistent configuration) and returns
-     * it.  The builder stays usable — build() again after further
-     * setters re-validates.
-     */
-    EcssdOptions
-    build() const
-    {
-        options_.validate();
-        return options_;
-    }
-
-  private:
-    EcssdOptions options_;
-};
-
-inline EcssdOptions::Builder
-EcssdOptions::builder()
-{
-    return Builder{};
-}
 
 /** Human-readable one-line description of an option set. */
 std::string describe(const EcssdOptions &options);

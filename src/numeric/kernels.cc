@@ -451,14 +451,15 @@ projectGemvAvx512(const float *basis_t, std::size_t full_dim,
             const __m512d x =
                 _mm512_set1_pd(static_cast<double>(vec[d]));
             const float *w = basis_t + d * k_count + k;
-            const __m512d w0 = _mm512_cvtps_pd(_mm256_loadu_ps(w));
+            const __m512d w0 =
+                _mm512_maskz_cvtps_pd(0xff, _mm256_loadu_ps(w));
             const __m512d w1 =
-                _mm512_cvtps_pd(_mm256_loadu_ps(w + 8));
+                _mm512_maskz_cvtps_pd(0xff, _mm256_loadu_ps(w + 8));
             acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(w0, x));
             acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(w1, x));
         }
-        _mm256_storeu_ps(out + k, _mm512_cvtpd_ps(acc0));
-        _mm256_storeu_ps(out + k + 8, _mm512_cvtpd_ps(acc1));
+        _mm256_storeu_ps(out + k, _mm512_maskz_cvtpd_ps(0xff, acc0));
+        _mm256_storeu_ps(out + k + 8, _mm512_maskz_cvtpd_ps(0xff, acc1));
     }
     projectGemvScalarT(basis_t, full_dim, k_count, vec, out, k);
 }
@@ -668,10 +669,10 @@ maxAbsSpan(std::span<const float> values, IsaLevel level)
 // Both preAlign passes are pure integer manipulation of the float
 // bit patterns (field extraction, shifts, compares), so every level
 // produces identical bits with no rounding caveats.  The scalar
-// bodies are the original cfp32.cc / cfp16.cc loops verbatim; the
-// vector bodies compute the same per-lane values with well-defined
-// shifts (counts masked to [0, 31] and the >= 32 case selected to
-// zero explicitly, matching the scalar semantics).  One generic
+// bodies are the original cfp32.cc loops verbatim; the vector bodies
+// compute the same per-lane values with well-defined shifts (counts
+// masked to [0, 31] and the >= 32 case selected to zero explicitly,
+// matching the scalar semantics).  One generic
 // vector-extension body per kernel is instantiated at the AVX2 and
 // AVX-512 levels via target attributes, like the pairwise block-sum
 // body above.
@@ -690,13 +691,9 @@ f32Bits(float v)
 constexpr std::uint32_t kF32ExpLanes = 0xffu;
 constexpr std::uint32_t kF32FracMask = 0x7fffffu;
 constexpr std::uint32_t kF32HiddenOne = 1u << 23;
-/** Mirrors of the cfp32.hh / cfp16.hh format constants (kernels.cc
- *  stays header-independent of the formats it serves). */
+/** Mirror of the cfp32.hh format constant (kernels.cc stays
+ *  header-independent of the format it serves). */
 constexpr std::uint32_t kCfp32CompBits = 7;
-constexpr std::uint32_t kCfp16CompBits = 4;
-constexpr std::uint32_t kCfp16MantBits = 10;
-/** FP32 mantissa bits dropped by the CFP16 11-bit rounding. */
-constexpr std::uint32_t kCfp16DropBits = 13;
 
 std::uint32_t
 cfp32MaxExponentScalar(const float *values, std::size_t n,
@@ -744,83 +741,11 @@ cfp32AlignScalar(const float *values, std::size_t n,
     return lossy;
 }
 
-std::uint32_t
-cfp16MaxExponentScalar(const float *values, std::size_t n,
-                       std::size_t begin, std::uint32_t emax)
-{
-    for (std::size_t i = begin; i < n; ++i) {
-        const std::uint32_t bits = f32Bits(values[i]);
-        const std::uint32_t exp = (bits >> 23) & kF32ExpLanes;
-        if (exp == kF32ExpLanes)
-            sim::fatal("CFP16 pre-alignment rejects NaN/Inf input");
-        if (exp == 0)
-            continue;
-        const std::uint32_t m24 = kF32HiddenOne | (bits & kF32FracMask);
-        std::uint32_t m11 =
-            (m24 + (1u << (kCfp16DropBits - 1))) >> kCfp16DropBits;
-        std::uint32_t rexp = exp;
-        if (m11 >> (kCfp16MantBits + 1)) {
-            m11 >>= 1;
-            ++rexp;
-        }
-        emax = std::max(emax, rexp);
-    }
-    return emax;
-}
-
-std::uint64_t
-cfp16AlignScalar(const float *values, std::size_t n,
-                 std::uint32_t emax, std::uint16_t *out,
-                 std::size_t begin)
-{
-    std::uint64_t lossy_count = 0;
-    for (std::size_t i = begin; i < n; ++i) {
-        const std::uint32_t bits = f32Bits(values[i]);
-        const std::uint32_t exp = (bits >> 23) & kF32ExpLanes;
-        std::uint16_t significand = 0;
-        bool lossy = false;
-        if (exp != 0) {
-            const std::uint32_t m24 =
-                kF32HiddenOne | (bits & kF32FracMask);
-            std::uint32_t m11 =
-                (m24 + (1u << (kCfp16DropBits - 1))) >> kCfp16DropBits;
-            std::uint32_t rexp = exp;
-            if (m11 >> (kCfp16MantBits + 1)) {
-                m11 >>= 1;
-                ++rexp;
-            }
-            lossy = (m24 & ((1u << kCfp16DropBits) - 1)) != 0;
-            const std::uint32_t gap = emax - rexp;
-            const std::uint64_t promoted =
-                static_cast<std::uint64_t>(m11)
-                << kCfp16CompBits;
-            if (gap >= 31) {
-                lossy = true;
-            } else {
-                significand = static_cast<std::uint16_t>(
-                    promoted >> gap);
-                lossy = lossy
-                    || (promoted & ((std::uint64_t(1) << gap) - 1))
-                        != 0;
-            }
-        }
-        if (lossy)
-            ++lossy_count;
-        out[2 * i] = static_cast<std::uint16_t>(bits >> 31);
-        out[2 * i + 1] = significand;
-    }
-    return lossy_count;
-}
-
 /**
- * 8-lane pass-1 body shared by the CFP32 and CFP16 variants: extract
- * the biased exponents, trap NaN/Inf, and lane-max either the raw
- * exponents (kCfp16 == 0) or the post-rounding exponents
- * (kCfp16 == 1, where a significand rounding carry bumps the lane).
- * Lanes with a zero exponent contribute 0, exactly like the scalar
- * loop skipping them.
+ * 8-lane CFP32 pass-1 body: extract the biased exponents, trap
+ * NaN/Inf, and lane-max them.
  */
-#define ECSSD_CFP_EMAX_BODY(kCfp16, kWhat)                             \
+#define ECSSD_CFP32_EMAX_BODY                                          \
     do {                                                               \
         typedef std::uint32_t v8u32 __attribute__((vector_size(32)));  \
         typedef std::int32_t v8i32 __attribute__((vector_size(32)));   \
@@ -832,20 +757,8 @@ cfp16AlignScalar(const float *values, std::size_t n,
             std::memcpy(&bits, values + i, 32);                        \
             const v8u32 exp = (bits >> 23) & kF32ExpLanes;             \
             bad |= (exp == kF32ExpLanes);                              \
-            v8u32 cand = exp;                                          \
-            if (kCfp16) {                                              \
-                const v8u32 m24 =                                      \
-                    kF32HiddenOne | (bits & kF32FracMask);             \
-                const v8u32 m11 =                                      \
-                    (m24 + (1u << (kCfp16DropBits - 1)))               \
-                    >> kCfp16DropBits;                                 \
-                const v8u32 carry =                                    \
-                    m11 >> (kCfp16MantBits + 1);                    \
-                cand = (exp + carry)                                   \
-                    & reinterpret_cast<v8u32>(exp != 0);               \
-            }                                                          \
-            const v8u32 gt = reinterpret_cast<v8u32>(cand > vmax);     \
-            vmax = vmax ^ ((vmax ^ cand) & gt);                        \
+            const v8u32 gt = reinterpret_cast<v8u32>(exp > vmax);      \
+            vmax = vmax ^ ((vmax ^ exp) & gt);                         \
         }                                                              \
         std::int32_t any_bad = 0;                                      \
         for (int j = 0; j < 8; ++j) {                                  \
@@ -853,11 +766,8 @@ cfp16AlignScalar(const float *values, std::size_t n,
             emax = std::max(emax, vmax[j]);                            \
         }                                                              \
         if (any_bad != 0)                                              \
-            sim::fatal(kWhat                                           \
-                       " pre-alignment rejects NaN/Inf input");        \
-        return kCfp16                                                  \
-            ? cfp16MaxExponentScalar(values, n, i, emax)               \
-            : cfp32MaxExponentScalar(values, n, i, emax);              \
+            sim::fatal("CFP32 pre-alignment rejects NaN/Inf input");   \
+        return cfp32MaxExponentScalar(values, n, i, emax);             \
     } while (0)
 
 #if ECSSD_KERNELS_X86
@@ -866,33 +776,19 @@ __attribute__((target("avx2"))) std::uint32_t
 cfp32MaxExponentAvx2(const float *values, std::size_t n,
                      std::uint32_t emax)
 {
-    ECSSD_CFP_EMAX_BODY(0, "CFP32");
+    ECSSD_CFP32_EMAX_BODY;
 }
 
 __attribute__((target("avx512f,avx512bw,avx512vl"))) std::uint32_t
 cfp32MaxExponentAvx512(const float *values, std::size_t n,
                        std::uint32_t emax)
 {
-    ECSSD_CFP_EMAX_BODY(0, "CFP32");
-}
-
-__attribute__((target("avx2"))) std::uint32_t
-cfp16MaxExponentAvx2(const float *values, std::size_t n,
-                     std::uint32_t emax)
-{
-    ECSSD_CFP_EMAX_BODY(1, "CFP16");
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) std::uint32_t
-cfp16MaxExponentAvx512(const float *values, std::size_t n,
-                       std::uint32_t emax)
-{
-    ECSSD_CFP_EMAX_BODY(1, "CFP16");
+    ECSSD_CFP32_EMAX_BODY;
 }
 
 #endif // ECSSD_KERNELS_X86
 
-#undef ECSSD_CFP_EMAX_BODY
+#undef ECSSD_CFP32_EMAX_BODY
 
 /**
  * 8-lane CFP32 pass-2 body.  The scalar branch structure collapses
@@ -961,82 +857,6 @@ cfp32AlignAvx512(const float *values, std::size_t n,
 
 #undef ECSSD_CFP32_ALIGN_BODY
 
-/**
- * 8-lane CFP16 pass-2 body: recomputes the pass-1 rounding (cheap
- * integer ops) instead of carrying per-element state, then aligns
- * like the CFP32 body.  The promoted significand is 15 bits, so
- * every gap >= 15 zeroes it and the scalar gap >= 31 special case
- * again agrees with the straight-line select chain.
- */
-#define ECSSD_CFP16_ALIGN_BODY                                         \
-    do {                                                               \
-        typedef std::uint32_t v8u32 __attribute__((vector_size(32)));  \
-        typedef std::uint16_t v8u16 __attribute__((vector_size(16)));  \
-        typedef std::uint16_t v16u16 __attribute__((vector_size(32))); \
-        v8u32 lossy_acc = {};                                          \
-        std::size_t i = 0;                                             \
-        const v8u32 vemax = emax - (v8u32){};                          \
-        for (; i + 8 <= n; i += 8) {                                   \
-            v8u32 bits;                                                \
-            std::memcpy(&bits, values + i, 32);                        \
-            const v8u32 sign = bits >> 31;                             \
-            const v8u32 exp = (bits >> 23) & kF32ExpLanes;             \
-            const v8u32 nonzero =                                      \
-                reinterpret_cast<v8u32>(exp != 0);                     \
-            const v8u32 m24 =                                          \
-                (kF32HiddenOne | (bits & kF32FracMask)) & nonzero;     \
-            const v8u32 m11r =                                         \
-                (m24 + (1u << (kCfp16DropBits - 1)))                   \
-                >> kCfp16DropBits;                                     \
-            const v8u32 carry = m11r >> (kCfp16MantBits + 1);       \
-            const v8u32 m11 = (m11r >> carry) & nonzero;               \
-            const v8u32 rexp = (exp + carry) & nonzero;                \
-            const v8u32 round_lossy = reinterpret_cast<v8u32>(         \
-                (m24 & ((1u << kCfp16DropBits) - 1)) != 0);            \
-            const v8u32 gap = (vemax - rexp) & nonzero;                \
-            const v8u32 promoted = m11 << kCfp16CompBits;       \
-            const v8u32 in_range =                                     \
-                reinterpret_cast<v8u32>(gap < 32);                     \
-            const v8u32 gsh = gap & 31;                                \
-            const v8u32 sig = (promoted >> gsh) & in_range;            \
-            const v8u32 back = (sig << gsh) & in_range;                \
-            const v8u32 shift_lossy =                                  \
-                reinterpret_cast<v8u32>(back != promoted);             \
-            lossy_acc += (round_lossy | shift_lossy) & 1;              \
-            const v8u16 sign16 =                                       \
-                __builtin_convertvector(sign, v8u16);                  \
-            const v8u16 sig16 = __builtin_convertvector(sig, v8u16);   \
-            const v16u16 pairs = __builtin_shufflevector(              \
-                sign16, sig16, 0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5,     \
-                13, 6, 14, 7, 15);                                     \
-            std::memcpy(out + 2 * i, &pairs, 32);                      \
-        }                                                              \
-        std::uint64_t total = 0;                                       \
-        for (int j = 0; j < 8; ++j)                                    \
-            total += lossy_acc[j];                                     \
-        return total + cfp16AlignScalar(values, n, emax, out, i);      \
-    } while (0)
-
-#if ECSSD_KERNELS_X86
-
-__attribute__((target("avx2"))) std::uint64_t
-cfp16AlignAvx2(const float *values, std::size_t n, std::uint32_t emax,
-               std::uint16_t *out)
-{
-    ECSSD_CFP16_ALIGN_BODY;
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) std::uint64_t
-cfp16AlignAvx512(const float *values, std::size_t n,
-                 std::uint32_t emax, std::uint16_t *out)
-{
-    ECSSD_CFP16_ALIGN_BODY;
-}
-
-#endif // ECSSD_KERNELS_X86
-
-#undef ECSSD_CFP16_ALIGN_BODY
-
 } // namespace
 
 std::uint32_t
@@ -1083,53 +903,6 @@ cfp32AlignSpan(std::span<const float> values, std::uint32_t emax,
 #endif
     }
     return cfp32AlignScalar(values.data(), values.size(), emax, out,
-                            0);
-}
-
-std::uint32_t
-cfp16MaxExponent(std::span<const float> values, IsaLevel level)
-{
-    switch (level) {
-    case IsaLevel::Scalar:
-        return cfp16MaxExponentScalar(values.data(), values.size(), 0,
-                                      0);
-#if ECSSD_KERNELS_X86
-    case IsaLevel::Avx2:
-        return cfp16MaxExponentAvx2(values.data(), values.size(), 0);
-    case IsaLevel::Avx512:
-        return cfp16MaxExponentAvx512(values.data(), values.size(),
-                                      0);
-#else
-    default:
-        return cfp16MaxExponentScalar(values.data(), values.size(), 0,
-                                      0);
-#endif
-    }
-    return cfp16MaxExponentScalar(values.data(), values.size(), 0, 0);
-}
-
-std::uint64_t
-cfp16AlignSpan(std::span<const float> values, std::uint32_t emax,
-               std::uint16_t *out, IsaLevel level)
-{
-    switch (level) {
-    case IsaLevel::Scalar:
-        return cfp16AlignScalar(values.data(), values.size(), emax,
-                                out, 0);
-#if ECSSD_KERNELS_X86
-    case IsaLevel::Avx2:
-        return cfp16AlignAvx2(values.data(), values.size(), emax,
-                              out);
-    case IsaLevel::Avx512:
-        return cfp16AlignAvx512(values.data(), values.size(), emax,
-                                out);
-#else
-    default:
-        return cfp16AlignScalar(values.data(), values.size(), emax,
-                                out, 0);
-#endif
-    }
-    return cfp16AlignScalar(values.data(), values.size(), emax, out,
                             0);
 }
 
@@ -1293,7 +1066,8 @@ loadFeaturePermuted(const std::int16_t *f, std::size_t lo_slot,
         reinterpret_cast<const __m256i *>(f + lo_slot));
     const __m256i hi = _mm256_loadu_si256(
         reinterpret_cast<const __m256i *>(f + hi_slot));
-    return _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1);
+    return _mm512_maskz_inserti64x4(0xff, _mm512_castsi256_si512(lo),
+                                    hi, 1);
 }
 
 /** Horizontal sum of 16 int32 lanes; same overflow-safety bound as
@@ -1303,8 +1077,8 @@ __attribute__((target("avx512f,avx512bw,avx512vl"))) inline
     laneSum512(__m512i acc)
 {
     const __m256i folded = _mm256_add_epi32(
-        _mm512_castsi512_si256(acc),
-        _mm512_extracti64x4_epi64(acc, 1));
+        _mm512_maskz_extracti64x4_epi64(0xf, acc, 0),
+        _mm512_maskz_extracti64x4_epi64(0xf, acc, 1));
     return laneSum256(folded);
 }
 

@@ -135,11 +135,10 @@ float maxAbsSpan(std::span<const float> values, IsaLevel level);
 
 // --- CFP pre-alignment kernels (exact bit manipulation) -----------
 //
-// Both passes of the Cfp32Vector/Cfp16Vector::preAlign host step
-// operate purely on the integer bit patterns of the inputs, so every
-// ISA level is exact by construction.  The interleaved outputs match
-// the element layouts of cfp32.hh / cfp16.hh (static_asserted at the
-// call sites).
+// Both passes of the Cfp32Vector::preAlign host step operate purely
+// on the integer bit patterns of the inputs, so every ISA level is
+// exact by construction.  The interleaved output matches the element
+// layout of cfp32.hh (static_asserted at the call site).
 
 /**
  * Pass 1 of CFP32 pre-alignment: the vector-wise maximum biased
@@ -157,24 +156,6 @@ std::uint32_t cfp32MaxExponent(std::span<const float> values,
  */
 std::uint64_t cfp32AlignSpan(std::span<const float> values,
                              std::uint32_t emax, std::uint32_t *out,
-                             IsaLevel level);
-
-/**
- * Pass 1 of CFP16 pre-alignment: the maximum biased exponent after
- * rounding every significand to 11 bits (a rounding carry
- * renormalizes into the exponent).  Fatal on NaN/Inf input.
- */
-std::uint32_t cfp16MaxExponent(std::span<const float> values,
-                               IsaLevel level);
-
-/**
- * Pass 2 of CFP16 pre-alignment: round to the 11-bit significand and
- * align to @p emax, writing interleaved (sign, significand) uint16
- * pairs — the Cfp16Element layout.  Returns the number of lossy
- * elements (round-lossy or shift-lossy, counted once).
- */
-std::uint64_t cfp16AlignSpan(std::span<const float> values,
-                             std::uint32_t emax, std::uint16_t *out,
                              IsaLevel level);
 
 // --- INT4 LUT kernels (exact integer accumulation) ----------------

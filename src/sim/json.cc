@@ -332,7 +332,7 @@ struct Parser
 std::map<std::string, double>
 parseFlatJson(const std::string &text)
 {
-    Parser parser{text};
+    Parser parser{text, 0, {}};
     parser.parseValue("");
     parser.skipWs();
     if (parser.pos != text.size())

@@ -36,20 +36,10 @@ const char *
 traceCategoryName(TraceCategory category)
 {
     switch (category) {
-      case TraceCategory::Flash:
-        return "flash";
       case TraceCategory::Ftl:
         return "ftl";
-      case TraceCategory::Dram:
-        return "dram";
-      case TraceCategory::Nvme:
-        return "nvme";
       case TraceCategory::Pipeline:
         return "pipeline";
-      case TraceCategory::Layout:
-        return "layout";
-      case TraceCategory::Api:
-        return "api";
     }
     return "unknown";
 }
@@ -68,10 +58,7 @@ enableTraceCategories(const std::string &list)
         }
         bool matched = false;
         for (const TraceCategory category :
-             {TraceCategory::Flash, TraceCategory::Ftl,
-              TraceCategory::Dram, TraceCategory::Nvme,
-              TraceCategory::Pipeline, TraceCategory::Layout,
-              TraceCategory::Api}) {
+             {TraceCategory::Ftl, TraceCategory::Pipeline}) {
             if (token == traceCategoryName(category)) {
                 setTraceEnabled(category, true);
                 matched = true;

@@ -24,16 +24,12 @@ namespace ecssd
 namespace sim
 {
 
-/** Trace categories, one bit each. */
+/** Trace categories, one bit each: one per component that emits
+ *  ECSSD_TRACE_LOG lines. */
 enum class TraceCategory : unsigned
 {
-    Flash = 1u << 0,
-    Ftl = 1u << 1,
-    Dram = 1u << 2,
-    Nvme = 1u << 3,
-    Pipeline = 1u << 4,
-    Layout = 1u << 5,
-    Api = 1u << 6,
+    Ftl = 1u << 0,
+    Pipeline = 1u << 1,
 };
 
 /** Enable/disable one category at runtime. */

@@ -76,31 +76,7 @@ SsdConfig::validate() const
         sim::fatal("SsdConfig: wearRatedCycles must be positive, "
                    "got ", wearRatedCycles);
 
-    // --- Scrub / wear leveling / EOL -------------------------------
-    requireRate(scrubErrorThreshold, "scrubErrorThreshold");
-    if (scrubErrorThreshold > 0.0) {
-        if (scrubErrorThreshold <= uncorrectableReadRate)
-            sim::fatal(
-                "SsdConfig: scrubErrorThreshold (",
-                scrubErrorThreshold,
-                ") must exceed the base uncorrectableReadRate (",
-                uncorrectableReadRate,
-                "): a refresh can never drop a page's rate below "
-                "the base rate, so the scrub would relocate every "
-                "page on every pass");
-        if (scrubBudgetPages == 0)
-            sim::fatal("SsdConfig: scrub enabled "
-                       "(scrubErrorThreshold > 0) with a zero "
-                       "scrubBudgetPages budget: no page could "
-                       "ever be examined");
-        if (!wearModelEnabled())
-            sim::fatal(
-                "SsdConfig: scrub enabled but both "
-                "wearErrorCoefficient and "
-                "retentionErrorCoefficient are zero: the predicted "
-                "rate never changes, so pages can never cross the "
-                "scrub threshold");
-    }
+    // --- End of life -----------------------------------------------
     if (eolSpareBlocks >= blocksPerPlane)
         sim::fatal("SsdConfig: eolSpareBlocks (", eolSpareBlocks,
                    ") must be below blocksPerPlane (", blocksPerPlane,

@@ -106,25 +106,7 @@ struct SsdConfig
      */
     double retentionErrorCoefficient = 0.0;
 
-    // --- Patrol scrub / wear leveling / end-of-life -----------------
-    /**
-     * Predicted-uncorrectable-rate threshold above which the patrol
-     * scrub relocates (refreshes) a valid page.  0 disables the
-     * scrub.  Must exceed uncorrectableReadRate when set: a refresh
-     * resets retention and (eventually) wear contributions but can
-     * never push the rate below the base rate, so a threshold at or
-     * below it would relocate every page on every pass.
-     */
-    double scrubErrorThreshold = 0.0;
-    /** Valid pages a single patrol pass examines (its idle-time
-     *  budget). */
-    unsigned scrubBudgetPages = 64;
-    /**
-     * Static wear leveling: when eraseCountSpread() exceeds this
-     * bound, the FTL migrates the coldest valid block so its space
-     * rejoins the allocation rotation.  0 disables leveling.
-     */
-    std::uint64_t wearLevelSpreadBound = 0;
+    // --- End of life ------------------------------------------------
     /**
      * End-of-life guard: when garbage collection can make no more
      * progress and an allocation pool's spare-block count is at or

@@ -415,14 +415,6 @@ Ftl::write(LogicalPage lpa, sim::Tick issue_at, bool *rejected)
         }
     }
 
-    // Static wear leveling piggybacks on the write path: writes are
-    // what skews wear, so the spread check (O(1) via the histogram)
-    // runs here and migrates at most one cold block per write.
-    if (config_.wearLevelSpreadBound > 0) {
-        bool moved = false;
-        t = levelWear(t, moved);
-    }
-
     // End of life: the pool can no longer provide a page, or GC is
     // stuck with the pool down to its configured last spares.  Turn
     // read-only instead of corrupting state; a real drive does the
@@ -549,154 +541,6 @@ Ftl::eraseCountSpread() const
     return eraseHist_.rbegin()->first - eraseHist_.begin()->first;
 }
 
-sim::Tick
-Ftl::patrolScrub(sim::Tick issue_at, unsigned page_budget)
-{
-    if (config_.scrubErrorThreshold <= 0.0)
-        return issue_at;
-    unsigned budget =
-        page_budget ? page_budget : config_.scrubBudgetPages;
-
-    sim::Tick t = issue_at;
-    const std::size_t total_blocks = blocks_.size();
-    std::size_t visited = 0;
-    while (budget > 0 && visited < total_blocks) {
-        const std::size_t bi = scrubCursor_;
-        scrubCursor_ = (scrubCursor_ + 1) % total_blocks;
-        ++visited;
-
-        Pool &pool = pools_[bi / config_.blocksPerPlane];
-        const unsigned block =
-            static_cast<unsigned>(bi % config_.blocksPerPlane);
-        if (blocks_[bi].validPages == 0)
-            continue;
-        // An *open* active block is still being filled — its data is
-        // young, and refreshing into the block being scrubbed would
-        // be circular.  Once full it is sealed media like any other.
-        if (pool.hasActive && block == pool.activeBlock
-            && pool.nextPage < config_.pagesPerBlock)
-            continue;
-
-        for (unsigned pg = 0;
-             pg < config_.pagesPerBlock && budget > 0; ++pg) {
-            const PhysicalPage src{pool.channel, pool.die,
-                                   pool.plane, block, pg};
-            const auto it = p2l_.find(codec_.encode(src));
-            if (it == p2l_.end())
-                continue;
-            --budget;
-            ++stats_.scrubbedPages;
-
-            // Patrol read, then refresh if the model says the page
-            // is rotting — or if the read already failed (latent
-            // loss the scrub caught; the stale codeword relocates
-            // with a warning, like GC).
-            bool unreadable = false;
-            const sim::Tick read_done =
-                flash_.readPage(src, t, 0, 0, &unreadable);
-            const bool rotting =
-                flash_.predictedUncorrectableRate(src, t)
-                >= config_.scrubErrorThreshold;
-            t = read_done;
-            if (!unreadable && !rotting)
-                continue;
-
-            Pool &dst = pickPool(pool.channel);
-            if (freePagesInPool(dst) == 0) {
-                bool progress = false;
-                t = collectGarbage(dst, t, progress);
-                if (freePagesInPool(dst) == 0)
-                    continue; // No room to refresh into right now.
-            }
-            // The GC fallback may itself have relocated (or erased)
-            // the page under patrol; re-resolve before refreshing.
-            const auto still = p2l_.find(codec_.encode(src));
-            if (still == p2l_.end())
-                continue;
-            if (unreadable) {
-                ++stats_.scrubUncorrectable;
-                sim::warn("patrol scrub found uncorrectable page "
-                          "lpa ", still->second,
-                          "; refreshing the stale copy");
-                // relocatePage re-reads the page; the duplicate read
-                // is the retry a real controller performs before
-                // declaring the refresh source lost.
-            }
-            bool relocation_unreadable = false;
-            t = relocatePage(src, dst, t, relocation_unreadable);
-            ++stats_.scrubRelocations;
-        }
-    }
-    return t;
-}
-
-sim::Tick
-Ftl::levelWear(sim::Tick issue_at, bool &progress)
-{
-    progress = false;
-    if (config_.wearLevelSpreadBound == 0
-        || eraseCountSpread() <= config_.wearLevelSpreadBound)
-        return issue_at;
-
-    // The wear floor is pinned by *cold* blocks: valid data that
-    // never gets overwritten never frees its block for the
-    // allocation rotation.  Migrate the coldest such block; its
-    // erase recycles it into the free pool, and free blocks rotate
-    // FIFO through allocation, so the floor rises.
-    std::size_t coldest = blocks_.size();
-    std::uint64_t coldest_erases =
-        std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t bi = 0; bi < blocks_.size(); ++bi) {
-        const Pool &pool = pools_[bi / config_.blocksPerPlane];
-        const unsigned block =
-            static_cast<unsigned>(bi % config_.blocksPerPlane);
-        if (pool.hasActive && block == pool.activeBlock
-            && pool.nextPage < config_.pagesPerBlock)
-            continue;
-        const BlockInfo &info = blocks_[bi];
-        if (info.validPages == 0)
-            continue;
-        if (info.eraseCount < coldest_erases) {
-            coldest_erases = info.eraseCount;
-            coldest = bi;
-        }
-    }
-    if (coldest == blocks_.size())
-        return issue_at;
-    // Migration only helps when cold *data* pins the wear floor; a
-    // floor pinned by free blocks (they rotate through allocation on
-    // their own) would make every migration a wasted erase.
-    if (coldest_erases != eraseHist_.begin()->first)
-        return issue_at;
-
-    Pool &pool = pools_[coldest / config_.blocksPerPlane];
-    const unsigned block =
-        static_cast<unsigned>(coldest % config_.blocksPerPlane);
-    const BlockInfo &info = blocks_[coldest];
-    Pool &dst = pickPool(pool.channel);
-    if (freePagesInPool(dst) < info.validPages)
-        return issue_at; // No headroom to migrate safely.
-
-    sim::Tick t = issue_at;
-    for (unsigned pg = 0; pg < config_.pagesPerBlock; ++pg) {
-        const PhysicalPage src{pool.channel, pool.die, pool.plane,
-                               block, pg};
-        const auto it = p2l_.find(codec_.encode(src));
-        if (it == p2l_.end())
-            continue;
-        bool unreadable = false;
-        t = relocatePage(src, dst, t, unreadable);
-        if (unreadable) {
-            ++stats_.gcUncorrectableReads;
-            sim::warn("wear leveling relocating uncorrectable page");
-        }
-        ++stats_.wearLevelMoves;
-    }
-    ++stats_.wearLevelRuns;
-    progress = true;
-    return eraseAndRecycle(pool, block, t);
-}
-
 HealthReport
 Ftl::healthReport(sim::Tick now) const
 {
@@ -723,11 +567,6 @@ Ftl::healthReport(sim::Tick now) const
         report.spareBlocks += pool.freeBlocks.size();
     report.badBlocks = stats_.badBlocks;
     report.readOnly = readOnly_;
-
-    report.scrubbedPages = stats_.scrubbedPages;
-    report.scrubRelocations = stats_.scrubRelocations;
-    report.scrubUncorrectable = stats_.scrubUncorrectable;
-    report.wearLevelMoves = stats_.wearLevelMoves;
 
     for (unsigned ch = 0; ch < config_.channels; ++ch) {
         const ChannelStats &stats = flash_.channelStats(ch);
@@ -780,14 +619,6 @@ Ftl::publishMetrics(sim::MetricsRegistry &registry) const
     gauge("bad_blocks", static_cast<double>(stats_.badBlocks));
     gauge("uncorrectable_reads",
           static_cast<double>(stats_.uncorrectableReads));
-    gauge("scrubbed_pages",
-          static_cast<double>(stats_.scrubbedPages));
-    gauge("scrub_relocations",
-          static_cast<double>(stats_.scrubRelocations));
-    gauge("wear_level_runs",
-          static_cast<double>(stats_.wearLevelRuns));
-    gauge("wear_level_moves",
-          static_cast<double>(stats_.wearLevelMoves));
     gauge("rejected_writes",
           static_cast<double>(stats_.rejectedWrites));
     gauge("write_amplification", stats_.writeAmplification());

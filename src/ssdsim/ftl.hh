@@ -57,21 +57,9 @@ struct FtlStats
     /** GC relocation reads that hit an uncorrectable page; the stale
      *  copy is relocated anyway (latent data loss, warned). */
     std::uint64_t gcUncorrectableReads = 0;
-    /** Valid pages the patrol scrub examined (patrol reads). */
-    std::uint64_t scrubbedPages = 0;
-    /** Pages the scrub refreshed because their predicted error rate
-     *  crossed the refresh threshold (or the patrol read failed). */
-    std::uint64_t scrubRelocations = 0;
-    /** Patrol reads that found an already-uncorrectable page (latent
-     *  data loss caught by the scrub, warned). */
-    std::uint64_t scrubUncorrectable = 0;
     /** Last-resort cross-pool evacuations that saved a write after
      *  same-pool GC deadlocked with no relocation headroom. */
     std::uint64_t rescueGcRuns = 0;
-    /** Static wear-leveling migrations (cold blocks recycled). */
-    std::uint64_t wearLevelRuns = 0;
-    /** Valid pages moved by static wear leveling. */
-    std::uint64_t wearLevelMoves = 0;
     /** Writes rejected because the device turned read-only. */
     std::uint64_t rejectedWrites = 0;
     /** Weight pages moved between channels by the background
@@ -115,9 +103,8 @@ class Ftl
      * Write (or overwrite) one logical page.
      *
      * Allocates a physical page in the lpa's channel, programs it,
-     * invalidates the old copy, and runs GC (and, when configured,
-     * static wear leveling) if the channel's free pool dropped below
-     * the threshold.
+     * invalidates the old copy, and runs GC if the channel's free pool
+     * dropped below the threshold.
      *
      * @param[out] rejected Set true when the device is (or just
      *        turned) read-only and the write was refused without
@@ -154,33 +141,6 @@ class Ftl
     /** Max erase-count spread across blocks (wear balance metric). */
     std::uint64_t eraseCountSpread() const;
 
-    // --- Wear-lifecycle maintenance --------------------------------
-    /**
-     * One background patrol-scrub pass: walk up to @p page_budget
-     * valid pages (0 = the configured scrubBudgetPages) from a
-     * persistent cursor, re-read each, and refresh (relocate within
-     * its channel) any page whose predicted uncorrectable rate is at
-     * or above scrubErrorThreshold — or whose patrol read already
-     * failed.  A refresh resets the page's retention age.  No-op
-     * unless the scrub is enabled in the config.
-     *
-     * @return Completion tick of the pass.
-     */
-    sim::Tick patrolScrub(sim::Tick issue_at,
-                          unsigned page_budget = 0);
-
-    /**
-     * One static wear-leveling step: when eraseCountSpread() exceeds
-     * the configured bound, migrate the coldest valid block (lowest
-     * erase count) so its space rejoins the allocation rotation.
-     * Runs automatically on the write path when enabled; exposed for
-     * idle-time maintenance.
-     *
-     * @param[out] progress True when a block was migrated.
-     * @return Completion tick.
-     */
-    sim::Tick levelWear(sim::Tick issue_at, bool &progress);
-
     /**
      * Move one *computed-placement* weight page from @p src to
      * @p dst: the background re-layout task's migration primitive.
@@ -190,7 +150,7 @@ class Ftl
      * there is no mapping to patch — the media move is read(src) +
      * program(dst), and the relocation listener fires on @p src
      * first so DRAM-cached copies are dropped before the rewrite,
-     * exactly like GC / patrol-scrub relocations.
+     * exactly like GC relocations.
      *
      * @return Completion tick of the program.
      */
@@ -218,8 +178,8 @@ class Ftl
 
     /**
      * Register a callback invoked with the *source* physical page of
-     * every relocation (GC, rescue evacuation, patrol scrub, wear
-     * leveling), before the move.  Upper layers that shadow flash
+     * every relocation (GC, rescue evacuation, computed-page
+     * migration), before the move.  Upper layers that shadow flash
      * contents (the DRAM hot-row cache) use it to drop stale copies.
      * Pass an empty function to detach.
      */
@@ -299,8 +259,8 @@ class Ftl
 
     /**
      * Move the valid page at @p src into @p dst_pool (read, program,
-     * remap, fix per-block counters).  Shared by GC relocation, the
-     * patrol scrub, and static wear leveling.
+     * remap, fix per-block counters).  Shared by GC relocation and
+     * the rescue evacuation.
      *
      * @param[out] unreadable True when the relocation read was
      *        uncorrectable (the stale codeword moves anyway; the
@@ -336,8 +296,6 @@ class Ftl
      *  incrementally so eraseCountSpread() is O(1) and the health
      *  report's histogram is free. */
     std::map<std::uint64_t, std::uint64_t> eraseHist_;
-    /** Patrol-scrub resume position (dense block index). */
-    std::size_t scrubCursor_ = 0;
     /** Relocation notification hook (empty = detached). */
     std::function<void(const PhysicalPage &)> relocationListener_;
     /** End-of-life latch: set when spares run out, never cleared. */

@@ -48,16 +48,6 @@ struct HealthReport
     /** True once the device refuses writes (spares ran out). */
     bool readOnly = false;
 
-    // --- Background maintenance ------------------------------------
-    /** Valid pages the patrol scrub has examined. */
-    std::uint64_t scrubbedPages = 0;
-    /** Pages the scrub refreshed (relocated before they rotted). */
-    std::uint64_t scrubRelocations = 0;
-    /** Scrub reads that found an already-uncorrectable page. */
-    std::uint64_t scrubUncorrectable = 0;
-    /** Blocks migrated by static wear leveling. */
-    std::uint64_t wearLevelMoves = 0;
-
     // --- Serving identity -------------------------------------------
     /** Deploy epoch the serving layer stamped on this device (0 when
      *  no versioned serving layer owns it).  Lets operators tell

@@ -18,14 +18,6 @@ SsdDevice::SsdDevice(const SsdConfig &config, sim::EventQueue &queue)
 }
 
 sim::Tick
-SsdDevice::idleMaintenance(sim::Tick issue_at)
-{
-    sim::Tick t = ftl_.patrolScrub(issue_at);
-    bool moved = false;
-    return ftl_.levelWear(t, moved);
-}
-
-sim::Tick
 SsdDevice::hostTransfer(std::uint64_t bytes, sim::Tick issue_at)
 {
     stats_.hostBytesRaw += bytes;

@@ -97,15 +97,6 @@ class SsdDevice
     }
 
     /**
-     * One idle-time maintenance slice: a patrol-scrub pass within
-     * the configured page budget, then a static wear-leveling step.
-     * Both are no-ops unless enabled in the config.
-     *
-     * @return Completion tick of the slice.
-     */
-    sim::Tick idleMaintenance(sim::Tick issue_at);
-
-    /**
      * Attach (or detach, with nullptr) a span tracer to the internal
      * components that emit busy-interval spans (currently the flash
      * array).  Recording never alters the simulated timing.

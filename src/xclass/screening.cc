@@ -226,26 +226,6 @@ CandidateClassifier::ensureAligned() const
     aligned_ = true;
 }
 
-void
-CandidateClassifier::ensureAligned16() const
-{
-    if (aligned16_)
-        return;
-    alignedRows16_.resize(weights_.rows());
-    const auto align_rows = [&](std::size_t row_begin,
-                                std::size_t row_end) {
-        for (std::size_t r = row_begin; r < row_end; ++r)
-            alignedRows16_[r] =
-                numeric::Cfp16Vector::preAlign(weights_.row(r));
-    };
-    if (pool_)
-        pool_->parallelFor(0, weights_.rows(), kAlignGrain,
-                           align_rows);
-    else
-        align_rows(0, weights_.rows());
-    aligned16_ = true;
-}
-
 /** Candidate MACs per parallel chunk of the FP32 re-rank. */
 static constexpr std::size_t kRerankGrain = 64;
 
@@ -280,18 +260,6 @@ CandidateClassifier::scores(std::span<const float> feature,
         run([&](std::uint64_t row) {
             return numeric::pairwiseDotF32(weights_.row(row),
                                            feature, isa_);
-        });
-        return out;
-    }
-
-    if (datapath == Datapath::Cfp16AlignmentFree) {
-        ensureAligned16();
-        const numeric::Cfp16Vector aligned_feature =
-            numeric::Cfp16Vector::preAlign(feature);
-        run([&](std::uint64_t row) {
-            return numeric::alignmentFreeDot16(alignedRows16_[row],
-                                               aligned_feature)
-                .value;
         });
         return out;
     }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "numeric/autotune.hh"
-#include "numeric/cfp16.hh"
 #include "numeric/cfp32.hh"
 #include "numeric/int4.hh"
 #include "numeric/mac.hh"
@@ -172,9 +171,6 @@ class CandidateClassifier
         Fp32,
         /** ECSSD's CFP32 + alignment-free integer MAC. */
         Cfp32AlignmentFree,
-        /** Half-width CFP16 storage + alignment-free integer MAC
-         *  (this repo's extension). */
-        Cfp16AlignmentFree,
     };
 
     /**
@@ -208,11 +204,8 @@ class CandidateClassifier
     // alignment-free use (the offline Pre_align() of the weights).
     mutable std::vector<numeric::Cfp32Vector> alignedRows_;
     mutable bool aligned_ = false;
-    mutable std::vector<numeric::Cfp16Vector> alignedRows16_;
-    mutable bool aligned16_ = false;
 
     void ensureAligned() const;
-    void ensureAligned16() const;
 };
 
 /** End-to-end approximate classifier: screen, then classify. */

@@ -224,10 +224,6 @@ TEST(EcssdApi, DeployOutcomeDescribesTheLatestDeploy)
     ASSERT_NE(outcome, nullptr);
     EXPECT_EQ(outcome->rowsPlaced, 2048u);
     EXPECT_EQ(outcome->deployTime, deploy);
-    sim::MetricsRegistry metrics;
-    api.publishDeployMetrics(metrics);
-    EXPECT_DOUBLE_EQ(metrics.gauge("deploy.rows_placed").value(),
-                     2048.0);
 }
 
 TEST(EcssdApi, HealthReportCarriesServingIdentity)

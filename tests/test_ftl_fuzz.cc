@@ -91,8 +91,7 @@ TEST_P(FtlFuzz, MatchesReferenceModel)
     EXPECT_GE(ftl.stats().writeAmplification(), 1.0);
     // Idle channels pin the erase floor at 0, so the global spread
     // grows with the trafficked channels' churn: scale the sanity
-    // bound with the op count (the tight per-pool bound is asserted
-    // by the dedicated wear-leveling tests).
+    // bound with the op count.
     EXPECT_LE(ftl.eraseCountSpread(),
               static_cast<std::uint64_t>(fuzzIters(80)));
 }
@@ -160,110 +159,3 @@ TEST(FtlFuzzExtra, TrimEverythingRestoresFreeSpaceViaGc)
     for (LogicalPage lpa = 0; lpa < span; ++lpa)
         EXPECT_TRUE(ftl.translate(lpa).has_value());
 }
-
-namespace
-{
-
-/** Wear/scrub-enabled geometry for the maintenance fuzz. */
-SsdConfig
-wearFuzzConfig()
-{
-    SsdConfig config = smallTestConfig();
-    config.wearErrorCoefficient = 1e-4;
-    config.retentionErrorCoefficient = 1e-3; // per second
-    config.scrubErrorThreshold = 1e-6;
-    config.scrubBudgetPages = 16;
-    config.wearLevelSpreadBound = 12;
-    return config;
-}
-
-} // namespace
-
-class FtlMaintenanceFuzz
-    : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-/**
- * The PR-1 fuzz plus the wear-lifecycle machinery running live:
- * patrol scrub and static wear leveling interleave with host writes,
- * trims, reads, and the GC they trigger.  Background relocation must
- * never lose or alias a mapping, run time backwards, or let the wear
- * spread escape the leveling bound by more than one block's worth of
- * churn.
- */
-TEST_P(FtlMaintenanceFuzz, ScrubAndLevelingPreserveMappings)
-{
-    const SsdConfig config = wearFuzzConfig();
-    FlashArray flash(config);
-    Ftl ftl(config, flash);
-    sim::Rng rng(GetParam());
-    std::unordered_map<LogicalPage, std::uint64_t> reference;
-    std::uint64_t generation = 0;
-    sim::Tick now = 0;
-
-    const LogicalPage window =
-        std::min<std::uint64_t>(ftl.logicalPages(), 96);
-    const int ops = fuzzIters(3000);
-    for (int op = 0; op < ops; ++op) {
-        const LogicalPage lpa = rng.uniformInt(window);
-        const double dice = rng.uniform();
-        if (dice < 0.50) {
-            const sim::Tick done = ftl.write(lpa, now);
-            ASSERT_GE(done, now) << "time went backwards";
-            now = done;
-            reference[lpa] = ++generation;
-        } else if (dice < 0.62) {
-            ftl.trim(lpa);
-            reference.erase(lpa);
-        } else if (dice < 0.80) {
-            const bool mapped = ftl.translate(lpa).has_value();
-            ASSERT_EQ(mapped, reference.count(lpa) == 1)
-                << "mapping mismatch for lpa " << lpa << " at op "
-                << op;
-            if (mapped) {
-                const sim::Tick done = ftl.read(lpa, now);
-                ASSERT_GE(done, now);
-                now = done;
-            }
-        } else if (dice < 0.92) {
-            const sim::Tick done = ftl.patrolScrub(now);
-            ASSERT_GE(done, now) << "scrub ran time backwards";
-            now = done;
-        } else {
-            bool moved = false;
-            const sim::Tick done = ftl.levelWear(now, moved);
-            ASSERT_GE(done, now);
-            now = done;
-        }
-
-        if (op % 500 == 499) {
-            const AddressCodec codec(config);
-            std::set<std::uint64_t> seen;
-            for (const auto &[ref_lpa, gen] : reference) {
-                const auto ppa = ftl.translate(ref_lpa);
-                ASSERT_TRUE(ppa.has_value())
-                    << "lost mapping for lpa " << ref_lpa
-                    << " at op " << op;
-                ASSERT_TRUE(
-                    seen.insert(codec.encode(*ppa)).second)
-                    << "two lpas share a physical page at op " << op;
-            }
-        }
-    }
-
-    for (const auto &[lpa, gen] : reference)
-        EXPECT_TRUE(ftl.translate(lpa).has_value());
-    // Retention-aged pages must actually have been refreshed, and
-    // the background churn must not have blown up the wear spread
-    // beyond what the plain-GC fuzz tolerates (same op-scaled bound:
-    // idle channels pin the floor at 0, see above).
-    EXPECT_GT(ftl.stats().scrubbedPages, 0u);
-    EXPECT_GT(ftl.stats().scrubRelocations, 0u);
-    EXPECT_LE(ftl.eraseCountSpread(),
-              static_cast<std::uint64_t>(fuzzIters(80)));
-    EXPECT_FALSE(ftl.readOnly());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FtlMaintenanceFuzz,
-                         ::testing::Values(3, 17, 4096));

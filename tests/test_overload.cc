@@ -205,9 +205,10 @@ TEST(Brownout, LadderDegradesUnderSustainedOverloadAndRecovers)
     // the ladder never sheds Gold.
     EXPECT_EQ(stats.shedGold, 0u);
     for (const auto &response : responses) {
-        if (response.cls == sim::RequestClass::Gold)
+        if (response.cls == sim::RequestClass::Gold) {
             EXPECT_NE(response.status,
                       InferenceServer::Response::Status::Shed);
+        }
     }
     // Terminal steady state: queue empty, ladder recovered to Full.
     EXPECT_EQ(f.server.pending(), 0u);

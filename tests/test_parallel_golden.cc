@@ -131,8 +131,7 @@ TEST(ParallelGolden, ClassifierPredictionsMatchSerialExactly)
 
     const auto datapaths = {
         xclass::CandidateClassifier::Datapath::Fp32,
-        xclass::CandidateClassifier::Datapath::Cfp32AlignmentFree,
-        xclass::CandidateClassifier::Datapath::Cfp16AlignmentFree};
+        xclass::CandidateClassifier::Datapath::Cfp32AlignmentFree};
     for (const auto &query : sampleQueries(model, 4)) {
         for (const auto datapath : datapaths) {
             const auto a = serial.predict(

@@ -210,10 +210,12 @@ TEST(Relayout, MigrationInvalidatesCachedGroups)
 
     // ...and no migrated group may still be served from DRAM: a
     // stale hit would read the old channel's copy.
-    for (const std::uint64_t g : on_channel0)
-        if (system.strategy().channelOf(g) != 0)
+    for (const std::uint64_t g : on_channel0) {
+        if (system.strategy().channelOf(g) != 0) {
             EXPECT_FALSE(cache->lookup(g, 1))
                 << "stale cache hit on migrated group " << g;
+        }
+    }
 }
 
 TEST(Relayout, IoBudgetStretchesCompletion)

@@ -17,6 +17,7 @@
 #include "accel/row_cache.hh"
 #include "ecssd/system.hh"
 #include "sim/metrics.hh"
+#include "sim/rng.hh"
 #include "ssdsim/address.hh"
 
 using namespace ecssd;
@@ -286,17 +287,14 @@ TEST(RowCacheSystem, DisabledCacheIsInvisible)
 
 TEST(RowCacheSystem, FtlRelocationsProbeTheCache)
 {
-    // Small geometry (8 pages/block) so host writes seal blocks the
-    // patrol scrub will refresh; big-enough budget to reach them.
+    // Small geometry (8 pages/block, 16 blocks/plane) so a few
+    // hundred host overwrites drive the FTL into garbage collection.
     xclass::BenchmarkSpec spec = xclass::scaledDown(
         xclass::benchmarkByName("GNMT-E32K"), 512);
     spec.hiddenDim = 128;
     EcssdOptions options = EcssdOptions::full();
     options.ssd = ssdsim::smallTestConfig();
     options.ssd.channels = 8;
-    options.ssd.retentionErrorCoefficient = 1e-3;
-    options.ssd.scrubErrorThreshold = 1e-4;
-    options.ssd.scrubBudgetPages = 1024;
     options.cache.capacityBytes = 1ULL << 20;
 
     EcssdSystem system(spec, options);
@@ -305,18 +303,23 @@ TEST(RowCacheSystem, FtlRelocationsProbeTheCache)
     ASSERT_NE(cache, nullptr);
     EXPECT_GT(cache->occupancy(), 0u);
 
-    // Host-written pages age past the scrub threshold; the refresh
-    // relocates them, and every relocation must probe the cache (a
-    // block-key match additionally invalidates the resident group).
-    sim::Tick now = 0;
-    for (ssdsim::LogicalPage lpa = 0; lpa < 256; ++lpa) {
-        system.ssd().hostWrite(
-            lpa, [&now](sim::Tick done) { now = done; });
+    // Random overwrites leave partly stale blocks behind; GC
+    // relocates their valid pages, and every relocation must probe
+    // the cache (a block-key match additionally invalidates the
+    // resident group).
+    const ssdsim::Ftl &ftl = system.ssd().ftl();
+    sim::Rng rng(5);
+    for (int write = 0;
+         write < 4096 && ftl.stats().gcRelocations == 0; ++write) {
+        const ssdsim::LogicalPage lpa =
+            write < 256 ? write : rng.uniformInt(256);
+        system.ssd().hostWrite(lpa, [](sim::Tick) {});
         system.ssd().queue().run();
     }
-    system.ssd().ftl().patrolScrub(now + sim::seconds(60.0));
-    EXPECT_GT(system.ssd().ftl().stats().scrubRelocations, 0u);
+    ASSERT_GT(ftl.stats().gcRelocations, 0u);
     EXPECT_GT(cache->stats().relocationProbes, 0u);
+    EXPECT_EQ(cache->stats().relocationProbes,
+              ftl.stats().gcRelocations);
     EXPECT_GE(cache->stats().relocationProbes,
               cache->stats().invalidations);
 }

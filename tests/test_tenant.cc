@@ -178,26 +178,3 @@ TEST(Status, UnifiedVocabularyCoversTenantAndServingOutcomes)
     static_assert(
         std::is_same_v<InferenceServer::Response::Status, Status>);
 }
-
-// --- EcssdOptions builder -------------------------------------------
-
-TEST(OptionsBuilder, BuildsAValidatedOptionSet)
-{
-    const EcssdOptions options = EcssdOptions::builder()
-                                     .threads(4)
-                                     .cacheMb(8)
-                                     .seed(42)
-                                     .overlapStages(false)
-                                     .build();
-    EXPECT_EQ(options.threads, 4u);
-    EXPECT_EQ(options.cache.capacityBytes, 8 * kMiB);
-    EXPECT_EQ(options.seed, 42u);
-    EXPECT_FALSE(options.overlapStages);
-}
-
-TEST(OptionsBuilder, BuildRunsValidationExactlyThere)
-{
-    // An inconsistent set dies in build(), not in the setters.
-    auto builder = EcssdOptions::builder().predictorNoise(-1.0);
-    EXPECT_THROW(builder.build(), sim::FatalError);
-}

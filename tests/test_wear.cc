@@ -1,10 +1,9 @@
 /**
  * @file
  * Wear-lifecycle tests: the erase-count/retention error model, the
- * determinism guarantee for zero-coefficient configurations, the
- * patrol scrub, static wear leveling, end-of-life read-only mode,
- * configuration validation, and the HealthReport exported through
- * the SSD front end.
+ * determinism guarantee for zero-coefficient configurations,
+ * end-of-life read-only mode, configuration validation, and the
+ * HealthReport exported through the SSD front end.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,7 @@ using namespace ecssd::ssdsim;
 namespace
 {
 
-/** Single-pool geometry: wear-leveling behaviour is easiest to pin
+/** Single-pool geometry: end-of-life behaviour is easiest to pin
  *  down when one pool owns every block. */
 SsdConfig
 singlePoolConfig()
@@ -62,30 +61,6 @@ TEST(WearConfig, ValidateRejectsOutOfRangeRates)
     EXPECT_THROW(config.validate(), sim::FatalError);
 }
 
-TEST(WearConfig, ValidateRejectsContradictoryScrubThreshold)
-{
-    // A threshold at or below the base rate would relocate every
-    // page on every pass.
-    SsdConfig config = smallTestConfig();
-    config.uncorrectableReadRate = 1e-3;
-    config.wearErrorCoefficient = 1e-4;
-    config.scrubErrorThreshold = 1e-3;
-    EXPECT_THROW(config.validate(), sim::FatalError);
-
-    // Scrub with no error model: pages could never cross the
-    // threshold.
-    config = smallTestConfig();
-    config.scrubErrorThreshold = 1e-4;
-    EXPECT_THROW(config.validate(), sim::FatalError);
-
-    // Scrub with a zero page budget examines nothing.
-    config = smallTestConfig();
-    config.retentionErrorCoefficient = 1e-3;
-    config.scrubErrorThreshold = 1e-4;
-    config.scrubBudgetPages = 0;
-    EXPECT_THROW(config.validate(), sim::FatalError);
-}
-
 TEST(WearConfig, ValidateRejectsBornReadOnlyEol)
 {
     SsdConfig config = smallTestConfig();
@@ -101,8 +76,6 @@ TEST(WearConfig, ValidateAcceptsDefaultsAndWearSetups)
     SsdConfig wear = smallTestConfig();
     wear.wearErrorCoefficient = 1e-4;
     wear.retentionErrorCoefficient = 1e-3;
-    wear.scrubErrorThreshold = 1e-5;
-    wear.wearLevelSpreadBound = 8;
     wear.eolSpareBlocks = 2;
     EXPECT_NO_THROW(wear.validate());
 }
@@ -214,7 +187,6 @@ TEST(WearModel, ZeroCoefficientTimelineIsBitIdentical)
     shaped.wearExponent = 7.0;
     shaped.wearRatedCycles = 11.0;
     shaped.eolMediaErrorRate = 0.5;
-    shaped.scrubBudgetPages = 1;
 
     FlashArray a(flat), b(shaped);
     sim::Tick ta = 0, tb = 0;
@@ -229,121 +201,6 @@ TEST(WearModel, ZeroCoefficientTimelineIsBitIdentical)
     }
     EXPECT_EQ(a.channelStats(0).uncorrectableReads,
               b.channelStats(0).uncorrectableReads);
-}
-
-// --- Patrol scrub ------------------------------------------------------
-
-TEST(PatrolScrub, RefreshesRetentionAgedPages)
-{
-    SsdConfig config = smallTestConfig();
-    config.retentionErrorCoefficient = 1e-3; // 1e-3 per second
-    config.scrubErrorThreshold = 1e-4;       // crossed after 0.1 s
-    config.scrubBudgetPages = 256;
-    FlashArray flash(config);
-    Ftl ftl(config, flash);
-
-    sim::Tick now = 0;
-    for (LogicalPage lpa = 0; lpa < 32; ++lpa)
-        now = ftl.write(lpa, now);
-
-    // Immediately after writing, nothing is old enough to refresh.
-    sim::Tick young_pass = ftl.patrolScrub(now);
-    EXPECT_GT(ftl.stats().scrubbedPages, 0u);
-    EXPECT_EQ(ftl.stats().scrubRelocations, 0u);
-
-    // After a long idle period every page predicts above threshold.
-    now = young_pass + sim::seconds(60.0);
-    now = ftl.patrolScrub(now);
-    EXPECT_GT(ftl.stats().scrubRelocations, 0u);
-
-    // The refresh re-stamped the relocated pages: scrubbing again
-    // right away finds nothing old (cursor wraps to the same span).
-    const std::uint64_t relocated = ftl.stats().scrubRelocations;
-    for (int pass = 0; pass < 8; ++pass)
-        now = ftl.patrolScrub(now);
-    EXPECT_EQ(ftl.stats().scrubRelocations, relocated);
-
-    // Mappings survived the refreshes.
-    for (LogicalPage lpa = 0; lpa < 32; ++lpa)
-        EXPECT_TRUE(ftl.translate(lpa).has_value());
-}
-
-TEST(PatrolScrub, DisabledScrubIsANoOp)
-{
-    const SsdConfig config = smallTestConfig();
-    FlashArray flash(config);
-    Ftl ftl(config, flash);
-    sim::Tick now = 0;
-    for (LogicalPage lpa = 0; lpa < 8; ++lpa)
-        now = ftl.write(lpa, now);
-    EXPECT_EQ(ftl.patrolScrub(now + sim::seconds(100.0)),
-              now + sim::seconds(100.0));
-    EXPECT_EQ(ftl.stats().scrubbedPages, 0u);
-}
-
-TEST(PatrolScrub, BudgetBoundsTheWorkPerPass)
-{
-    SsdConfig config = smallTestConfig();
-    config.retentionErrorCoefficient = 1e-3;
-    config.scrubErrorThreshold = 1e-5;
-    config.scrubBudgetPages = 4;
-    FlashArray flash(config);
-    Ftl ftl(config, flash);
-
-    sim::Tick now = 0;
-    for (LogicalPage lpa = 0; lpa < 64; ++lpa)
-        now = ftl.write(lpa, now);
-    ftl.patrolScrub(now);
-    EXPECT_EQ(ftl.stats().scrubbedPages, 4u);
-    // An explicit budget overrides the configured one.
-    ftl.patrolScrub(now, 10);
-    EXPECT_EQ(ftl.stats().scrubbedPages, 14u);
-}
-
-// --- Static wear leveling ----------------------------------------------
-
-TEST(WearLeveling, MigratesColdBlocksToBoundTheSpread)
-{
-    SsdConfig config = singlePoolConfig();
-    config.wearLevelSpreadBound = 4;
-    FlashArray flash(config);
-    Ftl ftl(config, flash);
-
-    // Cold data fills a few blocks, then a small hot set churns.
-    sim::Tick now = 0;
-    const LogicalPage cold_span = 24;
-    for (LogicalPage lpa = 0; lpa < cold_span; ++lpa)
-        now = ftl.write(lpa, now);
-    for (int round = 0; round < 3000; ++round)
-        now = ftl.write(cold_span + (round % 8), now);
-
-    EXPECT_GT(ftl.stats().wearLevelRuns, 0u);
-    EXPECT_GT(ftl.stats().wearLevelMoves, 0u);
-    // The spread stays near the bound instead of growing with the
-    // churn (the no-leveling fuzz tolerates up to 80).
-    EXPECT_LE(ftl.eraseCountSpread(),
-              config.wearLevelSpreadBound + 4);
-    // Cold data survived its migrations.
-    for (LogicalPage lpa = 0; lpa < cold_span; ++lpa)
-        EXPECT_TRUE(ftl.translate(lpa).has_value());
-}
-
-TEST(WearLeveling, DisabledLevelingLetsTheSpreadGrow)
-{
-    SsdConfig config = singlePoolConfig();
-    FlashArray flash(config);
-    Ftl ftl(config, flash);
-
-    sim::Tick now = 0;
-    const LogicalPage cold_span = 24;
-    for (LogicalPage lpa = 0; lpa < cold_span; ++lpa)
-        now = ftl.write(lpa, now);
-    for (int round = 0; round < 3000; ++round)
-        now = ftl.write(cold_span + (round % 8), now);
-
-    EXPECT_EQ(ftl.stats().wearLevelRuns, 0u);
-    // Cold blocks pin the floor at zero while hot blocks churn.
-    EXPECT_GT(ftl.eraseCountSpread(), 8u);
 }
 
 // --- End of life -------------------------------------------------------
@@ -492,7 +349,6 @@ TEST(HealthReport, ExportedThroughTheSsdFrontEnd)
 {
     SsdConfig config = smallTestConfig();
     config.retentionErrorCoefficient = 1e-3;
-    config.scrubErrorThreshold = 1e-5;
     sim::EventQueue queue;
     SsdDevice ssd(config, queue);
 
@@ -502,14 +358,12 @@ TEST(HealthReport, ExportedThroughTheSsdFrontEnd)
     queue.run();
     ASSERT_GT(done, 0u);
 
-    // Idle-time maintenance after a long retention gap refreshes
-    // pages; the SMART report reflects it.
+    // After a long retention gap the SMART report predicts the aged
+    // media's error rate.
     const sim::Tick later = done + sim::seconds(60.0);
-    ssd.idleMaintenance(later);
-
     const HealthReport report = ssd.health(later);
-    EXPECT_GT(report.scrubbedPages, 0u);
-    EXPECT_GT(report.scrubRelocations, 0u);
     EXPECT_EQ(report.capturedAt, later);
     EXPECT_FALSE(report.readOnly);
+    EXPECT_GT(report.spareBlocks, 0u);
+    EXPECT_GT(report.predictedErrorRate, 0.0);
 }

@@ -23,7 +23,8 @@
  *   --arch NAME           simulate a baseline architecture instead
  *   --sweep-layouts       run all three layouts and compare
  *   --energy              print the energy breakdown
- *   --trace CATS          enable trace categories (ftl,pipeline,...)
+ *   --trace CATS          enable trace categories (ftl, pipeline or
+ *                         all)
  *   --seed N              trace/workload seed
  *   --threads N           host-compute worker threads (wall-clock
  *                         only: output is bit-identical for any N)
@@ -50,7 +51,7 @@
  *   --relayout-io-budget F  device-time share of the migration task
  *                         (default 0.2)
  *
- * Reliability model (see docs/MODELING.md, "Wear lifecycle & scrub"):
+ * Reliability model (see docs/MODELING.md, "Wear lifecycle"):
  *   --uncorrectable-read-rate P   base per-read UECC probability
  *   --read-retry-rate P           per-read retry probability
  *   --erase-failure-rate P        per-erase block-retirement prob.
@@ -298,8 +299,6 @@ printHealth(const EcssdSystem &system, sim::Tick now)
     std::printf(
         "  health: life %.1f%%  erase min/mean/max %llu/%.1f/%llu  "
         "spare blocks %llu  bad %llu%s\n"
-        "          scrub: %llu pages, %llu refreshed, "
-        "%llu uncorrectable  wear-level moves %llu\n"
         "          media: %llu reads, %llu uncorrectable "
         "(observed %.2e, predicted %.2e)\n",
         h.lifeRemaining * 100.0,
@@ -308,10 +307,6 @@ printHealth(const EcssdSystem &system, sim::Tick now)
         (unsigned long long)h.spareBlocks,
         (unsigned long long)h.badBlocks,
         h.readOnly ? "  READ-ONLY" : "",
-        (unsigned long long)h.scrubbedPages,
-        (unsigned long long)h.scrubRelocations,
-        (unsigned long long)h.scrubUncorrectable,
-        (unsigned long long)h.wearLevelMoves,
         (unsigned long long)h.mediaReads,
         (unsigned long long)h.mediaUncorrectable,
         h.observedErrorRate, h.predictedErrorRate);
