@@ -82,13 +82,13 @@ inputs()
     return shared;
 }
 
-/** The tuned row chunk for this shape (pure function of shape/ISA,
- *  so computing it once for the scalar level is fine). */
+/** The tuned row chunk for this shape (a pure function of the row
+ *  width, so one computation serves every ISA level). */
 std::size_t
 tunedRowChunk()
 {
     static const std::size_t chunk =
-        rowChunkCandidates(inputs().matrix.bytesPerRow()).back();
+        rowChunkFor(inputs().matrix.bytesPerRow());
     return chunk;
 }
 

@@ -395,7 +395,7 @@ benchMultiTenant(BaselineDoc &doc)
     doc.latency["tenant.device_time_ms"] =
         sim::tickToMs(device.deviceTime());
     doc.counters["tenant.count"] =
-        static_cast<double>(device.registry().size());
+        static_cast<double>(device.tenantCount());
     doc.counters["tenant.a_sheds"] =
         static_cast<double>(stats_a.shedRequests);
     doc.counters["tenant.b_sheds"] =

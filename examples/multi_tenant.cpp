@@ -59,9 +59,8 @@ main()
         device.addTenant(tenantConfig("ads", 1.0), ads.weights(),
                          spec, ServerConfig{}, &ads.basis());
     std::printf("admitted %zu tenants, %llu MiB partitioned\n",
-                device.registry().size(),
-                (unsigned long long)(device.registry().committedBytes()
-                                     >> 20));
+                device.tenantCount(),
+                (unsigned long long)(device.committedBytes() >> 20));
 
     // A calm stream for the ranker, a flood for ads: the mix merges
     // time-ordered onto the shared device clock.
@@ -83,7 +82,7 @@ main()
         const InferenceServer &lane = *device.server(t);
         std::printf("tenant %-6s  p99 %7.3f ms  shed %4llu  "
                     "brownout transitions %llu\n",
-                    device.registry().entry(t)->config.name.c_str(),
+                    device.tenantConfig(t)->name.c_str(),
                     lane.latencyPercentiles().p99(),
                     (unsigned long long)
                         lane.serverStats().shedRequests,

@@ -17,6 +17,7 @@
 
 #include "accel/row_cache.hh"
 #include "circuit/accelerator_model.hh"
+#include "xclass/workload.hh"
 
 namespace ecssd
 {
@@ -32,6 +33,15 @@ enum class WeightPrecision
      *  FP16-class accuracy. */
     Cfp16,
 };
+
+/** Stored bytes of one of @p spec's weight rows at @p precision
+ *  (CFP16 halves the row: 2 bytes per value). */
+inline std::uint64_t
+storedRowBytes(const xclass::BenchmarkSpec &spec, WeightPrecision precision)
+{
+    return precision == WeightPrecision::Cfp16 ? spec.hiddenDim * 2ULL
+                                               : spec.rowBytes();
+}
 
 /**
  * What the pipeline does when a candidate row's FP32 page comes back

@@ -83,10 +83,7 @@ InferencePipeline::pageGroupCount() const
 std::uint64_t
 InferencePipeline::weightRowBytes() const
 {
-    // CFP16 halves the stored row (2 bytes per value).
-    return config_.weightPrecision == WeightPrecision::Cfp16
-        ? spec_.hiddenDim * 2ULL
-        : spec_.rowBytes();
+    return storedRowBytes(spec_, config_.weightPrecision);
 }
 
 std::size_t

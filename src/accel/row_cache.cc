@@ -176,19 +176,6 @@ RowCache::invalidatePhysical(const ssdsim::PhysicalPage &ppa)
 }
 
 void
-RowCache::invalidateAll()
-{
-    for (Entry &entry : entries_) {
-        entry.valid = false;
-        entry.blockKeys.clear();
-    }
-    occupancy_ = 0;
-    frequency_.clear();
-    lostGroups_.clear();
-    accessCounter_ = 0;
-}
-
-void
 RowCache::publishMetrics(sim::MetricsRegistry &registry) const
 {
     registry.gaugeSet("cache.occupancy",

@@ -214,9 +214,6 @@ class RowCache
      */
     void invalidatePhysical(const ssdsim::PhysicalPage &ppa);
 
-    /** Drop every entry (weight redeployment). */
-    void invalidateAll();
-
     /** Count one admit() as warm-up-driven (caller invokes it right
      *  after a successful admit from a warming pass). */
     void noteWarmInsertion() { ++stats_.warmInsertions; }

@@ -10,16 +10,6 @@ namespace circuit
 {
 
 double
-EnergyBreakdown::averagePowerMw(sim::Tick elapsed) const
-{
-    const double seconds = sim::tickToSeconds(elapsed);
-    if (seconds <= 0.0)
-        return 0.0;
-    // uJ / s = uW; convert to mW.
-    return totalUj() / seconds * 1e-3;
-}
-
-double
 EnergyBreakdown::gflopsPerWatt(std::uint64_t fp32_flops,
                                sim::Tick elapsed) const
 {

@@ -72,9 +72,6 @@ struct EnergyBreakdown
             + backgroundUj;
     }
 
-    /** Average power over the run, mW. */
-    double averagePowerMw(sim::Tick elapsed) const;
-
     /** Achieved FP32 energy efficiency, GFLOPS/W. */
     double gflopsPerWatt(std::uint64_t fp32_flops,
                          sim::Tick elapsed) const;

@@ -39,8 +39,6 @@ toString(Status status)
         return "redeploy-active";
     case Status::NoRedeploy:
         return "no-redeploy";
-    case Status::UnknownTenant:
-        return "unknown-tenant";
     case Status::TenantQuotaExceeded:
         return "tenant-quota-exceeded";
     }
@@ -215,9 +213,7 @@ EcssdApi::weightDeploy(const numeric::FloatMatrix &weights,
         StreamingDeployConfig stream_config;
         stream_config.hostBudgetBytes = options_.deployHostBudgetBytes;
         stream_config.rowBytes =
-            options_.weightPrecision == accel::WeightPrecision::Cfp16
-            ? spec.hiddenDim * 2ULL
-            : spec.rowBytes();
+            accel::storedRowBytes(spec, options_.weightPrecision);
         stream_config.seed = options_.seed;
         stream_config.trainedProjection = trained_projection;
         const MatrixRowSource source(weights);
@@ -280,11 +276,8 @@ EcssdApi::ssdWrite(ssdsim::LogicalPage lpa)
     if (!ssdMode_)
         ssdMode_ = std::make_unique<EcssdSystem>(
             xclass::BenchmarkSpec{"ssd-mode", 2, 8}, options_);
-    sim::Tick done = 0;
-    ssdMode_->ssd().hostWrite(lpa,
-                              [&done](sim::Tick t) { done = t; });
-    ssdMode_->ssd().queue().run();
-    return done;
+    ssdClock_ = ssdMode_->ssd().hostWrite(lpa, ssdClock_);
+    return ssdClock_;
 }
 
 sim::Tick
@@ -294,11 +287,8 @@ EcssdApi::ssdRead(ssdsim::LogicalPage lpa)
         sim::fatal("ssdRead requires SSD mode");
     if (!ssdMode_)
         sim::fatal("ssdRead of empty device");
-    sim::Tick done = 0;
-    ssdMode_->ssd().hostRead(lpa,
-                             [&done](sim::Tick t) { done = t; });
-    ssdMode_->ssd().queue().run();
-    return done;
+    ssdClock_ = ssdMode_->ssd().hostRead(lpa, ssdClock_);
+    return ssdClock_;
 }
 
 } // namespace ecssd

@@ -266,6 +266,9 @@ class EcssdApi
      * reserved address range, not the user's logical space.
      */
     std::unique_ptr<EcssdSystem> ssdMode_;
+    /** SSD mode's clock: each command issues at the previous one's
+     *  completion. */
+    sim::Tick ssdClock_ = 0;
 
     /** The serving version (accelerator mode). */
     DeployedVersion live_;

@@ -8,8 +8,39 @@
 namespace ecssd
 {
 
+void
+TenantConfig::validate() const
+{
+    if (name.empty())
+        sim::fatal("tenant config: name must not be empty");
+    for (const char c : name) {
+        const bool ok = (c >= 'a' && c <= 'z')
+            || (c >= '0' && c <= '9') || c == '_' || c == '-';
+        if (!ok)
+            sim::fatal("tenant '", name,
+                       "': names are metric-namespace material and "
+                       "must match [a-z0-9_-]");
+    }
+    if (dramBytes == 0)
+        sim::fatal("tenant '", name,
+                   "': dramBytes must be positive (the partition "
+                   "holds the screener residency)");
+    if (cacheQuotaBytes > dramBytes)
+        sim::fatal("tenant '", name, "': cache quota (",
+                   cacheQuotaBytes, ") exceeds the DRAM partition (",
+                   dramBytes, ")");
+    if (p99TargetMs < 0.0)
+        sim::fatal("tenant '", name, "': p99TargetMs must be >= 0");
+}
+
+std::string
+TenantConfig::metricNamespace() const
+{
+    return "tenant." + name + ".";
+}
+
 MultiTenantServer::MultiTenantServer(const EcssdOptions &options)
-    : options_(options), registry_(options.ssd.dramBytes)
+    : options_(options)
 {
 }
 
@@ -49,22 +80,26 @@ MultiTenantServer::addTenant(
     const numeric::FloatMatrix *trained_projection, Status *status)
 {
     // The lane's screener residency plus its cache quota must fit
-    // the tenant's partition; checked before admission so a refusal
-    // leaves the ledger untouched.
-    if (screenerDramBytes(options_, spec) + config.cacheQuotaBytes
-        > config.dramBytes) {
+    // the tenant's partition, and the partitions the device DRAM.
+    const auto refuse = [status] {
         if (status)
             *status = Status::TenantQuotaExceeded;
         return TenantHandle{};
+    };
+    const std::uint64_t screener_bytes =
+        screenerDramBytes(options_, spec);
+    if (screener_bytes + config.cacheQuotaBytes > config.dramBytes)
+        return refuse();
+    config.validate();
+    for (const auto &[id, lane] : lanes_) {
+        if (lane.config.name == config.name)
+            sim::fatal("tenant '", config.name, "' admitted twice");
     }
-
-    TenantHandle handle;
-    const Status admitted = registry_.admit(config, handle);
+    if (committedBytes() + config.dramBytes > options_.ssd.dramBytes)
+        return refuse();
     if (status)
-        *status = admitted;
-    if (admitted != Status::Ok)
-        return TenantHandle{};
-    registry_.chargeScreener(handle, screenerDramBytes(options_, spec));
+        *status = Status::Ok;
+    const TenantHandle handle(nextId_++);
 
     // The lane's device: the shared architecture carved down to the
     // tenant's partition, its row cache sized to the tenant's quota.
@@ -73,9 +108,9 @@ MultiTenantServer::addTenant(
     lane_options.cache.capacityBytes = config.cacheQuotaBytes;
 
     Lane lane;
-    lane.name = config.name;
     lane.ns = config.metricNamespace();
     lane.config = config;
+    lane.screenerBytes = screener_bytes;
     lane.batchSize = spec.batchSize;
     lane.server = std::make_unique<InferenceServer>(
         weights, spec, lane_options, trained_projection,
@@ -86,6 +121,23 @@ MultiTenantServer::addTenant(
     lane.server->attachObservability(lane.metricsView.get(), spans_);
     lanes_.emplace(handle.id(), std::move(lane));
     return handle;
+}
+
+std::uint64_t
+MultiTenantServer::committedBytes() const
+{
+    std::uint64_t sum = 0;
+    for (const auto &[id, lane] : lanes_)
+        sum += lane.config.dramBytes;
+    return sum;
+}
+
+const TenantConfig *
+MultiTenantServer::tenantConfig(TenantHandle tenant) const
+{
+    const auto it = tenant.valid() ? lanes_.find(tenant.id())
+                                   : lanes_.end();
+    return it == lanes_.end() ? nullptr : &it->second.config;
 }
 
 InferenceServer *
@@ -200,7 +252,7 @@ MultiTenantServer::run(const std::vector<TenantTraffic> &mix,
     result.reserve(mix.size());
     for (const TenantTraffic &stream : mix) {
         TenantOutcome outcome;
-        outcome.name = lanes_.at(stream.tenant.id()).name;
+        outcome.name = lanes_.at(stream.tenant.id()).config.name;
         outcome.responses =
             std::move(outcomes.at(stream.tenant.id()));
         result.push_back(std::move(outcome));
@@ -231,7 +283,24 @@ MultiTenantServer::publishMetrics(sim::MetricsRegistry &registry) const
 {
     if (lanes_.empty())
         return;
-    registry_.publishMetrics(registry);
+    registry.gaugeSet("tenant.count",
+                      static_cast<double>(lanes_.size()));
+    registry.gaugeSet("tenant.committed_bytes",
+                      static_cast<double>(committedBytes()));
+    registry.gaugeSet("tenant.dram_budget_bytes",
+                      static_cast<double>(options_.ssd.dramBytes));
+    for (const auto &[id, lane] : lanes_) {
+        registry.gaugeSet(lane.ns + "dram_bytes",
+                          static_cast<double>(lane.config.dramBytes));
+        registry.gaugeSet(
+            lane.ns + "cache_quota_bytes",
+            static_cast<double>(lane.config.cacheQuotaBytes));
+        registry.gaugeSet(lane.ns + "screener_bytes",
+                          static_cast<double>(lane.screenerBytes));
+        registry.gaugeSet(
+            lane.ns + "deploys",
+            static_cast<double>(lane.server->weightVersion()));
+    }
     registry.gaugeSet("tenant.device_time_ms",
                       sim::tickToMs(sharedClock_));
     for (const auto &[id, lane] : lanes_) {

@@ -3,6 +3,13 @@
  * Multi-tenant serving: several models time-multiplexed on one
  * physical ECSSD.
  *
+ * Each model is a *tenant*: it owns a DRAM partition (its INT4
+ * screener residency plus a hot-row cache byte quota carved out of
+ * it), a metric/span namespace ("tenant.<name>."), and an SLO record
+ * (deadline, p99 target) the admission/brownout stack enforces per
+ * tenant.  The partitions of all admitted tenants sum to at most the
+ * device DRAM; the lanes are that ledger.
+ *
  * Each admitted tenant gets a serving *lane*: an InferenceServer over
  * an EcssdSystem whose DRAM budget is the tenant's partition and
  * whose row cache is sized to the tenant's byte quota — so cache
@@ -37,16 +44,71 @@
 #ifndef ECSSD_ECSSD_MULTI_TENANT_HH
 #define ECSSD_ECSSD_MULTI_TENANT_HH
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ecssd/server.hh"
-#include "ecssd/tenant.hh"
 
 namespace ecssd
 {
+
+/** Dense tenant identifier (admission numbers tenants from 1). */
+using TenantId = std::uint32_t;
+
+/** One tenant's partition, quota, and SLO declaration. */
+struct TenantConfig
+{
+    /** Namespace-safe tenant name ([a-z0-9_-]); surfaces in every
+     *  metric/span as "tenant.<name>.*". */
+    std::string name;
+    /**
+     * The tenant's SSD-DRAM partition: its INT4 screener residency
+     * plus its row-cache quota must fit inside it.  Partitions of
+     * all admitted tenants must sum to at most the device DRAM.
+     */
+    std::uint64_t dramBytes = 0;
+    /** Row-cache byte quota carved out of the partition (0 = no
+     *  cache for this tenant). */
+    std::uint64_t cacheQuotaBytes = 0;
+
+    // --- SLO ------------------------------------------------------
+    /** Per-request completion deadline (0 = none). */
+    sim::Tick requestDeadline = 0;
+    /** Serving p99 target in milliseconds; drives the tenant's
+     *  admission target and brownout thresholds (0 = no target). */
+    double p99TargetMs = 0.0;
+
+    /** Die fatally (sim::FatalError) on an inconsistent config. */
+    void validate() const;
+
+    /** The tenant's metric/span namespace: "tenant.<name>.". */
+    std::string metricNamespace() const;
+};
+
+/**
+ * An opaque reference to an admitted tenant.  Handles are plain
+ * values: copying is free, and a handle that names no admitted
+ * tenant (stale, foreign, or forged) is reported, never followed:
+ * MultiTenantServer::server() and tenantConfig() return nullptr.
+ */
+class TenantHandle
+{
+  public:
+    /** The invalid handle (never admitted). */
+    TenantHandle() = default;
+
+    explicit TenantHandle(TenantId id) : id_(id), valid_(true) {}
+
+    TenantId id() const { return id_; }
+    bool valid() const { return valid_; }
+
+  private:
+    TenantId id_ = 0;
+    bool valid_ = false;
+};
 
 /** The shared-device multi-tenant serving scheduler. */
 class MultiTenantServer
@@ -63,7 +125,11 @@ class MultiTenantServer
     ~MultiTenantServer();
 
     /**
-     * Admit one tenant and bring up its serving lane.
+     * Admit one tenant and bring up its serving lane.  A tenant whose
+     * screener plus cache quota overflows its own partition is
+     * refused first; then @p config must validate and its name must
+     * be new (both fatal otherwise); last, the partitions must fit
+     * the device DRAM.  A refusal leaves the ledger untouched.
      *
      * The tenant's SLO fills the lane's serving policy wherever
      * @p server_config leaves a knob unset: requestDeadline maps
@@ -92,8 +158,14 @@ class MultiTenantServer
         const numeric::FloatMatrix *trained_projection = nullptr,
         Status *status = nullptr);
 
-    /** The tenant admission/partition ledger. */
-    const TenantRegistry &registry() const { return registry_; }
+    /** Admitted tenant count. */
+    std::size_t tenantCount() const { return lanes_.size(); }
+
+    /** Sum of the admitted tenants' DRAM partitions. */
+    std::uint64_t committedBytes() const;
+
+    /** One tenant's declaration (nullptr for unknown handles). */
+    const TenantConfig *tenantConfig(TenantHandle tenant) const;
 
     /** One tenant's lane server (nullptr for unknown handles). */
     InferenceServer *server(TenantHandle tenant);
@@ -146,9 +218,13 @@ class MultiTenantServer
 
     /**
      * Snapshot the tenant layer into @p registry: the partition
-     * ledger plus, per tenant, the lane's full "server.*" gauge set
-     * and its SLO view (p99_ms, p99_target_ms, sheds) under
-     * "tenant.<name>.".
+     * ledger ("tenant.count", "tenant.committed_bytes",
+     * "tenant.dram_budget_bytes", and per tenant dram_bytes,
+     * cache_quota_bytes, screener_bytes and deploys) plus, per
+     * tenant, the lane's full "server.*" gauge set and its SLO view
+     * (p99_ms, p99_target_ms, sheds) under "tenant.<name>.".  No-op
+     * while no tenant is admitted, so single-tenant runs keep their
+     * metrics byte-identical.
      */
     void publishMetrics(sim::MetricsRegistry &registry) const;
 
@@ -156,10 +232,11 @@ class MultiTenantServer
     /** One tenant's serving lane. */
     struct Lane
     {
-        std::string name;
+        TenantConfig config;
         /** "tenant.<name>." metric/span namespace. */
         std::string ns;
-        TenantConfig config;
+        /** INT4 screener residency inside the partition. */
+        std::uint64_t screenerBytes = 0;
         /** Device batch size of the lane's deployed spec (the
          *  quantum trigger). */
         std::size_t batchSize = 1;
@@ -178,9 +255,9 @@ class MultiTenantServer
                       std::vector<InferenceServer::Response> &sink);
 
     EcssdOptions options_;
-    TenantRegistry registry_;
     /** Lanes in tenant-id order (deterministic round-robin). */
     std::map<TenantId, Lane> lanes_;
+    TenantId nextId_ = 1;
     sim::Tick sharedClock_ = 0;
     sim::MetricsRegistry *metrics_ = nullptr;
     sim::SpanTracer *spans_ = nullptr;

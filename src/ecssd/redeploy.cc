@@ -16,8 +16,6 @@ toString(RedeployPhase phase)
       case RedeployPhase::Staging: return "Staging";
       case RedeployPhase::Warming: return "Warming";
       case RedeployPhase::Validating: return "Validating";
-      case RedeployPhase::Flipping: return "Flipping";
-      case RedeployPhase::Draining: return "Draining";
       case RedeployPhase::Committed: return "Committed";
       case RedeployPhase::RolledBack: return "RolledBack";
     }
@@ -48,135 +46,6 @@ RedeployConfig::validate() const
     if (minValidationRecall < 0.0 || minValidationRecall > 1.0)
         sim::fatal("redeploy minValidationRecall must be in [0, 1], "
                    "got ", minValidationRecall);
-}
-
-// ---------------------------------------------------------------------
-// RedeployMachine
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** The legal forward successor of each active phase. */
-RedeployPhase
-nextPhaseOf(RedeployPhase phase)
-{
-    switch (phase) {
-      case RedeployPhase::Staging: return RedeployPhase::Warming;
-      case RedeployPhase::Warming: return RedeployPhase::Validating;
-      case RedeployPhase::Validating: return RedeployPhase::Flipping;
-      case RedeployPhase::Flipping: return RedeployPhase::Draining;
-      case RedeployPhase::Draining: return RedeployPhase::Committed;
-      default: return RedeployPhase::Idle;
-    }
-}
-
-} // namespace
-
-void
-RedeployMachine::begin(sim::Tick now)
-{
-    if (active())
-        sim::panic("redeploy begin() while a redeploy is active (",
-                   toString(phase_), ")");
-    reason_ = RollbackReason::None;
-    enterPhase(RedeployPhase::Staging, now);
-}
-
-void
-RedeployMachine::advanceTo(RedeployPhase next, sim::Tick now)
-{
-    if (!active() || next != nextPhaseOf(phase_))
-        sim::panic("illegal redeploy transition ", toString(phase_),
-                   " -> ", toString(next));
-    enterPhase(next, now);
-    if (next == RedeployPhase::Committed) {
-        ++commits_;
-        if (metrics_)
-            metrics_->counterAdd("redeploy.commits");
-    }
-}
-
-void
-RedeployMachine::rollback(RollbackReason reason, sim::Tick now)
-{
-    if (!active())
-        sim::panic("redeploy rollback() with no active redeploy (",
-                   toString(phase_), ")");
-    reason_ = reason;
-    enterPhase(RedeployPhase::RolledBack, now);
-    ++rollbacks_;
-    if (metrics_)
-        metrics_->counterAdd("redeploy.rollbacks");
-}
-
-void
-RedeployMachine::attachObservability(sim::MetricsRegistry *metrics,
-                                     sim::SpanTracer *spans)
-{
-    metrics_ = metrics;
-    spans_ = spans;
-    // An in-flight phase span belongs to the old tracer; forget it
-    // rather than closing it on a stranger.
-    spanOpen_ = false;
-}
-
-void
-RedeployMachine::enterPhase(RedeployPhase next, sim::Tick now)
-{
-    if (spans_ && spanOpen_) {
-        spans_->end(openSpan_,
-                    std::max(now, phaseEnteredAt_));
-        spanOpen_ = false;
-    }
-    phase_ = next;
-    phaseEnteredAt_ = now;
-    if (metrics_) {
-        metrics_->gaugeSet("redeploy.phase",
-                           static_cast<double>(phase_));
-    }
-    if (spans_ && !terminal() && phase_ != RedeployPhase::Idle) {
-        openSpan_ = spans_->begin(
-            std::string("redeploy.") + toString(phase_), now);
-        spanOpen_ = true;
-    }
-}
-
-// ---------------------------------------------------------------------
-// StagingLedger
-// ---------------------------------------------------------------------
-
-void
-StagingLedger::reset(std::uint64_t total_bytes,
-                     sim::Tick full_bandwidth_time,
-                     double io_budget_fraction,
-                     std::uint64_t step_bytes)
-{
-    totalBytes_ = total_bytes;
-    stagedBytes_ = 0;
-    stepBytes_ = std::max<std::uint64_t>(step_bytes, 1);
-    fullTime_ = full_bandwidth_time;
-    budget_ = io_budget_fraction;
-    elapsed_ = 0;
-}
-
-sim::Tick
-StagingLedger::step()
-{
-    if (done())
-        return 0;
-    const std::uint64_t chunk =
-        std::min(stepBytes_, totalBytes_ - stagedBytes_);
-    stagedBytes_ += chunk;
-    // The chunk's share of the stop-the-world time, stretched by the
-    // inverse of the bandwidth fraction granted to staging.
-    const double share = totalBytes_ == 0
-        ? 1.0
-        : static_cast<double>(chunk) / static_cast<double>(totalBytes_);
-    const sim::Tick cost = static_cast<sim::Tick>(
-        static_cast<double>(fullTime_) * share / budget_);
-    elapsed_ += cost;
-    return cost;
 }
 
 // ---------------------------------------------------------------------
@@ -304,6 +173,37 @@ fitsDevice(Build &&build)
 } // namespace
 
 void
+RedeployDriver::attachObservability(sim::MetricsRegistry *metrics,
+                                    sim::SpanTracer *spans)
+{
+    metrics_ = metrics;
+    spans_ = spans;
+    // An in-flight phase span belongs to the old tracer; forget it
+    // rather than closing it on a stranger.
+    spanOpen_ = false;
+}
+
+void
+RedeployDriver::enterPhase(RedeployPhase next, sim::Tick now)
+{
+    if (spans_ && spanOpen_) {
+        spans_->end(openSpan_, std::max(now, phaseEnteredAt_));
+        spanOpen_ = false;
+    }
+    phase_ = next;
+    phaseEnteredAt_ = now;
+    if (metrics_) {
+        metrics_->gaugeSet("redeploy.phase",
+                           static_cast<double>(phase_));
+    }
+    if (spans_ && active()) {
+        openSpan_ = spans_->begin(
+            std::string("redeploy.") + toString(phase_), now);
+        spanOpen_ = true;
+    }
+}
+
+void
 RedeployDriver::recordQuery(std::span<const float> feature)
 {
     if (recentQueries_.size() < kRecentQueryCapacity) {
@@ -323,6 +223,9 @@ RedeployDriver::begin(DeployedVersion &live,
                       const EcssdOptions &options, sim::ThreadPool *pool,
                       std::uint64_t version_id, sim::Tick now)
 {
+    if (active())
+        sim::panic("redeploy begin() while a redeploy is active (",
+                   toString(phase_), ")");
     config.validate();
     config_ = config;
     options_ = options;
@@ -330,7 +233,10 @@ RedeployDriver::begin(DeployedVersion &live,
     weights_ = &weights;
     projection_ = trained_projection;
     staged_.spec = spec;
-    ledger_ = StagingLedger{};
+    totalBytes_ = 0;
+    stagedBytes_ = 0;
+    fullTime_ = 0;
+    stagingTime_ = 0;
     probePages_.clear();
     warmed_ = 0;
     validated_ = 0;
@@ -339,7 +245,8 @@ RedeployDriver::begin(DeployedVersion &live,
     oldEpoch_ = live.epoch;
     newEpoch_ = 0;
     versionId_ = version_id;
-    machine_.begin(now);
+    reason_ = RollbackReason::None;
+    enterPhase(RedeployPhase::Staging, now);
 
     // The staged INT4 screener claims the live device's leftover
     // DRAM for the duration of the swap; not fitting is the graceful
@@ -354,15 +261,13 @@ RedeployDriver::begin(DeployedVersion &live,
     // Price the staging: the stop-the-world deploy time of the new
     // footprint, stretched by the IO-budget fraction.  A footprint
     // the device cannot hold at all is the same DramPressure.
-    sim::Tick full_time = 0;
     if (!fitsDevice([&] {
-            full_time = estimateDeployTime(spec, options.ssd);
+            fullTime_ = estimateDeployTime(spec, options.ssd);
         })) {
         rollback(live, RollbackReason::DramPressure, now);
         return;
     }
-    ledger_.reset(spec.int4WeightBytes() + spec.fp32WeightBytes(),
-                  full_time, config.ioBudgetFraction, config.stepBytes);
+    totalBytes_ = spec.int4WeightBytes() + spec.fp32WeightBytes();
 
     // Probe targets: the top of the live device's logical space (the
     // staging area's flash).  Real programs + verify-reads there
@@ -377,7 +282,7 @@ RedeployDriver::begin(DeployedVersion &live,
 void
 RedeployDriver::step(DeployedVersion &live, sim::Tick &clock)
 {
-    switch (machine_.phase()) {
+    switch (phase_) {
     case RedeployPhase::Staging:
         stage(live, clock);
         return;
@@ -396,7 +301,7 @@ RedeployDriver::step(DeployedVersion &live, sim::Tick &clock)
                     0);
             }
         } else {
-            machine_.advanceTo(RedeployPhase::Validating, clock);
+            enterPhase(RedeployPhase::Validating, clock);
         }
         return;
     case RedeployPhase::Validating: {
@@ -418,14 +323,14 @@ RedeployDriver::step(DeployedVersion &live, sim::Tick &clock)
             ? recallSum_ / static_cast<double>(validated_)
             : 1.0;
         if (recall_ >= config_.minValidationRecall)
-            machine_.advanceTo(RedeployPhase::Flipping, clock);
+            flip(live, clock);
         else
             rollback(live, RollbackReason::ValidationRecall, clock);
         return;
     }
     default:
-        sim::panic("redeploy step() outside the pre-flip phases (",
-                   toString(machine_.phase()), ")");
+        sim::panic("redeploy step() with no active redeploy (",
+                   toString(phase_), ")");
     }
 }
 
@@ -440,10 +345,23 @@ RedeployDriver::stage(DeployedVersion &live, sim::Tick &clock)
     }
     if (!probe(live, kProbesPerStep, clock))
         return;
-    // One budgeted chunk of background program time.
-    clock += ledger_.step();
+    // One budgeted chunk of background program time: the chunk's
+    // share of the stop-the-world time, stretched by the inverse of
+    // the bandwidth fraction granted to staging.
+    if (stagedBytes_ < totalBytes_) {
+        const std::uint64_t chunk =
+            std::min(config_.stepBytes, totalBytes_ - stagedBytes_);
+        stagedBytes_ += chunk;
+        const double share = static_cast<double>(chunk)
+            / static_cast<double>(totalBytes_);
+        const sim::Tick cost = static_cast<sim::Tick>(
+            static_cast<double>(fullTime_) * share
+            / config_.ioBudgetFraction);
+        stagingTime_ += cost;
+        clock += cost;
+    }
     // Finish the probe tail before declaring staging complete.
-    if (!ledger_.done()
+    if (stagedBytes_ < totalBytes_
         || !probe(live, static_cast<unsigned>(probePages_.size()),
                   clock))
         return;
@@ -459,7 +377,7 @@ RedeployDriver::stage(DeployedVersion &live, sim::Tick &clock)
     // The staged screener inherits the live screening policy so the
     // shadow scoring compares weights, not thresholds.
     staged_.screener().setThreshold(live.screener().threshold());
-    machine_.advanceTo(RedeployPhase::Warming, clock);
+    enterPhase(RedeployPhase::Warming, clock);
 }
 
 bool
@@ -474,17 +392,23 @@ RedeployDriver::probe(DeployedVersion &live, unsigned budget,
     return false;
 }
 
-DeployedVersion
-RedeployDriver::flip(DeployedVersion &live, std::uint64_t new_epoch)
+void
+RedeployDriver::flip(DeployedVersion &live, sim::Tick now)
 {
     // The staging claims on the old device end here: the staged
-    // version owns its own device from now on.
+    // version owns its own device from now on, and replacing @p live
+    // reclaims the old device and classifier.
     releaseClaims(live);
-    DeployedVersion next = std::move(staged_);
-    next.epoch = new_epoch;
-    next.versionId = versionId_;
-    newEpoch_ = new_epoch;
-    return next;
+    newEpoch_ = live.epoch + 1;
+    staged_.epoch = newEpoch_;
+    staged_.versionId = versionId_;
+    staged_.system->setDeployVersion(newEpoch_, versionId_);
+    staged_.system->attachObservability(metrics_, spans_);
+    live = std::move(staged_);
+    enterPhase(RedeployPhase::Committed, now);
+    ++commits_;
+    if (metrics_)
+        metrics_->counterAdd("redeploy.commits");
 }
 
 void
@@ -493,7 +417,11 @@ RedeployDriver::rollback(DeployedVersion &live, RollbackReason reason,
 {
     releaseClaims(live);
     staged_ = DeployedVersion{};
-    machine_.rollback(reason, now);
+    reason_ = reason;
+    enterPhase(RedeployPhase::RolledBack, now);
+    ++rollbacks_;
+    if (metrics_)
+        metrics_->counterAdd("redeploy.rollbacks");
 }
 
 void
@@ -510,15 +438,15 @@ RedeployStatus
 RedeployDriver::status() const
 {
     RedeployStatus status;
-    status.phase = machine_.phase();
-    status.reason = machine_.reason();
-    status.stagedBytes = ledger_.stagedBytes();
-    status.totalBytes = ledger_.totalBytes();
+    status.phase = phase_;
+    status.reason = reason_;
+    status.stagedBytes = stagedBytes_;
+    status.totalBytes = totalBytes_;
     status.validationRecall = recall_;
     status.oldEpoch = oldEpoch_;
     status.newEpoch = newEpoch_;
     status.weightVersion = versionId_;
-    status.stagingTime = ledger_.elapsed();
+    status.stagingTime = stagingTime_;
     return status;
 }
 

@@ -1,12 +1,11 @@
 /**
  * @file
- * Zero-downtime weight hot-swap: the staged online-redeploy state
- * machine and the driver InferenceServer runs it through.
+ * Zero-downtime weight hot-swap: the staged online-redeploy driver
+ * InferenceServer runs.
  *
  * A redeploy serves traffic *through* the swap instead of around it:
  *
- *   Idle -> Staging -> Warming -> Validating -> Flipping -> Draining
- *        -> Committed | RolledBack
+ *   Idle -> Staging -> Warming -> Validating -> Committed | RolledBack
  *
  *  - Staging: the new version's INT4 screener + FP32/CFP16 rows
  *    program into spare flash capacity and leftover DRAM under an
@@ -19,18 +18,15 @@
  *    sample of recent queries so the flip lands on a warm version.
  *  - Validating: a shadow-scoring pass compares the staged
  *    screener's candidates against the live version on the same
- *    queries; recall below the configured floor rolls back.
- *  - Flipping: the deploy epoch advances atomically.
- *  - Draining: requests bound to the old version finish on it.  The
- *    server serves synchronously per batch and flips at a batch
- *    boundary, so its drain is empty and commits at once; the phase
- *    stays in the diagram because redeploy.phase is published as a
- *    number.
+ *    queries; recall below the configured floor rolls back, and a
+ *    passing one flips the deploy epoch and commits.  The server
+ *    flips at a batch boundary, where no request is bound to the old
+ *    version, so nothing drains.
  *
  * Any failure (validation below threshold, uncorrectable reads on
  * staged pages, the end-of-life read-only latch, DRAM pressure) rolls
- * back to the old version with zero failed requests: the machine's
- * owner keeps the old version serving until Committed.
+ * back to the old version with zero failed requests: the owner keeps
+ * the old version serving until Committed.
  */
 
 #ifndef ECSSD_ECSSD_REDEPLOY_HH
@@ -61,12 +57,6 @@ enum class RedeployPhase
     Warming,
     /** Shadow-scoring the staged screener against the live one. */
     Validating,
-    /** The atomic epoch flip (instantaneous; never observed from
-     *  outside a transition). */
-    Flipping,
-    /** Requests bound to the old version finishing on it (empty
-     *  for the server, which flips at a batch boundary). */
-    Draining,
     /** Terminal: the new version serves, old capacity reclaimed. */
     Committed,
     /** Terminal: the old version serves, staged capacity released. */
@@ -137,111 +127,6 @@ struct RedeployStatus
 };
 
 /**
- * The redeploy phase machine: legal-transition bookkeeping plus
- * observability (redeploy.* counters and per-phase spans).  Its
- * RedeployDriver and the driver's owner make the transitions and
- * supply the clock; the machine guarantees that every begun
- * redeploy terminates in exactly one of Committed / RolledBack.
- */
-class RedeployMachine
-{
-  public:
-    RedeployMachine() = default;
-
-    RedeployPhase phase() const { return phase_; }
-    RollbackReason reason() const { return reason_; }
-
-    /** True from begin() until a terminal phase. */
-    bool
-    active() const
-    {
-        return phase_ != RedeployPhase::Idle && !terminal();
-    }
-
-    bool
-    terminal() const
-    {
-        return phase_ == RedeployPhase::Committed
-            || phase_ == RedeployPhase::RolledBack;
-    }
-
-    /** Idle (or terminal, restarting) -> Staging at tick @p now. */
-    void begin(sim::Tick now);
-
-    /**
-     * Advance to @p next at tick @p now.  Only the forward edges of
-     * the phase diagram are legal (Staging->Warming->Validating->
-     * Flipping->Draining->Committed); anything else dies fatally —
-     * a wedged or skipping owner is a bug, not a state.
-     */
-    void advanceTo(RedeployPhase next, sim::Tick now);
-
-    /** Any active phase -> RolledBack with @p reason at @p now. */
-    void rollback(RollbackReason reason, sim::Tick now);
-
-    /** Attach (or detach, with nullptr) observability sinks: the
-     *  registry sees redeploy.commits / redeploy.rollbacks counters
-     *  and the redeploy.phase gauge; the tracer sees one
-     *  "redeploy.<phase>" span per non-terminal phase. */
-    void attachObservability(sim::MetricsRegistry *metrics,
-                             sim::SpanTracer *spans);
-
-    /** Completed redeploys through this machine. */
-    std::uint64_t commits() const { return commits_; }
-    std::uint64_t rollbacks() const { return rollbacks_; }
-
-  private:
-    void enterPhase(RedeployPhase next, sim::Tick now);
-
-    RedeployPhase phase_ = RedeployPhase::Idle;
-    RollbackReason reason_ = RollbackReason::None;
-    sim::Tick phaseEnteredAt_ = 0;
-    sim::SpanId openSpan_ = 0;
-    bool spanOpen_ = false;
-    std::uint64_t commits_ = 0;
-    std::uint64_t rollbacks_ = 0;
-    sim::MetricsRegistry *metrics_ = nullptr;
-    sim::SpanTracer *spans_ = nullptr;
-};
-
-/**
- * Budgeted-staging ledger: tracks how many bytes of the new version
- * have programmed and how much background time the IO budget has
- * consumed.
- */
-class StagingLedger
-{
-  public:
-    /**
-     * @param total_bytes Footprint of the new version (INT4 + FP32).
-     * @param full_bandwidth_time Stop-the-world deploy time of that
-     *        footprint (the analytic estimate).
-     * @param io_budget_fraction Bandwidth share granted to staging.
-     * @param step_bytes Bytes staged per step.
-     */
-    void reset(std::uint64_t total_bytes,
-               sim::Tick full_bandwidth_time,
-               double io_budget_fraction, std::uint64_t step_bytes);
-
-    bool done() const { return stagedBytes_ >= totalBytes_; }
-    std::uint64_t stagedBytes() const { return stagedBytes_; }
-    std::uint64_t totalBytes() const { return totalBytes_; }
-    /** Background ticks consumed so far. */
-    sim::Tick elapsed() const { return elapsed_; }
-
-    /** Stage one budget step; returns the ticks it consumed. */
-    sim::Tick step();
-
-  private:
-    std::uint64_t totalBytes_ = 0;
-    std::uint64_t stagedBytes_ = 0;
-    std::uint64_t stepBytes_ = 0;
-    sim::Tick fullTime_ = 0;
-    double budget_ = 1.0;
-    sim::Tick elapsed_ = 0;
-};
-
-/**
  * One weight generation as a serving owner (EcssdApi,
  * InferenceServer) holds it: the functional model (INT4 screener +
  * FP32 re-rank), its timed system, and the deploy epoch and version
@@ -283,24 +168,45 @@ std::vector<std::uint64_t> screenCandidates(
 
 /**
  * The staged-redeploy driver.  InferenceServer keeps one for its
- * whole lifetime.  It holds everything a swap carries up to the flip
- * — the phase machine, the staging ledger, the staged screener's
- * DRAM reservation and the probe pages on the live device, the
- * staged version, the warm-up and validation cursors, the recall —
- * plus the ring of recent queries the warm-up and validation replay.
- * The warm-up and the shadow scoring screen the way the server
- * serves, by top ratio.
+ * whole lifetime.  It holds everything a swap carries — the phase,
+ * the staging ledger (bytes staged, background time spent), the
+ * staged screener's DRAM reservation and the probe pages on the live
+ * device, the staged version, the warm-up and validation cursors,
+ * the recall — plus the ring of recent queries the warm-up and
+ * validation replay, and it publishes the swap (redeploy.* counters,
+ * the redeploy.phase gauge, one "redeploy.<phase>" span per active
+ * phase).  The warm-up and the shadow scoring screen the way the
+ * server serves, by top ratio.  Every begun redeploy ends in exactly
+ * one of Committed / RolledBack.
  *
- * The owner supplies its live version and its clock.  Once
- * validation passes, step() leaves the machine in Flipping and the
- * owner makes its flip: it takes the staged version with flip(),
- * then advances the machine through Draining to Committed.
+ * The owner supplies its live version and its clock; a passing
+ * validation step flips @p live to the staged version itself.
  */
 class RedeployDriver
 {
   public:
-    RedeployMachine &machine() { return machine_; }
-    const RedeployMachine &machine() const { return machine_; }
+    RedeployPhase phase() const { return phase_; }
+
+    /** True from begin() until a terminal phase. */
+    bool
+    active() const
+    {
+        return phase_ != RedeployPhase::Idle
+            && phase_ != RedeployPhase::Committed
+            && phase_ != RedeployPhase::RolledBack;
+    }
+
+    /** Completed redeploys through this driver. */
+    std::uint64_t commits() const { return commits_; }
+    std::uint64_t rollbacks() const { return rollbacks_; }
+
+    /** Attach (or detach, with nullptr) observability sinks: the
+     *  registry sees redeploy.commits / redeploy.rollbacks counters
+     *  and the redeploy.phase gauge; the tracer sees one
+     *  "redeploy.<phase>" span per active phase.  A flipped-in
+     *  version records through the same sinks. */
+    void attachObservability(sim::MetricsRegistry *metrics,
+                             sim::SpanTracer *spans);
 
     /** Record one served query (warm-up and validation material). */
     void recordQuery(std::span<const float> feature);
@@ -309,7 +215,8 @@ class RedeployDriver
      * Begin a redeploy from @p live at tick @p now: reserve the
      * staged screener's DRAM on the live device, price the budgeted
      * staging, and pick the probe pages.  A staged copy that cannot
-     * fit rolls back at once (RollbackReason::DramPressure).
+     * fit rolls back at once (RollbackReason::DramPressure).  Dies
+     * (sim::PanicError) while a redeploy is active.
      *
      * @param options Device configuration of the staged version.
      * @param pool Host-compute pool of the staged classifier.
@@ -323,48 +230,65 @@ class RedeployDriver
                sim::Tick now);
 
     /**
-     * Run one pre-flip step: a staging step (read-only check, probe
-     * pages, one budgeted chunk, and the build once the ledger is
-     * done), one warm-up query, or one validation query.  @p clock
-     * advances by the background time the step consumed.  Failures
-     * roll back; a passing validation leaves the machine in Flipping.
+     * Run one step of the active redeploy: a staging step (read-only
+     * check, probe pages, one budgeted chunk, and the build once
+     * every byte is staged), one warm-up query, or one validation
+     * query.  @p clock advances by the background time the step
+     * consumed.  Failures roll back.  A passing validation flips:
+     * the staging claims on @p live are released, the staged version
+     * replaces @p live under the next deploy epoch, and the redeploy
+     * commits.
      */
     void step(DeployedVersion &live, sim::Tick &clock);
-
-    /**
-     * The flip's handover (machine in Flipping): release the staging
-     * claims on @p live and return the staged version, stamped with
-     * @p new_epoch.
-     */
-    DeployedVersion flip(DeployedVersion &live, std::uint64_t new_epoch);
-
-    /** Roll back before the flip: release the staging claims on
-     *  @p live and drop the staged version. */
-    void rollback(DeployedVersion &live, RollbackReason reason,
-                  sim::Tick now);
 
     /** Snapshot of the current (or last) redeploy. */
     RedeployStatus status() const;
 
   private:
+    /** Close the open phase span and enter @p next at @p now. */
+    void enterPhase(RedeployPhase next, sim::Tick now);
+
     /** Run @p budget probe pages at @p now; rolls back on a fault. */
     bool probe(DeployedVersion &live, unsigned budget, sim::Tick now);
 
     /** One Staging step. */
     void stage(DeployedVersion &live, sim::Tick &clock);
 
+    /** Replace @p live with the staged version and commit. */
+    void flip(DeployedVersion &live, sim::Tick now);
+
+    /** Roll back before the flip: release the staging claims on
+     *  @p live and drop the staged version. */
+    void rollback(DeployedVersion &live, RollbackReason reason,
+                  sim::Tick now);
+
     /** Give back the DRAM reservation and probe pages on @p live. */
     void releaseClaims(DeployedVersion &live);
 
-    RedeployMachine machine_;
+    RedeployPhase phase_ = RedeployPhase::Idle;
+    RollbackReason reason_ = RollbackReason::None;
+    std::uint64_t commits_ = 0;
+    std::uint64_t rollbacks_ = 0;
+    sim::MetricsRegistry *metrics_ = nullptr;
+    sim::SpanTracer *spans_ = nullptr;
+    sim::Tick phaseEnteredAt_ = 0;
+    sim::SpanId openSpan_ = 0;
+    bool spanOpen_ = false;
+
     RedeployConfig config_;
     EcssdOptions options_;
     sim::ThreadPool *pool_ = nullptr;
     const numeric::FloatMatrix *weights_ = nullptr;
     const numeric::FloatMatrix *projection_ = nullptr;
-    /** The version being staged (built once the ledger is done). */
+    /** The version being staged (built once every byte is staged). */
     DeployedVersion staged_;
-    StagingLedger ledger_;
+    /** Staging ledger: footprint of the new version (INT4 + FP32),
+     *  bytes staged so far, the footprint's stop-the-world deploy
+     *  time, and the background ticks the budgeted staging took. */
+    std::uint64_t totalBytes_ = 0;
+    std::uint64_t stagedBytes_ = 0;
+    sim::Tick fullTime_ = 0;
+    sim::Tick stagingTime_ = 0;
     /** Staging-area probe pages programmed through the live FTL. */
     std::vector<ssdsim::LogicalPage> probePages_;
     unsigned probeCursor_ = 0;

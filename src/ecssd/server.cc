@@ -98,7 +98,7 @@ InferenceServer::attachObservability(sim::MetricsRegistry *metrics,
     metrics_ = metrics;
     spans_ = spans;
     live_.system->attachObservability(metrics, spans);
-    redeploy_.machine().attachObservability(metrics, spans);
+    redeploy_.attachObservability(metrics, spans);
 }
 
 void
@@ -153,11 +153,10 @@ InferenceServer::publishMetrics(sim::MetricsRegistry &registry) const
                       sim::tickToMs(deviceClock_));
     gauge("deploy_epoch", live_.epoch);
     gauge("weight_version", live_.versionId);
-    const RedeployMachine &machine = redeploy_.machine();
-    if (machine.phase() != RedeployPhase::Idle) {
+    if (redeploy_.phase() != RedeployPhase::Idle) {
         const RedeployStatus status = redeploy_.status();
-        gauge("redeploy_commits", machine.commits());
-        gauge("redeploy_rollbacks", machine.rollbacks());
+        gauge("redeploy_commits", redeploy_.commits());
+        gauge("redeploy_rollbacks", redeploy_.rollbacks());
         gauge("redeploy_staged_bytes", status.stagedBytes);
         registry.gaugeSet("server.redeploy_staging_ms",
                           sim::tickToMs(status.stagingTime));
@@ -848,19 +847,11 @@ InferenceServer::stepRedeploy()
 {
     if (!redeployActive())
         return;
-    redeploy_.step(live_, deviceClock_);
-    if (redeploy_.machine().phase() != RedeployPhase::Flipping)
-        return;
     // Serving is synchronous per batch, so at this boundary no
-    // request is bound to the old version: the drain is empty and
-    // commits immediately, reclaiming the old device and classifier.
-    live_ = redeploy_.flip(live_, live_.epoch + 1);
-    live_.system->setDeployVersion(live_.epoch, live_.versionId);
-    live_.system->attachObservability(metrics_, spans_);
-    redeploy_.machine().advanceTo(RedeployPhase::Draining, deviceClock_);
-    redeploy_.machine().advanceTo(RedeployPhase::Committed,
-                                  deviceClock_);
-    if (metrics_)
+    // request is bound to the old version: a passing validation
+    // flips live_ inside the step and commits.
+    redeploy_.step(live_, deviceClock_);
+    if (metrics_ && redeploy_.phase() == RedeployPhase::Committed)
         metrics_->gaugeSet("server.deploy_epoch",
                            static_cast<double>(live_.epoch));
 }

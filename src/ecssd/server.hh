@@ -20,7 +20,7 @@
  * between served batches, so staging IO yields to foreground
  * requests.  The version flip happens at a batch boundary — the
  * server serves requests synchronously, so no request is ever in
- * flight across the flip and the drain commits immediately.  DRAM
+ * flight across the flip and nothing drains.  DRAM
  * pressure, a staged media fault, a read-only device or a validation
  * failure rolls back automatically; the old version keeps serving and
  * no request fails.  This is the swap `ecssd-sim --redeploy-at` and
@@ -338,7 +338,7 @@ class InferenceServer
 
     /**
      * Begin a staged hot swap to @p weights.  The swap advances one
-     * state-machine step per served batch (staging chunks between
+     * driver step per served batch (staging chunks between
      * batches, so the IO budget yields to foreground requests) and
      * flips at a batch boundary; processAll()/runTraffic() finish
      * any in-flight swap after the queue empties.
@@ -371,7 +371,7 @@ class InferenceServer
     RedeployStatus redeployStatus() const { return redeploy_.status(); }
 
     /** True while a hot swap is between begin and terminal. */
-    bool redeployActive() const { return redeploy_.machine().active(); }
+    bool redeployActive() const { return redeploy_.active(); }
 
     /** Deploy epoch of the serving version (bumped per flip). */
     std::uint64_t deployEpoch() const { return live_.epoch; }

@@ -4,7 +4,7 @@
  *
  * Every layer reports outcomes through this enum: the session API
  * (api.hh), the serving layer (server.hh's Response), the staged
- * redeploy guards, and the multi-tenant registry.  Historically the
+ * redeploy guards, and multi-tenant admission.  Historically the
  * API and the server each kept their own enum and callers translated
  * between them; the values of both now live here, with one toString.
  */
@@ -47,8 +47,6 @@ enum class Status
     RedeployActive,
     /** The redeploy call has no active redeploy to act on. */
     NoRedeploy,
-    /** The TenantHandle names no admitted tenant. */
-    UnknownTenant,
     /** The tenant's DRAM partition or byte quota cannot hold the
      *  request (admission, screener residency, or cache carve). */
     TenantQuotaExceeded,

@@ -9,7 +9,6 @@
 #include "numeric/kernels.hh"
 #include "numeric/projection.hh"
 #include "sim/budget.hh"
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -164,12 +163,9 @@ streamingWeightDeploy(const WeightRowSource &source,
     // Private device when the caller has none: the spill IO still
     // runs through a real FTL so GC/wear of the staging window are
     // modeled, not assumed.
-    std::unique_ptr<sim::EventQueue> local_queue;
     std::unique_ptr<ssdsim::SsdDevice> local_device;
     if (device == nullptr) {
-        local_queue = std::make_unique<sim::EventQueue>();
-        local_device = std::make_unique<ssdsim::SsdDevice>(
-            ssd_config, *local_queue);
+        local_device = std::make_unique<ssdsim::SsdDevice>(ssd_config);
         device = local_device.get();
     }
     ssdsim::Ftl &ftl = device->ftl();

@@ -112,8 +112,7 @@ EcssdSystem::EcssdSystem(const xclass::BenchmarkSpec &spec,
     : spec_(spec), options_(validated(options, spec)),
       threadPool_(
           std::make_unique<sim::ThreadPool>(options.threads)),
-      queue_(std::make_unique<sim::EventQueue>()),
-      ssd_(std::make_unique<ssdsim::SsdDevice>(options.ssd, *queue_)),
+      ssd_(std::make_unique<ssdsim::SsdDevice>(options.ssd)),
       trace_(std::make_unique<accel::TraceSource>(
           spec, options.seed, options.predictorNoise))
 {
@@ -128,9 +127,7 @@ EcssdSystem::EcssdSystem(const xclass::BenchmarkSpec &spec,
     // hotness oracle, standing in for INT4 row masses fine-tuned on
     // training data); a group is as hot as its hottest member.
     const std::uint64_t row_bytes =
-        options.weightPrecision == accel::WeightPrecision::Cfp16
-        ? spec.hiddenDim * 2ULL
-        : spec.rowBytes();
+        accel::storedRowBytes(spec, options.weightPrecision);
     const std::uint64_t rows_per_page = std::max<std::uint64_t>(
         1, options.ssd.pageBytes / row_bytes);
     const std::uint64_t groups =

@@ -15,7 +15,6 @@
 #include "accel/pipeline.hh"
 #include "circuit/energy.hh"
 #include "layout/strategy.hh"
-#include "sim/event_queue.hh"
 #include "sim/thread_pool.hh"
 #include "ssdsim/ssd.hh"
 #include "xclass/workload.hh"
@@ -42,7 +41,7 @@ struct RelayoutConfig
     unsigned pageBudget = 64;
     /** Device-time share the migration task may consume: its flash
      *  busy time is stretched by 1/fraction, exactly like the staged
-     *  redeploy's StagingLedger. */
+     *  redeploy's staging. */
     double ioBudgetFraction = 0.2;
 };
 
@@ -164,8 +163,8 @@ sim::Tick estimateDeployTime(const xclass::BenchmarkSpec &spec,
 /**
  * One ECSSD instance bound to a workload.
  *
- * Owns the event queue, SSD device, layout, trace generator, and
- * pipeline, and exposes paper-style experiment entry points.
+ * Owns the SSD device, layout, trace generator, and pipeline, and
+ * exposes paper-style experiment entry points.
  */
 class EcssdSystem
 {
@@ -294,7 +293,6 @@ class EcssdSystem
     xclass::BenchmarkSpec spec_;
     EcssdOptions options_;
     std::unique_ptr<sim::ThreadPool> threadPool_;
-    std::unique_ptr<sim::EventQueue> queue_;
     std::unique_ptr<ssdsim::SsdDevice> ssd_;
     std::unique_ptr<accel::TraceSource> trace_;
     std::unique_ptr<layout::LayoutStrategy> strategy_;

@@ -1,10 +1,8 @@
 #include "autotune.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "numeric/int4.hh"
-#include "sim/logging.hh"
 
 namespace ecssd
 {
@@ -24,70 +22,21 @@ constexpr std::size_t kChunkByteBudget = 256 * 1024;
 constexpr std::size_t kMinRowChunk = 512;
 constexpr std::size_t kMaxRowChunk = 4096;
 
-/** Rows to time per candidate: enough to steady the pipeline,
- *  bounded so deploy-time tuning stays sub-millisecond. */
-constexpr std::size_t kMeasureRows = 2048;
-
-double
-measureNsPerRow(const Int4Matrix &matrix, IsaLevel isa,
-                std::size_t chunk)
-{
-    const std::size_t rows = std::min(matrix.rows(), kMeasureRows);
-    if (rows == 0)
-        return 0.0;
-    // A mid-scale widened feature: alternating +-3 nibbles.
-    std::vector<float> feature(matrix.cols());
-    for (std::size_t c = 0; c < feature.size(); ++c)
-        feature[c] = (c % 2 == 0) ? 3.0f : -3.0f;
-    const Int4Vector quantized = quantizeVector(feature);
-    std::vector<std::int16_t> widened;
-    matrix.widenFeature(quantized, widened);
-    std::vector<double> out(rows);
-
-    const auto begin = std::chrono::steady_clock::now();
-    for (std::size_t r0 = 0; r0 < rows; r0 += chunk) {
-        const std::size_t r1 = std::min(rows, r0 + chunk);
-        matrix.dotRowsLut(r0, r1,
-                          std::span<const std::int16_t>(widened),
-                          quantized.scale, out.data() + r0, isa);
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end
-                                                             - begin)
-            .count());
-    return ns / static_cast<double>(rows);
-}
-
 } // namespace
 
-std::vector<std::size_t>
-rowChunkCandidates(std::size_t bytes_per_row)
+std::size_t
+rowChunkFor(std::size_t bytes_per_row)
 {
-    // Powers of two whose packed bytes stay within the chunk budget,
-    // clamped to [kMinRowChunk, kMaxRowChunk]; always at least the
-    // minimum so degenerate shapes still get a plan.
-    std::vector<std::size_t> candidates;
-    for (std::size_t chunk = kMinRowChunk; chunk <= kMaxRowChunk;
-         chunk *= 2) {
-        if (chunk > kMinRowChunk
-            && chunk * std::max<std::size_t>(1, bytes_per_row)
-                > kChunkByteBudget)
-            break;
-        candidates.push_back(chunk);
-    }
-    return candidates;
+    const std::size_t bytes = std::max<std::size_t>(1, bytes_per_row);
+    std::size_t chunk = kMaxRowChunk;
+    while (chunk > kMinRowChunk && chunk * bytes > kChunkByteBudget)
+        chunk /= 2;
+    return chunk;
 }
 
 std::size_t
-batchQueryTile(std::size_t rows, std::size_t bytes_per_row,
-               IsaLevel isa)
+batchQueryTile(std::size_t bytes_per_row, IsaLevel isa)
 {
-    // rows keeps the signature the full (shape, ISA) tuple the plan
-    // is a pure function of; the current heuristic needs only the
-    // row width and the register file.
-    (void)rows;
-
     // Register budget: the batch kernel keeps one accumulator per
     // query plus the decoded row live, so AVX-512's 32 zmm afford a
     // 16-wide tile while AVX2's 16 ymm top out at 8.  The portable
@@ -113,39 +62,15 @@ batchQueryTile(std::size_t rows, std::size_t bytes_per_row,
 }
 
 KernelPlan
-autotuneScreenerKernels(const Int4Matrix &matrix, IsaLevel isa,
-                        bool measure)
+autotuneScreenerKernels(const Int4Matrix &matrix, IsaLevel isa)
 {
     KernelPlan plan;
     plan.isa = isa;
     plan.rows = matrix.rows();
     plan.cols = matrix.cols();
     plan.bytesPerRow = matrix.bytesPerRow();
-
-    // Closed-form selection — a pure function of (shape, ISA), so
-    // the same deploy always runs the same plan on every machine:
-    //  * rowChunk: the largest candidate (deepest L2 tile) — fewer
-    //    dispatches while the packed chunk still fits the budget.
-    //  * queryTile: the shape heuristic above (register file vs the
-    //    widened-feature L1 share).
-    const std::vector<std::size_t> candidates =
-        rowChunkCandidates(plan.bytesPerRow);
-    ECSSD_ASSERT(!candidates.empty(), "no row-chunk candidates");
-    plan.rowChunk = candidates.back();
-    plan.queryTile =
-        batchQueryTile(plan.rows, plan.bytesPerRow, isa);
-
-    for (const std::size_t chunk : candidates) {
-        KernelCandidate candidate;
-        candidate.rowChunk = chunk;
-        candidate.selected = chunk == plan.rowChunk;
-        if (measure && plan.rows > 0)
-            candidate.nsPerRow = measureNsPerRow(matrix, isa, chunk);
-        if (candidate.selected)
-            plan.nsPerRow = candidate.nsPerRow;
-        plan.candidates.push_back(candidate);
-    }
-    plan.measured = measure && plan.rows > 0;
+    plan.rowChunk = rowChunkFor(plan.bytesPerRow);
+    plan.queryTile = batchQueryTile(plan.bytesPerRow, isa);
     return plan;
 }
 

@@ -7,19 +7,15 @@
  * tiling of the packed matrix), and how many queries the batch
  * kernel blocks together (the register tiling).
  *
- * Selection is a pure function of (matrix shape, ISA level): the
- * candidate chunk sizes ARE benchmarked, but only to report ns/row
- * in the plan and the metrics dump — wall-clock never feeds back
- * into the choice, so the same shape always yields the same plan and
- * golden runs stay reproducible on any machine (see
- * docs/MODELING.md §14).
+ * Selection is a pure function of (matrix shape, ISA level): nothing
+ * is timed, so the same shape always yields the same plan and golden
+ * runs stay reproducible on any machine (see docs/MODELING.md §14).
  */
 
 #ifndef ECSSD_NUMERIC_AUTOTUNE_HH
 #define ECSSD_NUMERIC_AUTOTUNE_HH
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "numeric/kernels.hh"
 
@@ -29,15 +25,6 @@ namespace numeric
 {
 
 class Int4Matrix;
-
-/** One benchmarked row-chunk candidate (observability only). */
-struct KernelCandidate
-{
-    std::size_t rowChunk = 0;
-    /** Measured single-thread ns per row, 0 when not measured. */
-    double nsPerRow = 0.0;
-    bool selected = false;
-};
 
 /** The screener's tuned kernel configuration. */
 struct KernelPlan
@@ -51,34 +38,29 @@ struct KernelPlan
     std::size_t rowChunk = 0;
     /** Queries the batch kernel blocks per decoded row. */
     std::size_t queryTile = 0;
-    /** Measured ns/row of the selected chunk (0 if unmeasured). */
-    double nsPerRow = 0.0;
-    /** True when the candidate timings below were taken. */
-    bool measured = false;
-    std::vector<KernelCandidate> candidates;
 };
 
-/** Candidate row-chunk sizes for @p bytes_per_row (deterministic). */
-std::vector<std::size_t>
-rowChunkCandidates(std::size_t bytes_per_row);
+/**
+ * Rows per parallel chunk for @p bytes_per_row: the largest power of
+ * two in [512, 4096] whose packed rows fit the chunk's L2 budget
+ * (fewer dispatches while the chunk stays resident); 512 when even
+ * that overflows it.
+ */
+std::size_t rowChunkFor(std::size_t bytes_per_row);
 
 /**
- * Closed-form batch query tile for a (rows, bytes_per_row) screener
- * shape at @p isa — a pure function of (shape, ISA) like the rest of
- * the plan (docs/MODELING.md §14).  Power of two in [1, 16]: the
- * narrower of the level's accumulator-register budget and the number
- * of widened query features that fit the per-tile L1 share.
+ * Closed-form batch query tile for a screener row of
+ * @p bytes_per_row at @p isa — a pure function of (shape, ISA) like
+ * the rest of the plan (docs/MODELING.md §14).  Power of two in
+ * [1, 16]: the narrower of the level's accumulator-register budget
+ * and the number of widened query features that fit the per-tile L1
+ * share.
  */
-std::size_t batchQueryTile(std::size_t rows,
-                           std::size_t bytes_per_row, IsaLevel isa);
+std::size_t batchQueryTile(std::size_t bytes_per_row, IsaLevel isa);
 
-/**
- * Tune the screener kernels for @p matrix at @p isa.  With
- * @p measure, each candidate chunk is timed over a bounded row
- * sample (recorded in the plan; never used for selection).
- */
+/** Tune the screener kernels for @p matrix at @p isa. */
 KernelPlan autotuneScreenerKernels(const Int4Matrix &matrix,
-                                   IsaLevel isa, bool measure);
+                                   IsaLevel isa);
 
 } // namespace numeric
 } // namespace ecssd

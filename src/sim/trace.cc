@@ -47,27 +47,32 @@ traceCategoryName(TraceCategory category)
 void
 enableTraceCategories(const std::string &list)
 {
+    // Check every name before enabling any: a misspelt category dies
+    // instead of leaving a run silently untraced.
+    unsigned mask = 0;
     std::istringstream stream(list);
     std::string token;
     while (std::getline(stream, token, ',')) {
         if (token.empty())
             continue;
         if (token == "all") {
-            enabledMask = ~0u;
+            mask = ~0u;
             continue;
         }
         bool matched = false;
         for (const TraceCategory category :
              {TraceCategory::Ftl, TraceCategory::Pipeline}) {
             if (token == traceCategoryName(category)) {
-                setTraceEnabled(category, true);
+                mask |= static_cast<unsigned>(category);
                 matched = true;
                 break;
             }
         }
         if (!matched)
-            warn("unknown trace category '", token, "'");
+            fatal("unknown trace category '", token,
+                  "' (known: ftl, pipeline, all)");
     }
+    enabledMask |= mask;
 }
 
 void

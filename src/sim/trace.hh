@@ -38,10 +38,13 @@ void setTraceEnabled(TraceCategory category, bool enabled);
 /** True when the category is enabled. */
 bool traceEnabled(TraceCategory category);
 
-/** Parse a comma-separated category list ("ftl,pipeline,all"). */
+/** Enable a comma-separated category list ("ftl,pipeline,all").
+ *  An unknown name dies fatally (sim::FatalError) and enables
+ *  nothing. */
 void enableTraceCategories(const std::string &list);
 
-/** Apply the ECSSD_TRACE environment variable (idempotent). */
+/** Apply the ECSSD_TRACE environment variable (idempotent); its
+ *  names are checked like enableTraceCategories()'. */
 void initTraceFromEnvironment();
 
 /** Emit one trace line (internal; use ECSSD_TRACE_LOG). */

@@ -78,16 +78,6 @@ FlashArray::retentionAge(const PhysicalPage &ppa,
     return now > programmed_at ? now - programmed_at : 0;
 }
 
-double
-FlashArray::predictedUncorrectableRate(const PhysicalPage &ppa,
-                                       sim::Tick now) const
-{
-    if (!config_.wearModelEnabled())
-        return config_.uncorrectableReadRate;
-    return config_.predictedUncorrectableRate(
-        blockEraseCount(ppa), retentionAge(ppa, now));
-}
-
 FlashArray::Die &
 FlashArray::dieOf(const PhysicalPage &ppa)
 {

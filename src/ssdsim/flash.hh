@@ -158,15 +158,6 @@ class FlashArray
     sim::Tick retentionAge(const PhysicalPage &ppa,
                            sim::Tick now) const;
 
-    /**
-     * Model-predicted uncorrectable probability of reading @p ppa at
-     * tick @p now (the same value the fault draw is compared
-     * against).  Equals the flat uncorrectableReadRate when the wear
-     * model is disabled.
-     */
-    double predictedUncorrectableRate(const PhysicalPage &ppa,
-                                      sim::Tick now) const;
-
   private:
     struct Die
     {

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-
 namespace ecssd
 {
 namespace ssdsim
 {
 
-SsdDevice::SsdDevice(const SsdConfig &config, sim::EventQueue &queue)
-    : config_(config), queue_(queue), flash_(config),
-      ftl_(config, flash_), dram_(config),
-      buffer_(config.dataBufferBytes)
+SsdDevice::SsdDevice(const SsdConfig &config)
+    : config_(config), flash_(config), ftl_(config, flash_),
+      dram_(config)
 {
     config_.validate();
 }
@@ -29,34 +26,26 @@ SsdDevice::hostTransfer(std::uint64_t bytes, sim::Tick issue_at)
     return done;
 }
 
-void
-SsdDevice::hostWrite(LogicalPage lpa, Completion on_done)
+sim::Tick
+SsdDevice::hostWrite(LogicalPage lpa, sim::Tick issue_at)
 {
-    ECSSD_ASSERT(on_done, "hostWrite needs a completion");
     ++stats_.hostWriteCommands;
     stats_.hostBytesIn += config_.pageBytes;
 
     // Command + payload cross the host link, the FTL consults its
     // DRAM-resident map, then the program happens in flash.
-    const sim::Tick arrived =
-        hostTransfer(config_.pageBytes, queue_.now());
+    const sim::Tick arrived = hostTransfer(config_.pageBytes, issue_at);
     const sim::Tick map_done = dram_.stream(8, arrived);
-    const sim::Tick done = ftl_.write(lpa, map_done);
-    queue_.schedule(done,
-                    [on_done = std::move(on_done), done] {
-                        on_done(done);
-                    },
-                    "host_write_done");
+    return ftl_.write(lpa, map_done);
 }
 
-void
-SsdDevice::hostRead(LogicalPage lpa, Completion on_done)
+sim::Tick
+SsdDevice::hostRead(LogicalPage lpa, sim::Tick issue_at)
 {
-    ECSSD_ASSERT(on_done, "hostRead needs a completion");
     ++stats_.hostReadCommands;
     stats_.hostBytesOut += config_.pageBytes;
 
-    const sim::Tick arrived = hostTransfer(0, queue_.now());
+    const sim::Tick arrived = hostTransfer(0, issue_at);
     const sim::Tick map_done = dram_.stream(8, arrived);
     bool uncorrectable = false;
     const sim::Tick flash_done =
@@ -66,21 +55,9 @@ SsdDevice::hostRead(LogicalPage lpa, Completion on_done)
         // completion entry (no payload) crosses the host link.
         ++stats_.hostUncorrectableReads;
         stats_.hostBytesOut -= config_.pageBytes;
-        const sim::Tick done = hostTransfer(0, flash_done);
-        queue_.schedule(done,
-                        [on_done = std::move(on_done), done] {
-                            on_done(done);
-                        },
-                        "host_read_error");
-        return;
+        return hostTransfer(0, flash_done);
     }
-    const sim::Tick done =
-        hostTransfer(config_.pageBytes, flash_done);
-    queue_.schedule(done,
-                    [on_done = std::move(on_done), done] {
-                        on_done(done);
-                    },
-                    "host_read_done");
+    return hostTransfer(config_.pageBytes, flash_done);
 }
 
 void
@@ -108,7 +85,6 @@ SsdDevice::resetTimelines()
 {
     flash_.reset();
     dram_.reset();
-    buffer_.reset();
     hostLinkFreeAt_ = 0;
     stats_ = SsdStats{};
 }

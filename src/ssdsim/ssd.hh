@@ -1,9 +1,9 @@
 /**
  * @file
- * The SSD device front-end: ties the flash array, FTL, DRAM, data
- * buffer, and host link together, and delivers host-command
- * completions through the event queue (the "SSD mode" of Section
- * 4.1).  Accelerator-mode code accesses the internals directly
+ * The SSD device front-end: ties the flash array, FTL, DRAM and host
+ * link together and times host commands (the "SSD mode" of Section
+ * 4.1): each command takes an issue tick and returns its completion
+ * tick.  Accelerator-mode code accesses the internals directly
  * through the accessors, exactly as the inserted accelerator sits on
  * the internal datapath in the real design.
  */
@@ -12,13 +12,9 @@
 #define ECSSD_SSDSIM_SSD_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
-#include "sim/event_queue.hh"
 #include "sim/types.hh"
 #include "ssdsim/config.hh"
-#include "ssdsim/data_buffer.hh"
 #include "ssdsim/dram.hh"
 #include "ssdsim/flash.hh"
 #include "ssdsim/ftl.hh"
@@ -27,9 +23,6 @@ namespace ecssd
 {
 namespace ssdsim
 {
-
-/** Completion callback of a host command. */
-using Completion = std::function<void(sim::Tick done_at)>;
 
 /** Host-visible statistics. */
 struct SsdStats
@@ -48,27 +41,28 @@ struct SsdStats
 class SsdDevice
 {
   public:
-    /**
-     * @param config Geometry/timing (Table 2 defaults).
-     * @param queue Event queue delivering command completions.
-     */
-    SsdDevice(const SsdConfig &config, sim::EventQueue &queue);
+    /** @param config Geometry/timing (Table 2 defaults). */
+    explicit SsdDevice(const SsdConfig &config);
 
     const SsdConfig &config() const { return config_; }
 
     /**
-     * Host write of one logical page (SSD mode).
+     * Host write of one logical page (SSD mode) issued at
+     * @p issue_at: the host-link transfer in, the FTL allocation,
+     * and the flash program.
      *
-     * Models the host-link transfer in, the FTL allocation, and the
-     * flash program; @p on_done fires when the program completes.
+     * @return Completion tick of the program.
      */
-    void hostWrite(LogicalPage lpa, Completion on_done);
+    sim::Tick hostWrite(LogicalPage lpa, sim::Tick issue_at);
 
     /**
-     * Host read of one logical page (SSD mode); @p on_done fires when
-     * the data has crossed the host link back out.
+     * Host read of one logical page (SSD mode) issued at
+     * @p issue_at.
+     *
+     * @return Tick the data has crossed the host link back out (an
+     *         uncorrectable read: its completion entry).
      */
-    void hostRead(LogicalPage lpa, Completion on_done);
+    sim::Tick hostRead(LogicalPage lpa, sim::Tick issue_at);
 
     /**
      * Host-link transfer of raw bytes (used for feature upload /
@@ -85,8 +79,6 @@ class SsdDevice
     const Ftl &ftl() const { return ftl_; }
     DramModel &dram() { return dram_; }
     const DramModel &dram() const { return dram_; }
-    DataBuffer &dataBuffer() { return buffer_; }
-    sim::EventQueue &queue() { return queue_; }
 
     const SsdStats &stats() const { return stats_; }
 
@@ -118,11 +110,9 @@ class SsdDevice
 
   private:
     SsdConfig config_;
-    sim::EventQueue &queue_;
     FlashArray flash_;
     Ftl ftl_;
     DramModel dram_;
-    DataBuffer buffer_;
     sim::Tick hostLinkFreeAt_ = 0;
     SsdStats stats_;
 };

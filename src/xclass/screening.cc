@@ -21,8 +21,8 @@ Screener::Screener(const numeric::FloatMatrix &weights,
                      : numeric::Projector(weights.cols(),
                                           spec.shrunkDim(), seed)),
       screener_(projector_.projectRows(weights, pool), pool),
-      plan_(numeric::autotuneScreenerKernels(
-          screener_, numeric::activeIsa(), /*measure=*/true))
+      plan_(numeric::autotuneScreenerKernels(screener_,
+                                             numeric::activeIsa()))
 {
     ECSSD_ASSERT(weights.rows() == spec.categories,
                  "weights/spec category mismatch");

@@ -1,11 +1,10 @@
 /**
  * @file
  * Autotuner determinism tests: the kernel plan must be a pure
- * function of (matrix shape, ISA level).  Candidate chunks are
- * benchmarked for observability, but wall-clock must never leak into
- * the selection — the same shape yields the same plan on every run
- * and every construction, and an unknown --isa / ECSSD_ISA request
- * dies with a named error before any system is built.
+ * function of (matrix shape, ISA level) — the same shape yields the
+ * same plan on every run and every construction — and an unknown
+ * --isa / ECSSD_ISA request dies with a named error before any
+ * system is built.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +12,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "ecssd/system.hh"
 #include "numeric/autotune.hh"
@@ -48,23 +48,15 @@ struct IsaGuard
 
 } // namespace
 
-TEST(Autotune, RowChunkCandidatesAreDeterministicPow2)
+TEST(Autotune, RowChunkIsTheDeepestPow2InTheL2Budget)
 {
-    for (const std::size_t bytes : {0ull, 1ull, 32ull, 100ull,
-                                    512ull, 4096ull}) {
-        const auto first = rowChunkCandidates(bytes);
-        EXPECT_EQ(rowChunkCandidates(bytes), first) << bytes;
-        ASSERT_FALSE(first.empty()) << bytes;
-        for (std::size_t i = 0; i < first.size(); ++i) {
-            EXPECT_GE(first[i], 512u) << bytes;
-            EXPECT_LE(first[i], 4096u) << bytes;
-            // Powers of two, strictly increasing.
-            EXPECT_EQ(first[i] & (first[i] - 1), 0u) << bytes;
-            if (i > 0) {
-                EXPECT_EQ(first[i], 2 * first[i - 1]) << bytes;
-            }
-        }
-    }
+    // 256 KiB of packed rows per chunk, clamped to [512, 4096] rows.
+    const std::pair<std::size_t, std::size_t> pinned[] = {
+        {0, 4096},   {1, 4096},   {8, 4096},  {64, 4096},
+        {128, 2048}, {256, 1024}, {512, 512}, {1u << 20, 512},
+    };
+    for (const auto &[bytes, chunk] : pinned)
+        EXPECT_EQ(rowChunkFor(bytes), chunk) << bytes;
 }
 
 TEST(Autotune, BatchQueryTileIsShapeHeuristicInContract)
@@ -79,11 +71,10 @@ TEST(Autotune, BatchQueryTileIsShapeHeuristicInContract)
         for (const std::size_t bytes :
              {0ull, 1ull, 16ull, 64ull, 256ull, 512ull, 1024ull,
               4096ull, 65536ull}) {
-            const std::size_t tile =
-                batchQueryTile(1000, bytes, isa);
+            const std::size_t tile = batchQueryTile(bytes, isa);
             SCOPED_TRACE(std::string(toString(isa)) + " bytes "
                          + std::to_string(bytes));
-            EXPECT_EQ(tile, batchQueryTile(1000, bytes, isa));
+            EXPECT_EQ(tile, batchQueryTile(bytes, isa));
             EXPECT_GE(tile, 1u);
             EXPECT_LE(tile, 16u);
             EXPECT_EQ(tile & (tile - 1), 0u);
@@ -94,10 +85,10 @@ TEST(Autotune, BatchQueryTileIsShapeHeuristicInContract)
         }
     }
     // AVX-512's deeper register file widens the tile on short rows.
-    EXPECT_GT(batchQueryTile(1000, 32, IsaLevel::Avx512),
-              batchQueryTile(1000, 32, IsaLevel::Avx2));
+    EXPECT_GT(batchQueryTile(32, IsaLevel::Avx512),
+              batchQueryTile(32, IsaLevel::Avx2));
     // Huge rows squeeze the tile down to (but never below) one.
-    EXPECT_EQ(batchQueryTile(1000, 1u << 20, IsaLevel::Avx2), 1u);
+    EXPECT_EQ(batchQueryTile(1u << 20, IsaLevel::Avx2), 1u);
 }
 
 TEST(Autotune, PlanIsPureFunctionOfShapeAndIsa)
@@ -105,28 +96,18 @@ TEST(Autotune, PlanIsPureFunctionOfShapeAndIsa)
     const Int4Matrix matrix = smallMatrix(3000, 40);
     for (const IsaLevel isa : supportedIsaLevels()) {
         SCOPED_TRACE(toString(isa));
-        // Measured and unmeasured plans pick identically — timings
-        // are observability only.
-        const KernelPlan cold =
-            autotuneScreenerKernels(matrix, isa, false);
-        EXPECT_FALSE(cold.measured);
-        EXPECT_EQ(cold.nsPerRow, 0.0);
+        const KernelPlan first = autotuneScreenerKernels(matrix, isa);
         for (int run = 0; run < 3; ++run) {
-            const KernelPlan plan =
-                autotuneScreenerKernels(matrix, isa, true);
-            EXPECT_TRUE(plan.measured);
+            const KernelPlan plan = autotuneScreenerKernels(matrix, isa);
             EXPECT_EQ(plan.isa, isa);
             EXPECT_EQ(plan.rows, matrix.rows());
             EXPECT_EQ(plan.cols, matrix.cols());
             EXPECT_EQ(plan.bytesPerRow, matrix.bytesPerRow());
-            EXPECT_EQ(plan.rowChunk, cold.rowChunk) << run;
-            EXPECT_EQ(plan.queryTile, cold.queryTile) << run;
-            // The selected candidate is flagged and is the chunk the
-            // plan carries.
-            ASSERT_FALSE(plan.candidates.empty());
-            for (const KernelCandidate &candidate : plan.candidates)
-                EXPECT_EQ(candidate.selected,
-                          candidate.rowChunk == plan.rowChunk);
+            EXPECT_EQ(plan.rowChunk, first.rowChunk) << run;
+            EXPECT_EQ(plan.queryTile, first.queryTile) << run;
+            EXPECT_EQ(plan.rowChunk, rowChunkFor(matrix.bytesPerRow()));
+            EXPECT_EQ(plan.queryTile,
+                      batchQueryTile(matrix.bytesPerRow(), isa));
         }
     }
 }

@@ -70,16 +70,6 @@ TEST(Energy, AcceleratorEnergyTracksOccupancy)
     EXPECT_NEAR(e.acceleratorUj, 33860.0, 200.0);
 }
 
-TEST(Energy, AveragePowerIsConsistent)
-{
-    EnergyActivity activity;
-    activity.elapsed = sim::milliseconds(10.0);
-    activity.flashPagesRead = 1000;
-    const EnergyBreakdown e = estimateEnergy(activity, accelEstimate());
-    const double mw = e.averagePowerMw(activity.elapsed);
-    EXPECT_NEAR(mw, e.totalUj() / 10.0, 1e-6); // uJ / ms = mW
-}
-
 TEST(Energy, GflopsPerWattIsFinite)
 {
     EnergyActivity activity;

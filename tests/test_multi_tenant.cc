@@ -1,16 +1,18 @@
 /**
  * @file
- * MultiTenantServer tests: lane bring-up and quota refusal, the
- * shared device clock, deterministic mixed-traffic serving, SLO
- * containment (the overloaded tenant sheds and browns out its own
- * traffic while a healthy neighbour keeps its latency), and
- * namespaced tenant metrics.
+ * Tenant-layer tests: TenantConfig validation; MultiTenantServer
+ * lane bring-up, the partition ledger and quota refusal, the shared
+ * device clock, deterministic mixed-traffic serving, SLO containment
+ * (the overloaded tenant sheds and browns out its own traffic while
+ * a healthy neighbour keeps its latency), and namespaced tenant
+ * metrics; and the unified Status vocabulary.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "ecssd/multi_tenant.hh"
 #include "sim/rng.hh"
@@ -82,6 +84,38 @@ poisson(double rate, std::uint64_t seed)
 
 } // namespace
 
+// --- TenantConfig ----------------------------------------------------
+
+TEST(TenantConfig, ValidationRejectsInconsistentDeclarations)
+{
+    TenantConfig config = MtFixture::tenant("ok");
+    EXPECT_NO_THROW(config.validate());
+
+    TenantConfig unnamed = config;
+    unnamed.name.clear();
+    EXPECT_THROW(unnamed.validate(), sim::FatalError);
+
+    TenantConfig unsafe = config;
+    unsafe.name = "Tenant A";
+    EXPECT_THROW(unsafe.validate(), sim::FatalError);
+
+    TenantConfig empty = config;
+    empty.dramBytes = 0;
+    EXPECT_THROW(empty.validate(), sim::FatalError);
+
+    TenantConfig inverted = config;
+    inverted.cacheQuotaBytes = inverted.dramBytes + 1;
+    EXPECT_THROW(inverted.validate(), sim::FatalError);
+}
+
+TEST(TenantConfig, MetricNamespaceIsTenantScoped)
+{
+    EXPECT_EQ(MtFixture::tenant("ranker").metricNamespace(),
+              "tenant.ranker.");
+}
+
+// --- MultiTenantServer ----------------------------------------------
+
 TEST(MultiTenantServer, AdmissionMirrorsTheRegistryLedger)
 {
     MtFixture f;
@@ -96,9 +130,15 @@ TEST(MultiTenantServer, AdmissionMirrorsTheRegistryLedger)
     ASSERT_EQ(status, Status::Ok);
     ASSERT_TRUE(a.valid());
     ASSERT_NE(mt.server(a), nullptr);
-    EXPECT_EQ(mt.registry().size(), 1u);
-    EXPECT_EQ(mt.registry().entry(a)->screenerBytes,
-              f.spec.int4WeightBytes());
+    EXPECT_EQ(mt.tenantCount(), 1u);
+    EXPECT_EQ(mt.committedBytes(), 8 * kMiB);
+    ASSERT_NE(mt.tenantConfig(a), nullptr);
+    EXPECT_EQ(mt.tenantConfig(a)->name, "a");
+    sim::MetricsRegistry ledger;
+    mt.publishMetrics(ledger);
+    EXPECT_EQ(ledger.gauge("tenant.a.screener_bytes").value(),
+              static_cast<double>(f.spec.int4WeightBytes()));
+    EXPECT_EQ(ledger.gauge("tenant.a.deploys").value(), 1.0);
 
     // Over-subscribing the device DRAM refuses the lane.
     TenantConfig big = MtFixture::tenant("big");
@@ -109,7 +149,9 @@ TEST(MultiTenantServer, AdmissionMirrorsTheRegistryLedger)
     EXPECT_EQ(status, Status::TenantQuotaExceeded);
     EXPECT_FALSE(b.valid());
     EXPECT_EQ(mt.server(b), nullptr);
-    EXPECT_EQ(mt.registry().size(), 1u);
+    EXPECT_EQ(mt.tenantConfig(b), nullptr);
+    EXPECT_EQ(mt.tenantCount(), 1u);
+    EXPECT_EQ(mt.committedBytes(), 8 * kMiB);
 
     // A partition too small for screener + quota refuses before
     // admission: the ledger stays untouched.
@@ -123,7 +165,45 @@ TEST(MultiTenantServer, AdmissionMirrorsTheRegistryLedger)
                      &f.model.basis(), &status);
     EXPECT_EQ(status, Status::TenantQuotaExceeded);
     EXPECT_FALSE(t.valid());
-    EXPECT_EQ(mt.registry().size(), 1u);
+    EXPECT_EQ(mt.tenantCount(), 1u);
+}
+
+TEST(MultiTenantServer, DuplicateNameIsACallerBug)
+{
+    MtFixture f;
+    MultiTenantServer mt(f.options);
+    ASSERT_TRUE(mt.addTenant(MtFixture::tenant("a"), f.model.weights(),
+                             f.spec, ServerConfig{}, &f.model.basis())
+                    .valid());
+    EXPECT_THROW(mt.addTenant(MtFixture::tenant("a"), f.model.weights(),
+                              f.spec, ServerConfig{}, &f.model.basis()),
+                 sim::FatalError);
+    EXPECT_EQ(mt.tenantCount(), 1u);
+}
+
+TEST(MultiTenantServer, PublishMetricsIsANoOpWhileEmpty)
+{
+    MtFixture f;
+    MultiTenantServer mt(f.options);
+    sim::MetricsRegistry metrics;
+    mt.publishMetrics(metrics);
+    EXPECT_EQ(metrics.size(), 0u);
+
+    ASSERT_TRUE(mt.addTenant(MtFixture::tenant("a", 0.0, 2 * kMiB),
+                             f.model.weights(), f.spec, ServerConfig{},
+                             &f.model.basis())
+                    .valid());
+    mt.publishMetrics(metrics);
+    EXPECT_DOUBLE_EQ(metrics.gauge("tenant.count").value(), 1.0);
+    EXPECT_DOUBLE_EQ(metrics.gauge("tenant.committed_bytes").value(),
+                     static_cast<double>(8 * kMiB));
+    EXPECT_DOUBLE_EQ(metrics.gauge("tenant.dram_budget_bytes").value(),
+                     static_cast<double>(64 * kMiB));
+    EXPECT_DOUBLE_EQ(metrics.gauge("tenant.a.dram_bytes").value(),
+                     static_cast<double>(8 * kMiB));
+    EXPECT_DOUBLE_EQ(
+        metrics.gauge("tenant.a.cache_quota_bytes").value(),
+        static_cast<double>(2 * kMiB));
 }
 
 TEST(MultiTenantServer, ServesAMixExactlyOncePerArrival)
@@ -363,4 +443,20 @@ TEST(MultiTenantServer, SpansArePrefixedPerTenant)
     // The prefix is scoped to serving quanta: it never leaks into a
     // fresh tracer use afterwards.
     EXPECT_TRUE(tracer.namePrefix().empty());
+}
+
+// --- Status vocabulary ----------------------------------------------
+
+TEST(Status, UnifiedVocabularyCoversTenantAndServingOutcomes)
+{
+    EXPECT_STREQ(toString(Status::Ok), "ok");
+    EXPECT_STREQ(toString(Status::TenantQuotaExceeded),
+                 "tenant-quota-exceeded");
+    // The serving vocabulary folded into the same enum.
+    EXPECT_STREQ(toString(Status::Shed), "shed");
+    EXPECT_STREQ(toString(Status::TimedOut), "timed-out");
+    EXPECT_STREQ(toString(Status::Degraded), "degraded");
+    // Response::Status is the same type now.
+    static_assert(
+        std::is_same_v<InferenceServer::Response::Status, Status>);
 }

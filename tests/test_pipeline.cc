@@ -9,7 +9,6 @@
 
 #include "accel/pipeline.hh"
 #include "ecssd/system.hh"
-#include "sim/event_queue.hh"
 #include "xclass/workload.hh"
 
 using namespace ecssd;
@@ -32,7 +31,7 @@ struct Harness
                      layout::LayoutKind kind =
                          layout::LayoutKind::Uniform,
                      Int4Placement placement = Int4Placement::Dram)
-        : spec(s), ssd(config, queue),
+        : spec(s), ssd(config),
           trace(spec, 1)
     {
         const xclass::CandidateTrace &t = trace.trace();
@@ -45,7 +44,6 @@ struct Harness
 
     xclass::BenchmarkSpec spec;
     ssdsim::SsdConfig config;
-    sim::EventQueue queue;
     ssdsim::SsdDevice ssd;
     TraceSource trace;
     AccelConfig accel_config;

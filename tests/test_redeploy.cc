@@ -1,8 +1,8 @@
 /**
  * @file
- * Zero-downtime weight hot-swap tests: the redeploy state machine,
- * the budgeted staging ledger, and the server's batch-boundary flip
- * with its rollback triggers.
+ * Zero-downtime weight hot-swap tests: the redeploy driver's
+ * budgeted staging, and the server's batch-boundary flip with its
+ * rollback triggers.
  */
 
 #include <algorithm>
@@ -15,85 +15,6 @@
 #include "sim/rng.hh"
 
 using namespace ecssd;
-
-// ---------------------------------------------------------------------
-// RedeployMachine / StagingLedger
-// ---------------------------------------------------------------------
-
-TEST(RedeployMachine, LegalPathCommits)
-{
-    RedeployMachine machine;
-    EXPECT_EQ(machine.phase(), RedeployPhase::Idle);
-    EXPECT_FALSE(machine.active());
-
-    machine.begin(0);
-    EXPECT_TRUE(machine.active());
-    machine.advanceTo(RedeployPhase::Warming, 10);
-    machine.advanceTo(RedeployPhase::Validating, 20);
-    machine.advanceTo(RedeployPhase::Flipping, 30);
-    machine.advanceTo(RedeployPhase::Draining, 30);
-    machine.advanceTo(RedeployPhase::Committed, 40);
-    EXPECT_TRUE(machine.terminal());
-    EXPECT_FALSE(machine.active());
-    EXPECT_EQ(machine.commits(), 1u);
-    EXPECT_EQ(machine.rollbacks(), 0u);
-    EXPECT_EQ(machine.reason(), RollbackReason::None);
-
-    // Terminal machines can begin a fresh redeploy.
-    machine.begin(50);
-    EXPECT_EQ(machine.phase(), RedeployPhase::Staging);
-}
-
-TEST(RedeployMachine, IllegalTransitionsDie)
-{
-    RedeployMachine machine;
-    // No redeploy active: neither advance nor rollback is legal.
-    EXPECT_THROW(machine.advanceTo(RedeployPhase::Warming, 0),
-                 sim::PanicError);
-    EXPECT_THROW(machine.rollback(RollbackReason::ValidationRecall, 0),
-                 sim::PanicError);
-
-    machine.begin(0);
-    // Skipping a phase is a wedged owner, not a state.
-    EXPECT_THROW(machine.advanceTo(RedeployPhase::Validating, 1),
-                 sim::PanicError);
-    EXPECT_THROW(machine.begin(1), sim::PanicError);
-}
-
-TEST(RedeployMachine, RollbackFromAnyActivePhase)
-{
-    RedeployMachine machine;
-    machine.begin(0);
-    machine.advanceTo(RedeployPhase::Warming, 1);
-    machine.rollback(RollbackReason::ValidationRecall, 2);
-    EXPECT_EQ(machine.phase(), RedeployPhase::RolledBack);
-    EXPECT_EQ(machine.reason(), RollbackReason::ValidationRecall);
-    EXPECT_EQ(machine.rollbacks(), 1u);
-    EXPECT_EQ(machine.commits(), 0u);
-}
-
-TEST(StagingLedger, BudgetStretchesBackgroundTime)
-{
-    StagingLedger ledger;
-    // 100 bytes whose stop-the-world deploy takes 1000 ticks, staged
-    // at a 25% bandwidth share in 30-byte steps.
-    ledger.reset(100, 1000, 0.25, 30);
-    EXPECT_FALSE(ledger.done());
-    sim::Tick elapsed = 0;
-    unsigned steps = 0;
-    while (!ledger.done()) {
-        elapsed += ledger.step();
-        ++steps;
-        ASSERT_LT(steps, 100u);
-    }
-    EXPECT_EQ(steps, 4u); // 30 + 30 + 30 + 10
-    EXPECT_EQ(ledger.stagedBytes(), 100u);
-    // The budget stretches the 1000-tick copy by 1/0.25.
-    EXPECT_EQ(elapsed, ledger.elapsed());
-    EXPECT_NEAR(static_cast<double>(elapsed), 4000.0, 2.0);
-    // A done ledger stages nothing further.
-    EXPECT_EQ(ledger.step(), 0u);
-}
 
 // ---------------------------------------------------------------------
 // InferenceServer: the batch-boundary flip
@@ -351,11 +272,16 @@ TEST(RedeployDriver, ReadOnlyDeviceRollsBackStaging)
     sim::Tick clock = 0;
     driver.begin(live, f.model.weights(), f.spec, &f.model.basis(),
                  config, options, nullptr, 2, clock);
-    ASSERT_EQ(driver.machine().phase(), RedeployPhase::Staging);
+    ASSERT_EQ(driver.phase(), RedeployPhase::Staging);
     EXPECT_LT(dram.availableBytes(), available);
 
     driver.step(live, clock);
-    ASSERT_EQ(driver.machine().phase(), RedeployPhase::Staging);
+    ASSERT_EQ(driver.phase(), RedeployPhase::Staging);
+    // One swap at a time: a second begin() is an owner bug.
+    EXPECT_THROW(driver.begin(live, f.model.weights(), f.spec,
+                              &f.model.basis(), config, options,
+                              nullptr, 3, clock),
+                 sim::PanicError);
     live.system->ssd().ftl().forceReadOnly();
     driver.step(live, clock);
 
@@ -365,6 +291,49 @@ TEST(RedeployDriver, ReadOnlyDeviceRollsBackStaging)
     EXPECT_LT(status.stagedBytes, status.totalBytes);
     EXPECT_EQ(dram.availableBytes(), available);
     EXPECT_TRUE(live.deployed());
+    EXPECT_EQ(driver.rollbacks(), 1u);
+    EXPECT_EQ(driver.commits(), 0u);
+    // A terminal driver has nothing to step.
+    EXPECT_THROW(driver.step(live, clock), sim::PanicError);
+}
+
+TEST(RedeployDriver, BudgetStretchesStagingTime)
+{
+    // Staging a footprint whose stop-the-world deploy takes T runs in
+    // stepBytes chunks, each costing its byte share of T stretched by
+    // 1 / ioBudgetFraction: T / fraction in all.
+    ServerFixture f;
+    const EcssdOptions options = EcssdOptions::full();
+    DeployedVersion live = buildVersion(f.model.weights(), f.spec,
+                                        options, &f.model.basis());
+    RedeployConfig config;
+    config.ioBudgetFraction = 0.25;
+    config.stepBytes = 64 * 1024;
+    RedeployDriver driver;
+    sim::Tick clock = 0;
+    driver.begin(live, f.model.weights(), f.spec, &f.model.basis(),
+                 config, options, nullptr, 2, clock);
+    unsigned steps = 0;
+    while (driver.phase() == RedeployPhase::Staging) {
+        driver.step(live, clock);
+        ++steps;
+        ASSERT_LT(steps, 1000u);
+    }
+    ASSERT_EQ(driver.phase(), RedeployPhase::Warming);
+
+    const std::uint64_t total =
+        f.spec.int4WeightBytes() + f.spec.fp32WeightBytes();
+    const RedeployStatus status = driver.status();
+    EXPECT_EQ(status.totalBytes, total);
+    EXPECT_EQ(status.stagedBytes, total);
+    EXPECT_EQ(steps, (total + config.stepBytes - 1) / config.stepBytes);
+    // Staging is all the background time spent so far; each chunk's
+    // cost truncates to whole ticks.
+    EXPECT_EQ(clock, status.stagingTime);
+    const double full =
+        static_cast<double>(estimateDeployTime(f.spec, options.ssd));
+    EXPECT_NEAR(static_cast<double>(status.stagingTime), full / 0.25,
+                static_cast<double>(steps));
 }
 
 TEST(ServerRedeploy, RetryBackoffServesThroughTheFlip)

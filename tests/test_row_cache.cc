@@ -180,19 +180,6 @@ TEST(RowCache, HitOnFlashLostGroupCountsAvoidedDegradation)
     EXPECT_EQ(cache.stats().avoidedDegradedRows, 3u);
 }
 
-TEST(RowCache, InvalidateAllEmptiesTheCache)
-{
-    RowCache cache = oneSetCache(4, CacheConfig::Admission::AdmitAll);
-    for (const std::uint64_t group : {1, 2, 3}) {
-        cache.lookup(group, 1);
-        cache.admit(group, pagesInBlock(0, group));
-    }
-    EXPECT_EQ(cache.occupancy(), 3u);
-    cache.invalidateAll();
-    EXPECT_EQ(cache.occupancy(), 0u);
-    EXPECT_FALSE(cache.lookup(1, 1));
-}
-
 // --- Options validation ------------------------------------------------
 
 TEST(OptionsValidate, RejectsBrokenKnobs)
@@ -309,12 +296,12 @@ TEST(RowCacheSystem, FtlRelocationsProbeTheCache)
     // resident group).
     const ssdsim::Ftl &ftl = system.ssd().ftl();
     sim::Rng rng(5);
+    sim::Tick done = 0;
     for (int write = 0;
          write < 4096 && ftl.stats().gcRelocations == 0; ++write) {
         const ssdsim::LogicalPage lpa =
             write < 256 ? write : rng.uniformInt(256);
-        system.ssd().hostWrite(lpa, [](sim::Tick) {});
-        system.ssd().queue().run();
+        done = system.ssd().hostWrite(lpa, done);
     }
     ASSERT_GT(ftl.stats().gcRelocations, 0u);
     EXPECT_GT(cache->stats().relocationProbes, 0u);

@@ -1,13 +1,13 @@
 /**
  * @file
- * SSD device front-end tests: host commands, link timing, DRAM and
- * buffer components.
+ * SSD device front-end tests: host commands, link timing, and the
+ * DRAM component.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.hh"
-#include "ssdsim/data_buffer.hh"
+#include <algorithm>
+
 #include "ssdsim/dram.hh"
 #include "ssdsim/ssd.hh"
 
@@ -46,47 +46,6 @@ TEST(DramModel, ResetClearsState)
     EXPECT_EQ(dram.accesses(), 0u);
 }
 
-TEST(DataBuffer, PingPongDiscipline)
-{
-    DataBuffer buffer(1024);
-    EXPECT_EQ(buffer.halfCapacity(), 512u);
-    EXPECT_TRUE(buffer.reserve(400));
-    EXPECT_FALSE(buffer.reserve(200)); // would exceed the half
-    EXPECT_TRUE(buffer.reserve(100));
-    buffer.flip();
-    EXPECT_EQ(buffer.drainOccupancy(), 500u);
-    EXPECT_EQ(buffer.fillOccupancy(), 0u);
-    buffer.release(500);
-    buffer.flip();
-    EXPECT_EQ(buffer.flips(), 2u);
-}
-
-TEST(DataBuffer, FlipWithUndrainedDataPanics)
-{
-    DataBuffer buffer(1024);
-    buffer.reserve(100);
-    buffer.flip();
-    buffer.reserve(50);
-    EXPECT_THROW(buffer.flip(), PanicError);
-}
-
-TEST(DataBuffer, OverReleasePanics)
-{
-    DataBuffer buffer(1024);
-    buffer.reserve(100);
-    buffer.flip();
-    EXPECT_THROW(buffer.release(200), PanicError);
-}
-
-TEST(DataBuffer, PeakOccupancyTracksBothHalves)
-{
-    DataBuffer buffer(1024);
-    buffer.reserve(512);
-    buffer.flip();
-    buffer.reserve(512);
-    EXPECT_EQ(buffer.peakOccupancy(), 1024u);
-}
-
 TEST(SsdDevice, ConfigCapacityMatchesTable2)
 {
     SsdConfig config; // paper defaults
@@ -98,38 +57,27 @@ TEST(SsdDevice, ConfigCapacityMatchesTable2)
     EXPECT_DOUBLE_EQ(config.internalBandwidthGbps(), 8.0);
 }
 
-TEST(SsdDevice, HostWriteCompletesThroughEventQueue)
+TEST(SsdDevice, HostWriteReturnsItsCompletionTick)
 {
-    EventQueue queue;
-    SsdDevice ssd(smallTestConfig(), queue);
-    Tick completed = 0;
-    ssd.hostWrite(0, [&](Tick t) { completed = t; });
-    EXPECT_EQ(completed, 0u); // not yet fired
-    queue.run();
-    EXPECT_GT(completed, 0u);
+    SsdDevice ssd(smallTestConfig());
+    EXPECT_GT(ssd.hostWrite(0, 0), 0u);
     EXPECT_EQ(ssd.stats().hostWriteCommands, 1u);
     EXPECT_EQ(ssd.stats().hostBytesIn, 4096u);
 }
 
 TEST(SsdDevice, HostReadAfterWriteReturnsLater)
 {
-    EventQueue queue;
-    SsdDevice ssd(smallTestConfig(), queue);
-    Tick write_done = 0;
-    ssd.hostWrite(1, [&](Tick t) { write_done = t; });
-    queue.run();
-    Tick read_done = 0;
-    ssd.hostRead(1, [&](Tick t) { read_done = t; });
-    queue.run();
+    SsdDevice ssd(smallTestConfig());
+    const Tick write_done = ssd.hostWrite(1, 0);
+    const Tick read_done = ssd.hostRead(1, write_done);
     EXPECT_GT(read_done, write_done);
     EXPECT_EQ(ssd.stats().hostReadCommands, 1u);
 }
 
 TEST(SsdDevice, HostTransferSerializesOnLink)
 {
-    EventQueue queue;
     const SsdConfig config = smallTestConfig();
-    SsdDevice ssd(config, queue);
+    SsdDevice ssd(config);
     const Tick first = ssd.hostTransfer(1 << 20, 0);
     const Tick second = ssd.hostTransfer(1 << 20, 0);
     EXPECT_GT(second, first);
@@ -142,30 +90,22 @@ TEST(SsdDevice, HostTransferSerializesOnLink)
 
 TEST(SsdDevice, ResetTimelinesKeepsMapping)
 {
-    EventQueue queue;
-    SsdDevice ssd(smallTestConfig(), queue);
-    ssd.hostWrite(2, [](Tick) {});
-    queue.run();
+    SsdDevice ssd(smallTestConfig());
+    const Tick write_done = ssd.hostWrite(2, 0);
     ssd.resetTimelines();
     EXPECT_EQ(ssd.stats().hostWriteCommands, 0u);
     // Mapping survives a timeline reset: the read must succeed.
-    Tick read_done = 0;
-    ssd.hostRead(2, [&](Tick t) { read_done = t; });
-    queue.run();
-    EXPECT_GT(read_done, 0u);
+    EXPECT_GT(ssd.hostRead(2, write_done), 0u);
 }
 
 TEST(SsdDevice, WriteReadManyPagesKeepsOrder)
 {
-    EventQueue queue;
-    SsdDevice ssd(smallTestConfig(), queue);
-    int completions = 0;
+    SsdDevice ssd(smallTestConfig());
+    Tick written = 0;
     for (LogicalPage lpa = 0; lpa < 32; ++lpa)
-        ssd.hostWrite(lpa, [&](Tick) { ++completions; });
-    queue.run();
-    EXPECT_EQ(completions, 32);
+        written = std::max(written, ssd.hostWrite(lpa, 0));
     for (LogicalPage lpa = 0; lpa < 32; ++lpa)
-        ssd.hostRead(lpa, [&](Tick) { ++completions; });
-    queue.run();
-    EXPECT_EQ(completions, 64);
+        EXPECT_GT(ssd.hostRead(lpa, written), written) << lpa;
+    EXPECT_EQ(ssd.stats().hostWriteCommands, 32u);
+    EXPECT_EQ(ssd.stats().hostReadCommands, 32u);
 }

@@ -67,11 +67,14 @@ TEST(Trace, AllEnablesEverything)
     EXPECT_TRUE(traceEnabled(TraceCategory::Pipeline));
 }
 
-TEST(Trace, UnknownCategoryIsIgnored)
+TEST(Trace, UnknownCategoryIsFatal)
 {
     TraceReset reset;
-    enableTraceCategories("bogus,ftl");
-    EXPECT_TRUE(traceEnabled(TraceCategory::Ftl));
+    // Every name is checked before any is enabled.
+    EXPECT_THROW(enableTraceCategories("bogus,ftl"), FatalError);
+    EXPECT_FALSE(traceEnabled(TraceCategory::Ftl));
+    EXPECT_THROW(enableTraceCategories("ftl,nvme"), FatalError);
+    EXPECT_FALSE(traceEnabled(TraceCategory::Ftl));
 }
 
 TEST(Trace, CategoryNames)

@@ -8,7 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.hh"
+#include <algorithm>
+
 #include "ssdsim/flash.hh"
 #include "ssdsim/ftl.hh"
 #include "ssdsim/ssd.hh"
@@ -171,8 +172,14 @@ TEST(WearModel, WornBlocksFlagMoreUncorrectableReads)
     // fresh block has zero probability.
     EXPECT_EQ(worn_failures, 32u);
     EXPECT_EQ(fresh_failures, 0u);
-    EXPECT_GE(flash.predictedUncorrectableRate(worn, 0), 1.0);
-    EXPECT_EQ(flash.predictedUncorrectableRate(fresh, 0), 0.0);
+    EXPECT_GE(config.predictedUncorrectableRate(
+                  flash.blockEraseCount(worn),
+                  flash.retentionAge(worn, 0)),
+              1.0);
+    EXPECT_EQ(config.predictedUncorrectableRate(
+                  flash.blockEraseCount(fresh),
+                  flash.retentionAge(fresh, 0)),
+              0.0);
 }
 
 TEST(WearModel, ZeroCoefficientTimelineIsBitIdentical)
@@ -349,13 +356,11 @@ TEST(HealthReport, ExportedThroughTheSsdFrontEnd)
 {
     SsdConfig config = smallTestConfig();
     config.retentionErrorCoefficient = 1e-3;
-    sim::EventQueue queue;
-    SsdDevice ssd(config, queue);
+    SsdDevice ssd(config);
 
     sim::Tick done = 0;
     for (LogicalPage lpa = 0; lpa < 16; ++lpa)
-        ssd.hostWrite(lpa, [&done](sim::Tick t) { done = t; });
-    queue.run();
+        done = std::max(done, ssd.hostWrite(lpa, 0));
     ASSERT_GT(done, 0u);
 
     // After a long retention gap the SMART report predicts the aged

@@ -24,7 +24,7 @@
  *   --sweep-layouts       run all three layouts and compare
  *   --energy              print the energy breakdown
  *   --trace CATS          enable trace categories (ftl, pipeline or
- *                         all)
+ *                         all; an unknown name is refused)
  *   --seed N              trace/workload seed
  *   --threads N           host-compute worker threads (wall-clock
  *                         only: output is bit-identical for any N)
@@ -183,7 +183,8 @@ usage(const char *argv0, int code)
                 "  [--int4 dram|flash] [--no-screening] "
                 "[--no-overlap]\n"
                 "  [--arch NAME] [--sweep-layouts] [--energy]\n"
-                "  [--trace CATS] [--seed N] [--threads N]\n"
+                "  [--trace CATS (ftl,pipeline,all; others refused)]"
+                " [--seed N] [--threads N]\n"
                 "  [--isa auto|scalar|avx2|avx512]\n"
                 "  [--cache-mb N] [--list]\n"
                 "  [--deploy-host-budget-mb N] [--relayout]\n"
