@@ -229,7 +229,7 @@ benchOverload(BaselineDoc &doc)
     // Open-loop overload pass: a 100k-arrival bursty (MMPP-2) trace
     // at ~3x the device's service rate, served under the full
     // overload-control stack (queue-delay admission, class-aware
-    // shedding, deadline-slack batching, brownout ladder).  Every
+    // shedding, the batch-wait window, brownout ladder).  Every
     // number is simulated time or a deterministic event count, so the
     // tail percentiles, goodput, shed split, and ladder dwell are all
     // gated: an admission or ladder regression shows up as a p999

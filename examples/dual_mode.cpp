@@ -33,7 +33,7 @@ main()
     for (int round = 0; round < 200; ++round)
         device.ssdWrite(round % 4);
     const sim::Tick read_done = device.ssdRead(3);
-    const auto &ftl = device.ssdSystem().ssd().ftl();
+    const auto &ftl = device.ssdDevice().ftl();
     std::printf("[SSD mode] read lpa 3 at %.2f us; GC runs: %llu, "
                 "write amplification: %.2f\n",
                 sim::tickToUs(read_done),

@@ -66,14 +66,11 @@ main()
                 alone.meanBatchMs / result.meanBatchMs);
 
     // --- Serving through media faults ------------------------------
-    // Worn flash: 1 in 1000 page reads is uncorrectable. The default
-    // ScreenerFallback policy keeps serving — rows on a lost FP32
-    // page fall back to their INT4 screener score instead of
-    // aborting the batch.
+    // Worn flash: 1 in 1000 page reads is uncorrectable. The server
+    // keeps serving — rows on a lost FP32 page fall back to their
+    // INT4 screener score instead of aborting the batch.
     EcssdOptions worn = EcssdOptions::full();
     worn.ssd.uncorrectableReadRate = 1e-3;
-    worn.degradedPolicy =
-        accel::DegradedReadPolicy::ScreenerFallback;
     InferenceServer degraded(model.weights(), spec, worn,
                              &model.basis());
     sim::Rng faulty_rng(43);

@@ -13,8 +13,6 @@
 #ifndef ECSSD_ACCEL_ACCEL_CONFIG_HH
 #define ECSSD_ACCEL_ACCEL_CONFIG_HH
 
-#include <string>
-
 #include "accel/row_cache.hh"
 #include "circuit/accelerator_model.hh"
 #include "xclass/workload.hh"
@@ -43,44 +41,6 @@ storedRowBytes(const xclass::BenchmarkSpec &spec, WeightPrecision precision)
                                                : spec.rowBytes();
 }
 
-/**
- * What the pipeline does when a candidate row's FP32 page comes back
- * uncorrectable from flash.
- */
-enum class DegradedReadPolicy
-{
-    /** Abort: the batch is marked failed and the caller retries. */
-    FailBatch,
-    /**
-     * Degrade per row: the affected rows keep their INT4 screener
-     * score (already computed in the screening stage) instead of the
-     * full-precision score.  Costs nothing extra; quality drops only
-     * for the lost rows.
-     */
-    ScreenerFallback,
-    /**
-     * Re-fetch the lost page from the host's DRAM copy of the weight
-     * matrix over the host link (latency penalty, full precision
-     * preserved).
-     */
-    HostRefetch,
-};
-
-/** Short policy name for describe()/logs. */
-inline const char *
-toString(DegradedReadPolicy policy)
-{
-    switch (policy) {
-    case DegradedReadPolicy::FailBatch:
-        return "fail-batch";
-    case DegradedReadPolicy::ScreenerFallback:
-        return "screener-fallback";
-    case DegradedReadPolicy::HostRefetch:
-        return "host-refetch";
-    }
-    return "?";
-}
-
 /** Performance-relevant accelerator parameters. */
 struct AccelConfig
 {
@@ -92,32 +52,10 @@ struct AccelConfig
     bool overlapStages = true;
     /** On-flash weight precision for the candidate rows. */
     WeightPrecision weightPrecision = WeightPrecision::Cfp32;
-    /** Reaction to uncorrectable candidate-row reads. */
-    DegradedReadPolicy degradedPolicy =
-        DegradedReadPolicy::ScreenerFallback;
     /** Accelerator clock. */
     double frequencyHz = circuit::acceleratorFrequencyHz;
-    /**
-     * Host-compute worker threads for the functional tier (screener
-     * scoring, candidate re-rank, quantization preprocessing).
-     * Purely a wall-clock knob: the deterministic parallel engine
-     * (sim::ThreadPool) guarantees bit-identical results for any
-     * value, and simulated time never depends on it.
-     */
-    unsigned threads = 1;
-    /**
-     * Host-compute ISA request for the functional tier
-     * ("auto"/"scalar"/"avx2"/"avx512"; see
-     * numeric/kernels.hh).  Like threads, purely a host wall-clock
-     * knob: every level is bit-identical and the simulated pipeline
-     * timing never depends on it — the modeled device has its own
-     * fixed MAC arrays regardless of what the host runs.
-     */
-    std::string hostIsa = "auto";
-
-    /** Table 2 staging buffer sizes (bytes). */
+    /** Table 2 INT4 staging buffer size (bytes). */
     std::uint64_t int4WeightBufferBytes = 128 * 1024;
-    std::uint64_t fp32WeightBufferBytes = 400 * 1024;
 
     /** DRAM hot-row candidate cache (disabled by default: the zero
      *  capacity keeps the pipeline bit-identical to a cache-less

@@ -197,7 +197,6 @@ InferencePipeline::fetchFp32Rows(
         const sim::Tick group_start = std::max(issue_at, transfer_gate);
         sim::Tick group_done = group_start;
         std::uint64_t bytes_left = bytes_wanted;
-        bool group_lost = false;
         bool group_unreadable = false;
         group_pages.clear();
         for (unsigned p = 0; p < pagesPerRow_; ++p) {
@@ -207,27 +206,13 @@ InferencePipeline::fetchFp32Rows(
                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
                     bytes_left, ssd_.config().pageBytes));
             bool unreadable = false;
-            sim::Tick page_done = ssd_.flash().readPage(
+            const sim::Tick page_done = ssd_.flash().readPage(
                 ppa, issue_at, transfer_gate, chunk, &unreadable);
             if (unreadable) {
+                // The rows packed in this page keep their INT4
+                // screener score; no extra device time.
                 group_unreadable = true;
                 ++timing.uncorrectablePages;
-                switch (config_.degradedPolicy) {
-                case DegradedReadPolicy::FailBatch:
-                    timing.failed = true;
-                    break;
-                case DegradedReadPolicy::ScreenerFallback:
-                    // The rows packed in this page keep their INT4
-                    // screener score; no extra device time.
-                    group_lost = true;
-                    break;
-                case DegradedReadPolicy::HostRefetch:
-                    // Pull the page from the host's DRAM copy of the
-                    // weights over the host link.
-                    page_done = ssd_.hostTransfer(chunk, page_done);
-                    ++timing.hostRefetches;
-                    break;
-                }
             }
             done = std::max(done, page_done);
             group_done = std::max(group_done, page_done);
@@ -236,26 +221,21 @@ InferencePipeline::fetchFp32Rows(
             ++timing.channelPages[ppa.channel];
             group_pages.push_back(ppa);
         }
-        if (group_lost)
+        if (group_unreadable)
             timing.degradedRows += rows_wanted;
         timing.fp32BytesRead += bytes_wanted;
         if (cache_) {
             timing.cacheMissRows += rows_wanted;
             timing.cacheMissTime += group_done - group_start;
+            // Admit only groups whose row data arrived intact: a
+            // lost page leaves the group incomplete.  The admitted
+            // fill occupies the DRAM port after the group's flash
+            // transfer lands; it is off-critical-path (the consumer
+            // already has the data in the staging buffer) but its
+            // port time is modeled.
             if (group_unreadable)
                 cache_->markFlashLost(group);
-            // Admit only groups whose row data actually arrived
-            // intact: HostRefetch recovered the full-precision bytes,
-            // while ScreenerFallback/FailBatch left the group
-            // incomplete.  The admitted fill occupies the DRAM port
-            // after the group's flash transfer lands; it is
-            // off-critical-path (the consumer already has the data in
-            // the staging buffer) but its port time is modeled.
-            const bool data_intact = !group_unreadable
-                || config_.degradedPolicy
-                    == DegradedReadPolicy::HostRefetch;
-            if (data_intact && !timing.failed
-                && cache_->admit(group, group_pages))
+            else if (cache_->admit(group, group_pages))
                 ssd_.dram().stream(bytes_wanted, group_done);
         }
     }
@@ -499,9 +479,6 @@ InferencePipeline::recordBatchMetrics(const BatchTiming &timing)
     m.counterAdd("pipeline.uncorrectable_pages",
                  timing.uncorrectablePages);
     m.counterAdd("pipeline.degraded_rows", timing.degradedRows);
-    m.counterAdd("pipeline.host_refetches", timing.hostRefetches);
-    if (timing.failed)
-        m.counterAdd("pipeline.failed_batches", 1);
     if (cache_) {
         // Only cache-enabled runs emit cache.* keys: a disabled run's
         // metrics JSON stays byte-identical to a cache-less build.
@@ -538,11 +515,8 @@ InferencePipeline::run(CandidateSource &source, unsigned batches)
         fp32_bytes += timing.fp32BytesRead;
         result.uncorrectablePages += timing.uncorrectablePages;
         result.degradedRows += timing.degradedRows;
-        result.hostRefetches += timing.hostRefetches;
         result.cacheHitRows += timing.cacheHitRows;
         result.cacheMissRows += timing.cacheMissRows;
-        if (timing.failed)
-            ++result.failedBatches;
         result.batches.push_back(std::move(timing));
     }
     result.totalTime = cursor - started;

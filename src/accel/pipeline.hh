@@ -71,10 +71,8 @@ struct BatchTiming
     /** FP32 candidate pages lost to uncorrectable ECC errors. */
     std::uint64_t uncorrectablePages = 0;
     /** Candidate rows served with the INT4 screener score because
-     *  their FP32 page was lost (ScreenerFallback policy). */
+     *  their FP32 page was lost. */
     std::uint64_t degradedRows = 0;
-    /** Lost pages re-fetched from host DRAM (HostRefetch policy). */
-    std::uint64_t hostRefetches = 0;
     /** Candidate rows served from the DRAM hot-row cache. */
     std::uint64_t cacheHitRows = 0;
     /** Candidate rows that missed the cache (or ran cache-less). */
@@ -83,9 +81,9 @@ struct BatchTiming
     sim::Tick cacheHitTime = 0;
     /** Sum of per-group flash service time for cache misses. */
     sim::Tick cacheMissTime = 0;
-    /** True when an uncorrectable read aborted the batch (FailBatch
-     *  policy); timing still covers the work done up to the abort
-     *  decision, but the batch produced no usable result. */
+    /** Always false: a lost page degrades its rows to the screener
+     *  score and never aborts the batch.  Kept for callers that
+     *  count failed batches. */
     bool failed = false;
 
     sim::Tick
@@ -108,10 +106,6 @@ struct RunResult
     std::uint64_t uncorrectablePages = 0;
     /** Sum of per-batch screener-degraded rows. */
     std::uint64_t degradedRows = 0;
-    /** Sum of per-batch host-DRAM page refetches. */
-    std::uint64_t hostRefetches = 0;
-    /** Batches aborted under the FailBatch policy. */
-    unsigned failedBatches = 0;
     /** Sum of per-batch cache-hit candidate rows. */
     std::uint64_t cacheHitRows = 0;
     /** Sum of per-batch cache-miss candidate rows. */
@@ -207,21 +201,6 @@ class InferencePipeline
 
     /** Disable the INT4 screening stage (the -N architectures). */
     void setScreeningEnabled(bool enabled) { screening_ = enabled; }
-
-    /** Reaction to uncorrectable candidate-row reads. */
-    DegradedReadPolicy
-    degradedPolicy() const
-    {
-        return config_.degradedPolicy;
-    }
-
-    /** Switch the degraded-read policy (e.g. the server's last-resort
-     *  fallback after FailBatch retries are exhausted). */
-    void
-    setDegradedPolicy(DegradedReadPolicy policy)
-    {
-        config_.degradedPolicy = policy;
-    }
 
     /** The DRAM hot-row cache, or nullptr when disabled. */
     RowCache *rowCache() { return cache_.get(); }

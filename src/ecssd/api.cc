@@ -17,8 +17,6 @@ toString(Status status)
         return "ok";
     case Status::Degraded:
         return "degraded";
-    case Status::TimedOut:
-        return "timed-out";
     case Status::Shed:
         return "shed";
     case Status::WrongMode:
@@ -274,9 +272,8 @@ EcssdApi::ssdWrite(ssdsim::LogicalPage lpa)
     if (mode_ != Mode::Ssd)
         sim::fatal("ssdWrite requires SSD mode");
     if (!ssdMode_)
-        ssdMode_ = std::make_unique<EcssdSystem>(
-            xclass::BenchmarkSpec{"ssd-mode", 2, 8}, options_);
-    ssdClock_ = ssdMode_->ssd().hostWrite(lpa, ssdClock_);
+        ssdMode_ = std::make_unique<ssdsim::SsdDevice>(options_.ssd);
+    ssdClock_ = ssdMode_->hostWrite(lpa, ssdClock_);
     return ssdClock_;
 }
 
@@ -287,7 +284,7 @@ EcssdApi::ssdRead(ssdsim::LogicalPage lpa)
         sim::fatal("ssdRead requires SSD mode");
     if (!ssdMode_)
         sim::fatal("ssdRead of empty device");
-    ssdClock_ = ssdMode_->ssd().hostRead(lpa, ssdClock_);
+    ssdClock_ = ssdMode_->hostRead(lpa, ssdClock_);
     return ssdClock_;
 }
 

@@ -235,8 +235,8 @@ class EcssdApi
     /** Accelerator-mode system (valid after weightDeploy). */
     EcssdSystem &system() { return *live_.system; }
 
-    /** SSD-mode system (valid after the first ssdWrite). */
-    EcssdSystem &ssdSystem() { return *ssdMode_; }
+    /** SSD-mode device (valid after the first ssdWrite). */
+    ssdsim::SsdDevice &ssdDevice() { return *ssdMode_; }
 
     /**
      * Attach (or detach, with nullptr) observability sinks: forwarded
@@ -261,11 +261,12 @@ class EcssdApi
     EcssdOptions options_;
     Mode mode_ = Mode::Ssd;
     /**
-     * SSD-mode system.  Kept separately so block data written in SSD
-     * mode survives accelerator deployments: the weights occupy a
-     * reserved address range, not the user's logical space.
+     * SSD-mode device, built from EcssdOptions::ssd.  Kept separately
+     * so block data written in SSD mode survives accelerator
+     * deployments: the weights occupy a reserved address range, not
+     * the user's logical space.
      */
-    std::unique_ptr<EcssdSystem> ssdMode_;
+    std::unique_ptr<ssdsim::SsdDevice> ssdMode_;
     /** SSD mode's clock: each command issues at the previous one's
      *  completion. */
     sim::Tick ssdClock_ = 0;

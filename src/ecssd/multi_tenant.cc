@@ -50,8 +50,6 @@ ServerConfig
 MultiTenantServer::deriveServerConfig(const TenantConfig &tenant,
                                       ServerConfig base)
 {
-    if (base.requestDeadline == 0)
-        base.requestDeadline = tenant.requestDeadline;
     if (tenant.p99TargetMs > 0.0) {
         const sim::Tick target =
             sim::milliseconds(tenant.p99TargetMs);
@@ -314,10 +312,6 @@ MultiTenantServer::publishMetrics(sim::MetricsRegistry &registry) const
         view.gaugeSet("sheds",
                       static_cast<double>(
                           lane.server->serverStats().shedRequests));
-        view.gaugeSet(
-            "timed_out",
-            static_cast<double>(
-                lane.server->serverStats().timedOutRequests));
     }
 }
 

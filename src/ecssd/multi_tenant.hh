@@ -6,9 +6,9 @@
  * Each model is a *tenant*: it owns a DRAM partition (its INT4
  * screener residency plus a hot-row cache byte quota carved out of
  * it), a metric/span namespace ("tenant.<name>."), and an SLO record
- * (deadline, p99 target) the admission/brownout stack enforces per
- * tenant.  The partitions of all admitted tenants sum to at most the
- * device DRAM; the lanes are that ledger.
+ * (a p99 target) the admission/brownout stack enforces per tenant.
+ * The partitions of all admitted tenants sum to at most the device
+ * DRAM; the lanes are that ledger.
  *
  * Each admitted tenant gets a serving *lane*: an InferenceServer over
  * an EcssdSystem whose DRAM budget is the tenant's partition and
@@ -75,8 +75,6 @@ struct TenantConfig
     std::uint64_t cacheQuotaBytes = 0;
 
     // --- SLO ------------------------------------------------------
-    /** Per-request completion deadline (0 = none). */
-    sim::Tick requestDeadline = 0;
     /** Serving p99 target in milliseconds; drives the tenant's
      *  admission target and brownout thresholds (0 = no target). */
     double p99TargetMs = 0.0;
@@ -132,11 +130,10 @@ class MultiTenantServer
      * the device DRAM.  A refusal leaves the ledger untouched.
      *
      * The tenant's SLO fills the lane's serving policy wherever
-     * @p server_config leaves a knob unset: requestDeadline maps
-     * directly; a p99 target derives the admission delay target and
-     * the brownout enter/exit/guard thresholds (0.8/0.4/0.2 of the
-     * target), so overload degrades this tenant before it can hurt a
-     * neighbour.
+     * @p server_config leaves a knob unset: a p99 target derives the
+     * admission delay target and the brownout enter/exit/guard
+     * thresholds (0.8/0.4/0.2 of the target), so overload degrades
+     * this tenant before it can hurt a neighbour.
      *
      * @param config Partition/quota/SLO declaration.
      * @param weights The tenant's deployed L x D layer (must outlive

@@ -55,35 +55,23 @@ struct ShardHealth
 /**
  * When to proactively drain a shard onto a spare device.
  *
- * Disabled by default (both thresholds off), so a fleet without a
- * policy behaves exactly as the reactive-failover fleet did.
+ * Disabled by default (threshold off), so a fleet without a policy
+ * behaves exactly as the reactive-failover fleet did.
  */
 struct DrainPolicy
 {
-    /** Drain when the shard's SMART lifeRemaining falls to or below
-     *  this fraction; 0 disables the life trigger. */
-    double lifeThreshold = 0.0;
     /** Drain when the shard's predicted media-error rate reaches
-     *  this probability; 0 disables the error-rate trigger. */
+     *  this probability; 0 disables the trigger. */
     double errorRateThreshold = 0.0;
 
-    bool
-    enabled() const
-    {
-        return lifeThreshold > 0.0 || errorRateThreshold > 0.0;
-    }
+    bool enabled() const { return errorRateThreshold > 0.0; }
 
-    /** True when @p report trips either trigger. */
+    /** True when @p report trips the trigger. */
     bool
     shouldDrain(const ssdsim::HealthReport &report) const
     {
-        if (lifeThreshold > 0.0
-            && report.lifeRemaining <= lifeThreshold)
-            return true;
-        if (errorRateThreshold > 0.0
-            && report.predictedErrorRate >= errorRateThreshold)
-            return true;
-        return false;
+        return enabled()
+            && report.predictedErrorRate >= errorRateThreshold;
     }
 };
 

@@ -5,7 +5,6 @@
 
 #include "numeric/kernels.hh"
 #include "sim/logging.hh"
-#include "sim/rng.hh"
 
 namespace ecssd
 {
@@ -45,14 +44,6 @@ BrownoutConfig::validate() const
 void
 ServerConfig::validate() const
 {
-    if (goldAdmissionMultiplier < 1.0)
-        sim::fatal("ServerConfig: goldAdmissionMultiplier must be "
-                   ">= 1, got ",
-                   goldAdmissionMultiplier);
-    if (retryJitterFraction < 0.0 || retryJitterFraction > 1.0)
-        sim::fatal("ServerConfig: retryJitterFraction must be in "
-                   "[0, 1], got ",
-                   retryJitterFraction);
     brownout.validate();
 }
 
@@ -79,8 +70,7 @@ InferenceServer::InferenceServer(
       threadPool_(
           std::make_unique<sim::ThreadPool>(options.threads)),
       live_(buildVersion(weights, spec, options_, trained_projection,
-                         threadPool_.get())),
-      retryJitterRng_(server_config.retryJitterSeed)
+                         threadPool_.get()))
 {
     ECSSD_ASSERT(weights.rows() == spec.categories
                      && weights.cols() == spec.hiddenDim,
@@ -110,12 +100,8 @@ InferenceServer::publishMetrics(sim::MetricsRegistry &registry) const
     };
     gauge("accepted_requests", stats_.acceptedRequests);
     gauge("shed_requests", stats_.shedRequests);
-    gauge("timed_out_requests", stats_.timedOutRequests);
-    gauge("dropped_before_service", stats_.droppedBeforeService);
     gauge("degraded_responses", stats_.degradedResponses);
     gauge("ok_responses", stats_.okResponses);
-    gauge("batch_retries", stats_.batchRetries);
-    gauge("exhausted_batches", stats_.exhaustedBatches);
     gauge("degraded_rows", stats_.degradedRows);
     gauge("queue_depth_hwm", stats_.queueDepthHwm);
     if (config_.admissionTargetDelay != 0
@@ -178,14 +164,11 @@ InferenceServer::recordResponse(Response::Status status,
     case Response::Status::Degraded:
         metrics_->counterAdd("server.responses_degraded");
         break;
-    case Response::Status::TimedOut:
-        metrics_->counterAdd("server.responses_timed_out");
-        break;
     case Response::Status::Shed:
         metrics_->counterAdd("server.responses_shed");
         break;
     default:
-        // The server only emits the four terminal outcomes above;
+        // The server only emits the three terminal outcomes above;
         // the rest of the unified Status vocabulary is API-side.
         break;
     }
@@ -243,12 +226,11 @@ InferenceServer::enqueueAt(std::vector<float> feature,
                  "feature dimension mismatch");
     const RequestId id = nextId_++;
 
-    // Brownout Shed rung: new BestEffort arrivals (and Gold only if
-    // its floor allows it) are rejected outright while the ladder is
-    // at the bottom.
+    // Brownout Shed rung: new BestEffort arrivals are rejected
+    // outright while the ladder is at the bottom; Gold is still
+    // admitted and served ScreenerOnly.
     if (config_.brownout.enabled() && level_ == BrownoutLevel::Shed
-        && (cls == sim::RequestClass::BestEffort
-            || config_.brownout.goldFloor == BrownoutLevel::Shed)) {
+        && cls == sim::RequestClass::BestEffort) {
         ++stats_.brownoutSheds;
         if (metrics_)
             metrics_->counterAdd("server.brownout_sheds");
@@ -268,7 +250,7 @@ InferenceServer::enqueueAt(std::vector<float> feature,
         const sim::Tick bound = cls == sim::RequestClass::Gold
             ? static_cast<sim::Tick>(
                   static_cast<double>(config_.admissionTargetDelay)
-                  * config_.goldAdmissionMultiplier)
+                  * kGoldAdmissionMultiplier)
             : config_.admissionTargetDelay;
         if (estimated > bound) {
             if (cls == sim::RequestClass::Gold
@@ -281,19 +263,6 @@ InferenceServer::enqueueAt(std::vector<float> feature,
                 shedRequest(id, arrival, cls);
                 return id;
             }
-        }
-    }
-
-    if (config_.queueCapacity != 0
-        && pending_.size() >= config_.queueCapacity) {
-        // Hard bound: shedding at arrival keeps the queue (and
-        // therefore worst-case queueing delay) bounded under
-        // overload.  A Gold arrival first tries to reclaim a queued
-        // BestEffort slot so priority is never inverted at the door.
-        if (!(cls == sim::RequestClass::Gold
-              && evictYoungestBestEffort())) {
-            shedRequest(id, arrival, cls);
-            return id;
         }
     }
     ++stats_.acceptedRequests;
@@ -315,68 +284,8 @@ InferenceServer::enqueueAt(std::vector<float> feature,
     return id;
 }
 
-bool
-InferenceServer::expiredBy(const PendingRequest &request,
-                           sim::Tick at) const
-{
-    return config_.requestDeadline != 0
-        && at > request.enqueuedAt + config_.requestDeadline;
-}
-
-accel::BatchTiming
-InferenceServer::timeBatchWithRetries(
-    const std::vector<std::uint64_t> &candidates, sim::Tick &backoff)
-{
-    backoff = 0;
-    live_.system->ssd().resetTimelines();
-    accel::BatchTiming timing =
-        live_.system->pipeline().runBatch(candidates, 0);
-
-    // FailBatch aborts retry with exponential backoff; every retry
-    // re-reads the flash, so a transient ECC loss usually clears
-    // (the fault draws advance with the device's event counter).
-    double backoff_us = config_.retryBackoffUs;
-    for (unsigned attempt = 0;
-         timing.failed && attempt < config_.maxBatchRetries;
-         ++attempt) {
-        ++stats_.batchRetries;
-        if (metrics_)
-            metrics_->counterAdd("server.batch_retries");
-        // Seeded jitter decorrelates fleet-wide retry storms after a
-        // correlated fault; zero fraction draws nothing, so the
-        // fixed progression stays bit-identical.
-        double scaled = backoff_us;
-        if (config_.retryJitterFraction > 0.0) {
-            scaled *= 1.0
-                + config_.retryJitterFraction
-                    * (retryJitterRng_.uniform() - 0.5);
-        }
-        backoff += sim::microseconds(scaled);
-        backoff_us *= 2.0;
-        live_.system->ssd().resetTimelines();
-        timing = live_.system->pipeline().runBatch(candidates, 0);
-    }
-
-    if (timing.failed) {
-        // Retry budget exhausted: serve the batch degraded (screener
-        // scores for the lost rows) rather than dropping it.
-        ++stats_.exhaustedBatches;
-        if (metrics_)
-            metrics_->counterAdd("server.exhausted_batches");
-        accel::InferencePipeline &pipeline = live_.system->pipeline();
-        const accel::DegradedReadPolicy saved =
-            pipeline.degradedPolicy();
-        pipeline.setDegradedPolicy(
-            accel::DegradedReadPolicy::ScreenerFallback);
-        live_.system->ssd().resetTimelines();
-        timing = pipeline.runBatch(candidates, 0);
-        pipeline.setDegradedPolicy(saved);
-    }
-    return timing;
-}
-
 BrownoutLevel
-InferenceServer::servingLevelFor(sim::RequestClass cls) const
+InferenceServer::servingLevel() const
 {
     if (!config_.brownout.enabled())
         return BrownoutLevel::Full;
@@ -385,72 +294,39 @@ InferenceServer::servingLevelFor(sim::RequestClass cls) const
     // service rate at the bottom of the ladder at its maximum, which
     // is what makes recovery (and the no-metastable-shed guarantee)
     // structural rather than lucky.
-    BrownoutLevel level = level_ == BrownoutLevel::Shed
-        ? BrownoutLevel::ScreenerOnly
-        : level_;
-    if (cls == sim::RequestClass::Gold) {
-        BrownoutLevel floor = config_.brownout.goldFloor;
-        if (floor == BrownoutLevel::Shed)
-            floor = BrownoutLevel::ScreenerOnly;
-        if (static_cast<int>(level) > static_cast<int>(floor))
-            level = floor;
-    }
-    return level;
+    return level_ == BrownoutLevel::Shed ? BrownoutLevel::ScreenerOnly
+                                         : level_;
 }
 
 std::vector<InferenceServer::Response>
 InferenceServer::serveOneBatch(std::size_t k)
 {
-    std::vector<Response> responses;
-
-    // Form the batch, dropping requests that already missed their
-    // deadline — serving a dead request burns device time that live
-    // requests behind it are waiting for.
+    ECSSD_ASSERT(!pending_.empty(), "serving an empty queue");
     std::vector<PendingRequest> batch;
     while (batch.size() < live_.spec.batchSize && !pending_.empty()) {
-        PendingRequest request = std::move(pending_.front());
+        batch.push_back(std::move(pending_.front()));
         pending_.pop_front();
-        if (expiredBy(request, deviceClock_)) {
-            ++stats_.timedOutRequests;
-            ++stats_.droppedBeforeService;
-            if (metrics_)
-                metrics_->counterAdd(
-                    "server.dropped_before_service");
-            recordResponse(Response::Status::TimedOut, -1.0);
-            Response response{request.id,
-                              {},
-                              deviceClock_,
-                              Response::Status::TimedOut};
-            response.cls = request.cls;
-            responses.push_back(std::move(response));
-            continue;
-        }
-        batch.push_back(std::move(request));
     }
     // Dequeue-time gauge sample: the queue_depth trace must show the
     // drain edges, not just the arrival edges.
-    if (metrics_ && !batch.empty()) {
+    if (metrics_) {
         metrics_->gaugeSet(
             "server.queue_depth",
             static_cast<double>(pending_.size()));
     }
-    if (batch.empty())
-        return responses;
 
-    // Functional pass: screen every query at its brownout rung and
-    // union the candidate rows the device must fetch.  Degraded
-    // rungs shrink (ReducedCandidates) or empty (ScreenerOnly) each
-    // request's contribution to the union — that is exactly the
-    // flash-traffic relief the ladder buys.
+    // Functional pass: screen every query at the batch's brownout
+    // rung and union the candidate rows the device must fetch.
+    // Degraded rungs shrink (ReducedCandidates) or empty
+    // (ScreenerOnly) each request's contribution to the union — that
+    // is exactly the flash-traffic relief the ladder buys.
     const xclass::ApproximateClassifier &classifier = *live_.classifier;
     const xclass::Screener &screener = classifier.screener();
     std::set<std::uint64_t> union_rows;
     std::vector<xclass::ApproximateClassifier::Prediction>
         predictions;
-    std::vector<BrownoutLevel> rungs;
+    const BrownoutLevel rung = servingLevel();
     for (const PendingRequest &request : batch) {
-        const BrownoutLevel rung = servingLevelFor(request.cls);
-        rungs.push_back(rung);
         switch (rung) {
         case BrownoutLevel::Full: {
             // One screen feeds both the re-rank and the batch union.
@@ -517,37 +393,30 @@ InferenceServer::serveOneBatch(std::size_t k)
     }
     const std::vector<std::uint64_t> candidates(union_rows.begin(),
                                                 union_rows.end());
-    sim::Tick backoff = 0;
+    live_.system->ssd().resetTimelines();
     const accel::BatchTiming timing =
-        timeBatchWithRetries(candidates, backoff);
-    const sim::Tick batch_tick = backoff + timing.latency();
+        live_.system->pipeline().runBatch(candidates, 0);
+    const sim::Tick batch_tick = timing.latency();
     const sim::Tick finished = start + batch_tick;
     stats_.degradedRows += timing.degradedRows;
 
-    // Service-time EWMAs (3/4 old + 1/4 new): the admission sojourn
-    // estimate and the dynamic-batching slack reserve.
+    // Service-time EWMA (3/4 old + 1/4 new): the admission sojourn
+    // estimate.
     const sim::Tick per_request =
         batch_tick / static_cast<sim::Tick>(batch.size());
-    ewmaBatchTick_ = ewmaBatchTick_ == 0
-        ? batch_tick
-        : (3 * ewmaBatchTick_ + batch_tick) / 4;
     ewmaServiceTick_ = ewmaServiceTick_ == 0
         ? per_request
         : (3 * ewmaServiceTick_ + per_request) / 4;
 
+    std::vector<Response> responses;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const double ms =
             sim::tickToMs(finished - batch[i].enqueuedAt);
         latencyMs_.sample(ms);
         latencyPercentiles_.sample(ms);
         Response::Status status;
-        if (config_.requestDeadline != 0
-            && finished
-                > batch[i].enqueuedAt + config_.requestDeadline) {
-            status = Response::Status::TimedOut;
-            ++stats_.timedOutRequests;
-        } else if (timing.degradedRows > 0
-                   || rungs[i] == BrownoutLevel::ScreenerOnly) {
+        if (timing.degradedRows > 0
+            || rung == BrownoutLevel::ScreenerOnly) {
             // ScreenerOnly answers carry screener scores by
             // construction — same contract as a degraded read.
             status = Response::Status::Degraded;
@@ -560,7 +429,7 @@ InferenceServer::serveOneBatch(std::size_t k)
         Response response{batch[i].id, std::move(predictions[i]),
                           finished, status};
         response.cls = batch[i].cls;
-        response.servedAt = rungs[i];
+        response.servedAt = rung;
         responses.push_back(std::move(response));
     }
     deviceClock_ = finished;
@@ -667,26 +536,7 @@ InferenceServer::batchCloseAt() const
 {
     if (pending_.empty())
         return sim::maxTick;
-    const sim::Tick oldest = pending_.front().enqueuedAt;
-    sim::Tick close = config_.batchMaxWait == 0
-        ? oldest
-        : oldest + config_.batchMaxWait;
-    if (config_.requestDeadline != 0) {
-        // Close early enough that the oldest member still makes its
-        // deadline given the measured batch service time: waiting
-        // for a fuller batch must never spend slack the request does
-        // not have.  The reserve is deliberately conservative (twice
-        // the EWMA: individual batches run long of the average), and
-        // an uncalibrated server does not wait at all.
-        if (ewmaBatchTick_ == 0)
-            return oldest;
-        const sim::Tick deadline = oldest + config_.requestDeadline;
-        const sim::Tick reserve = 2 * ewmaBatchTick_;
-        close = std::min(close, deadline > reserve
-                                    ? deadline - reserve
-                                    : oldest);
-    }
-    return close;
+    return pending_.front().enqueuedAt + config_.batchMaxWait;
 }
 
 std::vector<InferenceServer::Response>
@@ -729,7 +579,7 @@ InferenceServer::serveBatch(std::size_t k)
             responses.push_back(std::move(response));
     }
     // Drain terminal responses produced outside the batch (admission
-    // sheds, expiry drops) so the scheduler sees every outcome once.
+    // sheds) so the scheduler sees every outcome once.
     for (Response &response : unservedResponses_)
         responses.push_back(std::move(response));
     unservedResponses_.clear();
@@ -778,10 +628,9 @@ InferenceServer::runTraffic(
             admit(next_arrival);
             draw();
         }
-        // Deadline-slack dynamic batching: a partial batch may wait
-        // for more arrivals, but only until batchCloseAt() — the
-        // earlier of the batch-wait window and the oldest member's
-        // remaining deadline slack.
+        // Dynamic batching: a partial batch may wait for more
+        // arrivals until batchCloseAt(), its oldest member's arrival
+        // plus the batch-wait window.
         if (config_.batchMaxWait != 0) {
             while (have_next && !pending_.empty()
                    && pending_.size() < live_.spec.batchSize

@@ -6,13 +6,11 @@
  * functional screening + classification, and reports per-request
  * latency statistics.
  *
- * Production hardening: per-request deadlines (late answers complete
- * as TimedOut, already-expired requests are dropped before burning
- * device time), bounded-queue admission control (overload sheds new
- * arrivals instead of growing the queue without bound), and a
- * retry-with-backoff path for batches the device aborts under the
- * FailBatch degraded-read policy (with a screener-fallback last
- * resort so the server keeps answering on a dying device).
+ * Overload control: queue-delay admission (Gold evicts queued
+ * BestEffort work before it is shed), the brownout ladder and a
+ * batch-wait window for partial batches.  A candidate row whose FP32
+ * page comes back uncorrectable keeps its INT4 screener score, so a
+ * dying device still answers every request (as Degraded).
  *
  * Zero-downtime weight hot swap: beginRedeploy() stages a new weight
  * version alongside the serving one; the staged-redeploy driver
@@ -62,8 +60,8 @@ enum class BrownoutLevel
      *  fetch at all, screener-level recall. */
     ScreenerOnly = 2,
     /** Reject new BestEffort arrivals at admission (Gold is still
-     *  served at its floor level); already-admitted requests are
-     *  served ScreenerOnly, never dropped. */
+     *  admitted); already-admitted requests are served ScreenerOnly,
+     *  never dropped. */
     Shed = 3,
 };
 
@@ -84,10 +82,6 @@ struct BrownoutConfig
     /** Candidate budget at ReducedCandidates, as a fraction of the
      *  normal TopRatio candidate count. */
     double reducedCandidateFraction = 0.5;
-    /** Deepest degradation Gold traffic may suffer.  The default
-     *  pins Gold's recall floor at screener-level: Gold is never
-     *  shed by the ladder. */
-    BrownoutLevel goldFloor = BrownoutLevel::ScreenerOnly;
 
     bool enabled() const { return enterDelay != 0; }
 
@@ -98,49 +92,23 @@ struct BrownoutConfig
 /** Serving-policy knobs of the InferenceServer. */
 struct ServerConfig
 {
-    /** Per-request completion deadline measured from arrival; a
-     *  request finishing later completes as TimedOut, and a request
-     *  already expired when its batch forms is dropped without device
-     *  work.  0 disables deadlines. */
-    sim::Tick requestDeadline = 0;
-    /** Admission-control bound on the pending queue; arrivals beyond
-     *  it are shed immediately.  0 means unbounded. */
-    std::size_t queueCapacity = 0;
-    /** Device-batch retries after a FailBatch abort before the
-     *  screener-fallback last resort serves the batch degraded. */
-    unsigned maxBatchRetries = 2;
-    /** First retry backoff; doubles on every further attempt. */
-    double retryBackoffUs = 100.0;
     /**
      * Queue-delay admission target (CoDel-flavored): a BestEffort
      * arrival whose estimated sojourn — queue depth times the
      * measured per-request service EWMA — exceeds this is shed at
      * admission, bounding queueing delay instead of queue length.
-     * 0 disables delay-based admission.
+     * Gold arrivals get twice the target and first try to evict a
+     * queued BestEffort.  0 disables delay-based admission.
      */
     sim::Tick admissionTargetDelay = 0;
-    /** Gold arrivals shed only past this multiple of the admission
-     *  target (and first try to evict a queued BestEffort). */
-    double goldAdmissionMultiplier = 2.0;
     /**
      * Dynamic batching: how long a partial batch may wait for more
-     * arrivals before closing.  The batch also closes early when the
-     * oldest member's deadline slack (deadline minus the estimated
-     * batch service time) would otherwise be exhausted.  0 keeps the
-     * eager closed-loop behaviour: serve whatever has arrived.
+     * arrivals, counted from its oldest member's arrival.  0 keeps
+     * the eager closed-loop behaviour: serve whatever has arrived.
      */
     sim::Tick batchMaxWait = 0;
     /** Brownout ladder (disabled by default). */
     BrownoutConfig brownout;
-    /**
-     * Retry-backoff jitter: each backoff is scaled by a seeded
-     * uniform factor in [1 - f/2, 1 + f/2], decorrelating fleet-wide
-     * retry storms after a correlated fault.  0 draws nothing and is
-     * bit-identical to the fixed progression.
-     */
-    double retryJitterFraction = 0.0;
-    /** Seed of the jitter stream; give every fleet member its own. */
-    std::uint64_t retryJitterSeed = 1;
 
     /** Die fatally (sim::FatalError) on inconsistent knobs. */
     void validate() const;
@@ -150,22 +118,12 @@ struct ServerConfig
 struct ServerStats
 {
     std::uint64_t acceptedRequests = 0;
-    /** Arrivals rejected at admission (bounded queue, delay target,
-     *  brownout shed, or eviction), by any cause. */
+    /** Arrivals rejected at admission (delay target, brownout shed,
+     *  or eviction), by any cause. */
     std::uint64_t shedRequests = 0;
-    /** Requests that missed their deadline (dropped or served
-     *  late). */
-    std::uint64_t timedOutRequests = 0;
-    /** Expired requests dropped before any device work. */
-    std::uint64_t droppedBeforeService = 0;
     /** Responses carrying screener-degraded rows. */
     std::uint64_t degradedResponses = 0;
     std::uint64_t okResponses = 0;
-    /** Device-batch re-executions after FailBatch aborts. */
-    std::uint64_t batchRetries = 0;
-    /** Batches that exhausted retries and fell back to degraded
-     *  service. */
-    std::uint64_t exhaustedBatches = 0;
     /** Candidate rows served from the INT4 screener score. */
     std::uint64_t degradedRows = 0;
 
@@ -179,7 +137,7 @@ struct ServerStats
     /** Sheds decided by the brownout Shed rung. */
     std::uint64_t brownoutSheds = 0;
     /** Queued BestEffort requests evicted (shed) to admit a Gold
-     *  arrival at a full queue. */
+     *  arrival past the admission target. */
     std::uint64_t evictedBestEffort = 0;
     /** Highest pending-queue depth ever observed. */
     std::uint64_t queueDepthHwm = 0;
@@ -202,7 +160,7 @@ class InferenceServer
     {
         /** How the request left the server: the unified ecssd::Status
          *  vocabulary (Response::Status::Ok etc. keep compiling; the
-         *  server only ever emits Ok / Degraded / TimedOut / Shed). */
+         *  server only ever emits Ok / Degraded / Shed). */
         using Status = ecssd::Status;
 
         RequestId id = 0;
@@ -213,7 +171,7 @@ class InferenceServer
         /** Priority class the request was admitted under. */
         sim::RequestClass cls = sim::RequestClass::Gold;
         /** Brownout rung the request was served at (Full outside
-         *  brownout; meaningless for shed/dropped requests). */
+         *  brownout; meaningless for shed requests). */
         BrownoutLevel servedAt = BrownoutLevel::Full;
     };
 
@@ -223,8 +181,8 @@ class InferenceServer
      * @param spec Benchmark parameters.
      * @param options Device configuration.
      * @param trained_projection Optional learned projection.
-     * @param server_config Serving-policy knobs (deadlines, queue
-     *        bound, retry budget).
+     * @param server_config Serving-policy knobs (admission target,
+     *        batch wait, brownout ladder).
      */
     InferenceServer(const numeric::FloatMatrix &weights,
                     const xclass::BenchmarkSpec &spec,
@@ -251,7 +209,7 @@ class InferenceServer
      * Process every pending request in device batches.
      *
      * @param k Top-k size per request.
-     * @return Responses in completion order (shed/dropped requests
+     * @return Responses in completion order (shed requests
      *         included, with their terminal status).
      */
     std::vector<Response> processAll(std::size_t k);
@@ -261,10 +219,10 @@ class InferenceServer
      * are drawn from @p engine (Poisson / diurnal / bursty, Zipf
      * user sessions, priority classes) and served under the full
      * overload-control stack — delay-based admission, class-aware
-     * shedding, deadline-slack dynamic batching, and the brownout
-     * ladder.  After the stream ends the server drains: the queue
-     * empties, any in-flight hot swap terminates, and the brownout
-     * ladder recovers to Full, so every run ends in steady state.
+     * shedding, the batch-wait window, and the brownout ladder.
+     * After the stream ends the server drains: the queue empties,
+     * any in-flight hot swap terminates, and the brownout ladder
+     * recovers to Full, so every run ends in steady state.
      *
      * @param engine Arrival source (consumed; byte-identical per
      *        seed and thread count).
@@ -272,8 +230,8 @@ class InferenceServer
      * @param queries Query pool; each arrival's querySeed selects
      *        one deterministically.
      * @param k Top-k per request.
-     * @return One terminal Response per arrival (served, shed, or
-     *         dropped — exactly once each).
+     * @return One terminal Response per arrival (served or shed —
+     *         exactly once each).
      */
     std::vector<Response> runTraffic(
         sim::TrafficEngine &engine, std::uint64_t count,
@@ -317,8 +275,8 @@ class InferenceServer
     /**
      * Serve one scheduler quantum: the oldest <= batch-size pending
      * requests as a single device batch, plus any terminal responses
-     * produced outside it (admission sheds, deadline drops).  Empty
-     * when nothing was pending and nothing terminal accumulated.
+     * produced outside it (admission sheds).  Empty when nothing was
+     * pending and nothing terminal accumulated.
      */
     std::vector<Response> serveBatch(std::size_t k);
 
@@ -381,9 +339,9 @@ class InferenceServer
 
     /**
      * Attach (or detach, with nullptr) observability sinks.  The
-     * registry receives live "server.*" counters (admission, shed,
-     * deadline, retry outcomes), the server.queue_depth gauge, and
-     * the server.latency_ms end-to-end histogram; both sinks are also
+     * registry receives live "server.*" counters (admission and shed
+     * outcomes), the server.queue_depth gauge, and the
+     * server.latency_ms end-to-end histogram; both sinks are also
      * forwarded to the underlying system (pipeline spans/counters,
      * flash busy intervals).  Recording never alters serving
      * behaviour or timing.
@@ -403,9 +361,6 @@ class InferenceServer
         sim::RequestClass cls = sim::RequestClass::Gold;
     };
 
-    /** True when @p request missed its deadline by tick @p at. */
-    bool expiredBy(const PendingRequest &request, sim::Tick at) const;
-
     /** Emit the terminal Shed response for a rejected arrival. */
     void shedRequest(RequestId id, sim::Tick arrival,
                      sim::RequestClass cls);
@@ -414,9 +369,9 @@ class InferenceServer
      *  arrival; false when none is queued. */
     bool evictYoungestBestEffort();
 
-    /** Effective serving rung for one request under the current
-     *  ladder level and the request's class floor. */
-    BrownoutLevel servingLevelFor(sim::RequestClass cls) const;
+    /** Rung the next batch is served at: the ladder level, with the
+     *  Shed rung serving its queue ScreenerOnly. */
+    BrownoutLevel servingLevel() const;
 
     /** Feed one served batch's worst sojourn to the brownout
      *  controller (hysteresis + recovery guard). */
@@ -430,23 +385,10 @@ class InferenceServer
      *  dwell out the guard and climb one rung toward Full. */
     void idleRecoverStep();
 
-    /** When a partial batch stops waiting for more arrivals:
-     *  bounded by batchMaxWait and the oldest member's deadline
-     *  slack.  maxTick when the queue is empty. */
+    /** When a partial batch stops waiting for more arrivals: its
+     *  oldest member's arrival plus batchMaxWait.  maxTick when the
+     *  queue is empty. */
     sim::Tick batchCloseAt() const;
-
-    /**
-     * Run the device-timing pass for one batch, retrying FailBatch
-     * aborts with exponential backoff and falling back to degraded
-     * service when the retry budget is exhausted.
-     *
-     * @param candidates Union candidate rows of the batch.
-     * @param[out] backoff Accumulated retry backoff to add to the
-     *        batch completion time.
-     */
-    accel::BatchTiming timeBatchWithRetries(
-        const std::vector<std::uint64_t> &candidates,
-        sim::Tick &backoff);
 
     /** Advance the in-flight swap one step (between batches); a
      *  passing validation flips and commits at once. */
@@ -455,6 +397,10 @@ class InferenceServer
     /** Full and ReducedCandidates requests screen by top ratio. */
     static constexpr xclass::FilterMode kScreenMode =
         xclass::FilterMode::TopRatio;
+
+    /** Gold arrivals shed only past this multiple of the admission
+     *  target (and first try to evict a queued BestEffort). */
+    static constexpr double kGoldAdmissionMultiplier = 2.0;
 
     EcssdOptions options_;
     ServerConfig config_;
@@ -468,8 +414,8 @@ class InferenceServer
     RedeployDriver redeploy_;
     std::deque<PendingRequest> pending_;
     /** Terminal responses produced outside a served batch (shed at
-     *  admission, dropped at expiry); drained by processAll /
-     *  runTraffic / serveBatch. */
+     *  admission); drained by processAll / runTraffic /
+     *  serveBatch. */
     std::vector<Response> unservedResponses_;
     /** Serve the oldest <= batchSize pending requests once. */
     std::vector<Response> serveOneBatch(std::size_t k);
@@ -497,14 +443,9 @@ class InferenceServer
     sim::Tick levelDwell_[4] = {0, 0, 0, 0};
     /** Start of the current healthy streak; maxTick = none. */
     sim::Tick healthySince_ = sim::maxTick;
-    /** EWMA of per-request device service time (ticks); admission's
-     *  sojourn estimate and the batch slack reserve. */
+    /** EWMA of per-request device service time (ticks);
+     *  admission's sojourn estimate. */
     sim::Tick ewmaServiceTick_ = 0;
-    /** EWMA of whole-batch service time (ticks). */
-    sim::Tick ewmaBatchTick_ = 0;
-    /** Seeded retry-backoff jitter stream (never advanced when
-     *  retryJitterFraction == 0). */
-    sim::Rng retryJitterRng_;
     /** Optional observability sinks (null = uninstrumented); kept so
      *  an epoch flip can re-instrument the new system. */
     sim::MetricsRegistry *metrics_ = nullptr;

@@ -22,11 +22,8 @@ enum class Status
     /** Served, but some candidate rows carry screener scores
      *  (uncorrectable FP32 pages). */
     Degraded,
-    /** Deadline missed: either dropped unserved (empty prediction)
-     *  or completed late. */
-    TimedOut,
-    /** Rejected at admission (bounded queue, delay target, brownout
-     *  shed, or eviction). */
+    /** Rejected at admission (delay target, brownout shed, or
+     *  eviction). */
     Shed,
     /** The device is not in accelerator mode (call ecssdEnable()). */
     WrongMode,

@@ -84,9 +84,6 @@ describe(const EcssdOptions &options)
        << " screening=" << (options.screening ? "on" : "off");
     if (options.isa != "auto" && !options.isa.empty())
         os << " isa=" << options.isa;
-    if (options.ssd.uncorrectableReadRate > 0.0)
-        os << " degraded-policy="
-           << accel::toString(options.degradedPolicy);
     if (options.cache.enabled())
         os << " cache=" << (options.cache.capacityBytes >> 20)
            << "MiB/" << accel::toString(options.cache.admission);
@@ -157,9 +154,6 @@ EcssdSystem::EcssdSystem(const xclass::BenchmarkSpec &spec,
     accel_config.fpKind = options.fpKind;
     accel_config.overlapStages = options.overlapStages;
     accel_config.weightPrecision = options.weightPrecision;
-    accel_config.degradedPolicy = options.degradedPolicy;
-    accel_config.threads = options.threads;
-    accel_config.hostIsa = options.isa;
     accel_config.cache = options.cache;
     pipeline_ = std::make_unique<accel::InferencePipeline>(
         spec_, accel_config, *ssd_, *strategy_,
@@ -389,9 +383,6 @@ EcssdSystem::publishMetrics(sim::MetricsRegistry &registry,
                       result.effectiveGflops);
     registry.gaugeSet("run.batches",
                       static_cast<double>(result.batches.size()));
-    registry.gaugeSet(
-        "run.failed_batches",
-        static_cast<double>(result.failedBatches));
     // Cache gauges exist only when the cache does, so a disabled
     // run's metrics JSON stays byte-identical to a cache-less build.
     if (const accel::RowCache *cache = pipeline_->rowCache()) {

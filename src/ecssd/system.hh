@@ -75,9 +75,6 @@ struct EcssdOptions
     /** On-flash weight precision (CFP16 halves flash traffic). */
     accel::WeightPrecision weightPrecision =
         accel::WeightPrecision::Cfp32;
-    /** Reaction to uncorrectable candidate-row reads. */
-    accel::DegradedReadPolicy degradedPolicy =
-        accel::DegradedReadPolicy::ScreenerFallback;
     /** Hot-degree predictor noise for trace-tier runs. */
     double predictorNoise = 0.25;
     /**

@@ -20,7 +20,6 @@ TEST(AccelConfig, DefaultIsTheTable2AlignmentFreeDesign)
     EXPECT_NEAR(config.fp32Gflops(), 51.2, 1e-9);
     EXPECT_NEAR(config.int4Gops(), 204.8, 1e-9);
     EXPECT_EQ(config.int4WeightBufferBytes, 128u * 1024u);
-    EXPECT_EQ(config.fp32WeightBufferBytes, 400u * 1024u);
 }
 
 TEST(AccelConfig, NaiveKindFitsFewerMacsInTheSameArea)

@@ -147,54 +147,33 @@ TEST(Faults, FtlSurfacesUncorrectableReads)
     EXPECT_GT(ftl.stats().uncorrectableReads, before);
 }
 
-TEST(Faults, ZeroFaultRatesAreBitIdenticalAcrossPolicies)
+TEST(Faults, ZeroFaultRatesDegradeNothing)
 {
-    // The fault machinery must be zero-cost when disabled: with all
-    // rates at 0, every policy produces the exact same timeline.
+    // With every fault rate at 0 no page is lost, no row degrades
+    // and no batch fails.
     const xclass::BenchmarkSpec spec = xclass::scaledDown(
         xclass::benchmarkByName("XMLCNN-S10M"), 16384);
-    EcssdOptions base = EcssdOptions::full();
-    EcssdOptions fail_batch = base;
-    fail_batch.degradedPolicy =
-        accel::DegradedReadPolicy::FailBatch;
-    EcssdOptions refetch = base;
-    refetch.degradedPolicy =
-        accel::DegradedReadPolicy::HostRefetch;
-
-    const accel::RunResult a =
-        EcssdSystem(spec, base).runInference(2);
-    const accel::RunResult b =
-        EcssdSystem(spec, fail_batch).runInference(2);
-    const accel::RunResult c =
-        EcssdSystem(spec, refetch).runInference(2);
-    EXPECT_EQ(a.totalTime, b.totalTime);
-    EXPECT_EQ(a.totalTime, c.totalTime);
-    for (const accel::RunResult *run : {&a, &b, &c}) {
-        EXPECT_EQ(run->uncorrectablePages, 0u);
-        EXPECT_EQ(run->degradedRows, 0u);
-        EXPECT_EQ(run->hostRefetches, 0u);
-        EXPECT_EQ(run->failedBatches, 0u);
-    }
+    const accel::RunResult run =
+        EcssdSystem(spec, EcssdOptions::full()).runInference(2);
+    EXPECT_EQ(run.uncorrectablePages, 0u);
+    EXPECT_EQ(run.degradedRows, 0u);
+    for (const accel::BatchTiming &batch : run.batches)
+        EXPECT_FALSE(batch.failed);
 }
 
 TEST(Faults, ScreenerFallbackDegradesRowsWithoutAborting)
 {
     // The acceptance scenario: a realistic 1e-3 uncorrectable rate
-    // under ScreenerFallback keeps serving — degraded rows, zero
-    // aborted batches.
+    // keeps serving — degraded rows, zero aborted batches.
     const xclass::BenchmarkSpec spec = xclass::scaledDown(
         xclass::benchmarkByName("XMLCNN-S10M"), 16384);
     EcssdOptions worn = EcssdOptions::full();
     worn.ssd.uncorrectableReadRate = 1e-3;
-    worn.degradedPolicy =
-        accel::DegradedReadPolicy::ScreenerFallback;
 
     const accel::RunResult run =
         EcssdSystem(spec, worn).runInference(8);
     EXPECT_GT(run.uncorrectablePages, 0u);
     EXPECT_GT(run.degradedRows, 0u);
-    EXPECT_EQ(run.failedBatches, 0u);
-    EXPECT_EQ(run.hostRefetches, 0u);
     ASSERT_EQ(run.batches.size(), 8u);
     for (const accel::BatchTiming &batch : run.batches)
         EXPECT_FALSE(batch.failed);
@@ -204,58 +183,6 @@ TEST(Faults, ScreenerFallbackDegradesRowsWithoutAborting)
     for (const accel::BatchTiming &batch : run.batches)
         fetched += batch.candidateRows;
     EXPECT_LT(run.degradedRows * 20, fetched);
-}
-
-TEST(Faults, HostRefetchPreservesPrecisionAtLatencyCost)
-{
-    const xclass::BenchmarkSpec spec = xclass::scaledDown(
-        xclass::benchmarkByName("XMLCNN-S10M"), 16384);
-    EcssdOptions fallback = EcssdOptions::full();
-    // High enough that some refetched page lands on a tile's fetch
-    // critical path (the draw sequence is deterministic, so this is
-    // stable); at low rates stage overlap can hide the penalty
-    // entirely, which is the pipeline working as intended.
-    fallback.ssd.uncorrectableReadRate = 0.05;
-    fallback.degradedPolicy =
-        accel::DegradedReadPolicy::ScreenerFallback;
-    EcssdOptions refetch = fallback;
-    refetch.degradedPolicy =
-        accel::DegradedReadPolicy::HostRefetch;
-
-    const accel::RunResult cheap =
-        EcssdSystem(spec, fallback).runInference(4);
-    const accel::RunResult precise =
-        EcssdSystem(spec, refetch).runInference(4);
-    ASSERT_GT(cheap.uncorrectablePages, 0u);
-    EXPECT_EQ(precise.uncorrectablePages, cheap.uncorrectablePages);
-    // Refetch restores full precision for every lost page...
-    EXPECT_EQ(precise.degradedRows, 0u);
-    EXPECT_EQ(precise.hostRefetches, precise.uncorrectablePages);
-    // ...but pays host-link latency on the fetch critical path the
-    // fallback does not.
-    sim::Tick cheap_fetch = 0, precise_fetch = 0;
-    for (const accel::BatchTiming &batch : cheap.batches)
-        cheap_fetch += batch.fp32FetchTime;
-    for (const accel::BatchTiming &batch : precise.batches)
-        precise_fetch += batch.fp32FetchTime;
-    EXPECT_GT(precise_fetch, cheap_fetch);
-    EXPECT_GT(precise.totalTime, cheap.totalTime);
-}
-
-TEST(Faults, FailBatchPolicyMarksBatchesFailed)
-{
-    const xclass::BenchmarkSpec spec = xclass::scaledDown(
-        xclass::benchmarkByName("XMLCNN-S10M"), 16384);
-    EcssdOptions options = EcssdOptions::full();
-    options.ssd.uncorrectableReadRate = 0.01;
-    options.degradedPolicy =
-        accel::DegradedReadPolicy::FailBatch;
-
-    const accel::RunResult run =
-        EcssdSystem(spec, options).runInference(4);
-    EXPECT_GT(run.failedBatches, 0u);
-    // FailBatch never silently degrades.
-    EXPECT_EQ(run.degradedRows, 0u);
 }
 
 TEST(Faults, ServerReportsDegradedResponses)
@@ -268,8 +195,6 @@ TEST(Faults, ServerReportsDegradedResponses)
 
     EcssdOptions worn = EcssdOptions::full();
     worn.ssd.uncorrectableReadRate = 0.05;
-    worn.degradedPolicy =
-        accel::DegradedReadPolicy::ScreenerFallback;
     InferenceServer server(model.weights(), spec, worn,
                            &model.basis());
 
@@ -291,7 +216,6 @@ TEST(Faults, ServerReportsDegradedResponses)
     EXPECT_EQ(server.serverStats().degradedResponses, degraded);
     EXPECT_GT(server.serverStats().degradedRows, 0u);
     EXPECT_EQ(server.serverStats().shedRequests, 0u);
-    EXPECT_EQ(server.serverStats().timedOutRequests, 0u);
 }
 
 TEST(Faults, RetriesDegradeInferenceGracefully)

@@ -356,13 +356,10 @@ TEST(MultiTenantServer, SloDerivesTheLaneOverloadPolicy)
 {
     MtFixture f;
     MultiTenantServer mt(f.options);
-    TenantConfig config = MtFixture::tenant("slo", 2.0);
-    config.requestDeadline = sim::milliseconds(8.0);
-    TenantHandle t =
-        mt.addTenant(config, f.model.weights(), f.spec,
-                     ServerConfig{}, &f.model.basis());
+    TenantHandle t = mt.addTenant(MtFixture::tenant("slo", 2.0),
+                                  f.model.weights(), f.spec,
+                                  ServerConfig{}, &f.model.basis());
     const ServerConfig &derived = mt.server(t)->serverConfig();
-    EXPECT_EQ(derived.requestDeadline, sim::milliseconds(8.0));
     EXPECT_EQ(derived.admissionTargetDelay, sim::milliseconds(2.0));
     const sim::Tick target = sim::milliseconds(2.0);
     EXPECT_EQ(derived.brownout.enterDelay, target * 4 / 5);
@@ -454,7 +451,6 @@ TEST(Status, UnifiedVocabularyCoversTenantAndServingOutcomes)
                  "tenant-quota-exceeded");
     // The serving vocabulary folded into the same enum.
     EXPECT_STREQ(toString(Status::Shed), "shed");
-    EXPECT_STREQ(toString(Status::TimedOut), "timed-out");
     EXPECT_STREQ(toString(Status::Degraded), "degraded");
     // Response::Status is the same type now.
     static_assert(

@@ -3,8 +3,8 @@
  * Overload-control tests: queue-delay admission, class-aware
  * shedding with Gold eviction (the priority-inversion regression),
  * the hysteresis-guarded brownout ladder and its guaranteed
- * recovery, deadline-slack dynamic batching, the queue-depth
- * high-watermark gauge and retry-backoff jitter.
+ * recovery, the batch-wait window and the queue-depth
+ * high-watermark gauge.
  */
 
 #include <gtest/gtest.h>
@@ -55,6 +55,27 @@ struct OverloadFixture
     InferenceServer server;
 };
 
+/** Serve the warm-up batch: four requests arriving at 0, one
+ *  device batch, after which the server's service EWMA is the
+ *  batch's per-request service time. */
+void
+serveWarmUpBatch(OverloadFixture &f)
+{
+    for (int i = 0; i < 4; ++i)
+        f.server.enqueueAt(f.query(90 + i), 0);
+    f.server.processAll(3);
+}
+
+/** Per-request service time of the warm-up batch, measured on a
+ *  server of its own. */
+sim::Tick
+warmUpServiceTime()
+{
+    OverloadFixture probe;
+    serveWarmUpBatch(probe);
+    return probe.server.deviceTime() / 4;
+}
+
 std::vector<std::vector<float>>
 queryPool(const xclass::SyntheticModel &model, int count)
 {
@@ -63,6 +84,48 @@ queryPool(const xclass::SyntheticModel &model, int count)
     for (int q = 0; q < count; ++q)
         queries.push_back(model.sampleQuery(rng));
     return queries;
+}
+
+/** One served device batch of a runTraffic() pass on a fresh
+ *  server, whose request ids are the arrival indices plus one. */
+struct ServedBatch
+{
+    InferenceServer::RequestId first = 0;
+    InferenceServer::RequestId last = 0;
+    sim::Tick oldest = sim::maxTick;
+    sim::Tick newest = 0;
+    sim::Tick finished = 0;
+
+    std::size_t size() const { return last - first + 1; }
+};
+
+/** Split @p responses (completion order, nothing shed) into their
+ *  device batches: the runs sharing one completion tick. */
+std::vector<ServedBatch>
+servedBatches(const std::vector<InferenceServer::Response> &responses,
+              const std::vector<sim::Arrival> &arrivals)
+{
+    std::vector<ServedBatch> batches;
+    for (const auto &response : responses) {
+        EXPECT_NE(response.status,
+                  InferenceServer::Response::Status::Shed);
+        if (batches.empty()
+            || batches.back().finished != response.completedAt) {
+            batches.push_back(ServedBatch{});
+            batches.back().first = response.id;
+            batches.back().finished = response.completedAt;
+        }
+        ServedBatch &batch = batches.back();
+        // FIFO batching: a batch is a run of consecutive ids.
+        if (batch.last != 0) {
+            EXPECT_EQ(response.id, batch.last + 1);
+        }
+        batch.last = response.id;
+        const sim::Tick at = arrivals[response.id - 1].at;
+        batch.oldest = std::min(batch.oldest, at);
+        batch.newest = std::max(batch.newest, at);
+    }
+    return batches;
 }
 
 } // namespace
@@ -99,23 +162,34 @@ TEST(Admission, QueueDelayTargetShedsOnceServiceTimeIsKnown)
 
 TEST(Admission, GoldEvictsYoungestBestEffortAtAFullQueue)
 {
+    // A target of 3.75 warm-up service times admits BestEffort up to
+    // a queue of 4 and Gold (twice the target) up to 8; past that a
+    // Gold arrival evicts the youngest queued BestEffort.
+    const sim::Tick per_request = warmUpServiceTime();
     ServerConfig config;
-    config.queueCapacity = 6;
+    config.admissionTargetDelay = per_request * 15 / 4;
     OverloadFixture f(config);
+    serveWarmUpBatch(f);
 
     std::vector<InferenceServer::RequestId> best_effort;
-    for (int i = 0; i < 6; ++i)
+    for (int i = 0; i < 4; ++i)
         best_effort.push_back(f.server.enqueueAt(
             f.query(300 + i), 0, sim::RequestClass::BestEffort));
-    ASSERT_EQ(f.server.pending(), 6u);
+    std::set<InferenceServer::RequestId> gold;
+    for (int i = 0; i < 4; ++i)
+        gold.insert(f.server.enqueueAt(f.query(310 + i), 0,
+                                       sim::RequestClass::Gold));
+    ASSERT_EQ(f.server.pending(), 8u);
+    ASSERT_EQ(f.server.serverStats().evictedBestEffort, 0u);
 
-    // Two Gold arrivals at the full queue: each reclaims the
+    // Two Gold arrivals past the Gold bound: each reclaims the
     // youngest queued BestEffort slot.
     const auto gold_a =
         f.server.enqueueAt(f.query(400), 0, sim::RequestClass::Gold);
     const auto gold_b =
         f.server.enqueueAt(f.query(401), 0, sim::RequestClass::Gold);
-    EXPECT_EQ(f.server.pending(), 6u);
+    gold.insert({gold_a, gold_b});
+    EXPECT_EQ(f.server.pending(), 8u);
     EXPECT_EQ(f.server.serverStats().evictedBestEffort, 2u);
     EXPECT_EQ(f.server.serverStats().shedGold, 0u);
 
@@ -123,29 +197,39 @@ TEST(Admission, GoldEvictsYoungestBestEffortAtAFullQueue)
     std::set<InferenceServer::RequestId> shed;
     std::set<InferenceServer::RequestId> served;
     for (const auto &response : responses) {
-        if (response.status == InferenceServer::Response::Status::Shed)
+        if (response.status
+            == InferenceServer::Response::Status::Shed) {
             shed.insert(response.id);
-        else
+            EXPECT_TRUE(response.prediction.topCategories.empty());
+        } else {
             served.insert(response.id);
+        }
     }
+    // Shed requests never enter the latency statistics: only the
+    // warm-up batch and the served requests do.
+    EXPECT_EQ(f.server.latencyMs().count(), 4u + served.size());
     // The two youngest BestEffort ids paid for the Gold admissions;
-    // both Gold requests were served.  Gold shed while BestEffort
+    // every Gold request was served.  Gold shed while BestEffort
     // from the same window is served would be a priority inversion.
     EXPECT_EQ(shed,
               (std::set<InferenceServer::RequestId>{
-                  best_effort[4], best_effort[5]}));
-    EXPECT_TRUE(served.count(gold_a));
-    EXPECT_TRUE(served.count(gold_b));
+                  best_effort[2], best_effort[3]}));
+    for (const InferenceServer::RequestId id : gold)
+        EXPECT_TRUE(served.count(id)) << "Gold request " << id;
 }
 
 TEST(Admission, PriorityInversionRegression)
 {
-    // Mixed-class flood into a bounded queue: no Gold request may be
-    // shed while a BestEffort request admitted in the same window is
-    // served.
+    // Mixed-class flood against a delay target of 4.25 warm-up
+    // service times: BestEffort is admitted up to a queue of 4, Gold
+    // up to 8, and Gold past that evicts queued BestEffort.  No Gold
+    // request may be shed while a BestEffort request admitted in the
+    // same window is served.
+    const sim::Tick per_request = warmUpServiceTime();
     ServerConfig config;
-    config.queueCapacity = 8;
+    config.admissionTargetDelay = per_request * 17 / 4;
     OverloadFixture f(config);
+    serveWarmUpBatch(f);
 
     std::set<InferenceServer::RequestId> gold_ids;
     std::set<InferenceServer::RequestId> best_ids;
@@ -157,6 +241,7 @@ TEST(Admission, PriorityInversionRegression)
                  : sim::RequestClass::BestEffort);
         (gold ? gold_ids : best_ids).insert(id);
     }
+    EXPECT_GT(f.server.serverStats().evictedBestEffort, 0u);
     const auto responses = f.server.processAll(3);
     std::set<InferenceServer::RequestId> shed_gold;
     std::set<InferenceServer::RequestId> served_best;
@@ -168,6 +253,7 @@ TEST(Admission, PriorityInversionRegression)
         if (!is_shed && best_ids.count(response.id))
             served_best.insert(response.id);
     }
+    EXPECT_FALSE(served_best.empty());
     EXPECT_TRUE(shed_gold.empty() || served_best.empty())
         << shed_gold.size() << " Gold shed while "
         << served_best.size() << " BestEffort served";
@@ -201,8 +287,8 @@ TEST(Brownout, LadderDegradesUnderSustainedOverloadAndRecovers)
     EXPECT_GT(stats.brownoutSheds, 0u);
     EXPECT_GT(f.server.brownoutDwell(BrownoutLevel::ScreenerOnly),
               0u);
-    // ... and every shed was BestEffort: the default goldFloor means
-    // the ladder never sheds Gold.
+    // ... and every shed was BestEffort: the ladder never sheds
+    // Gold.
     EXPECT_EQ(stats.shedGold, 0u);
     for (const auto &response : responses) {
         if (response.cls == sim::RequestClass::Gold) {
@@ -269,32 +355,77 @@ TEST(Brownout, ReducedCandidatesCapsTheCandidateBudget)
                   static_cast<double>(full_candidates) * 0.25 + 1));
 }
 
-TEST(Batching, DeadlineSlackClosesPartialBatchesInTime)
+TEST(Batching, PartialBatchWaitsOutTheWindowAndNoLonger)
 {
-    // Sparse arrivals with a generous batch-wait window but a tight
-    // deadline: the slack rule must close batches early enough that
-    // waiting never times a request out.
+    // Sparse arrivals with a 1 ms batch-wait window.  A partial batch
+    // takes every arrival up to its oldest member's arrival plus the
+    // window (or up to when the device frees, if later) and no
+    // arrival after that, and it starts exactly then.
+    const sim::Tick wait = sim::microseconds(1000.0);
     ServerConfig config;
-    config.batchMaxWait = sim::seconds(10.0);
-    config.requestDeadline = sim::microseconds(2000.0);
-    OverloadFixture f(config);
-    const auto queries = queryPool(f.model, 16);
+    config.batchMaxWait = wait;
+    OverloadFixture waiting(config);
+    OverloadFixture eager;
+    const auto queries = queryPool(waiting.model, 16);
 
     sim::TrafficConfig traffic;
-    traffic.ratePerSecond = 300.0; // far below one batch per window
+    traffic.ratePerSecond = 300.0; // about one arrival per 3 ms
     traffic.seed = 9;
-    sim::TrafficEngine engine(traffic);
-    const auto responses = f.server.runTraffic(engine, 400, queries, 5);
-    EXPECT_EQ(responses.size(), 400u);
-    std::uint64_t timed_out = 0;
-    for (const auto &response : responses)
-        timed_out += response.status
-                == InferenceServer::Response::Status::TimedOut
-            ? 1
-            : 0;
-    // Without the slack rule every partial batch would wait 10s and
-    // every request would miss the 2ms deadline.
-    EXPECT_LT(timed_out, 40u);
+    const std::uint64_t count = 400;
+    const std::vector<sim::Arrival> arrivals =
+        sim::TrafficEngine(traffic).generate(count);
+    sim::TrafficEngine waiting_engine(traffic);
+    sim::TrafficEngine eager_engine(traffic);
+    const std::vector<ServedBatch> waited = servedBatches(
+        waiting.server.runTraffic(waiting_engine, count, queries, 5),
+        arrivals);
+    const std::vector<ServedBatch> eagerly = servedBatches(
+        eager.server.runTraffic(eager_engine, count, queries, 5),
+        arrivals);
+
+    // Eager service time of every request served alone.
+    std::vector<sim::Tick> alone_service(count + 1, 0);
+    for (std::size_t b = 0; b < eagerly.size(); ++b) {
+        const ServedBatch &batch = eagerly[b];
+        const sim::Tick free_at = b == 0 ? 0 : eagerly[b - 1].finished;
+        if (batch.first == batch.last)
+            alone_service[batch.first] =
+                batch.finished - std::max(free_at, batch.newest);
+    }
+
+    const std::size_t batch_size = waiting.spec.batchSize;
+    std::size_t gathered = 0;
+    std::size_t timed = 0;
+    for (std::size_t b = 0; b < waited.size(); ++b) {
+        const ServedBatch &batch = waited[b];
+        const sim::Tick free_at = b == 0 ? 0 : waited[b - 1].finished;
+        const sim::Tick close =
+            std::max(free_at, batch.oldest + wait);
+        // No member arrived after the window closed...
+        EXPECT_LE(batch.newest, close) << "batch " << b;
+        if (batch.size() >= batch_size)
+            continue;
+        // ... and a partial batch waited for every arrival up to the
+        // close: the next arrival came later.
+        if (batch.last < count) {
+            EXPECT_GT(arrivals[batch.last].at, close)
+                << "batch " << b << " closed early";
+        }
+        gathered += batch.size() > 1 ? 1 : 0;
+        // A request served alone in both runs has the same service
+        // time, so the waiting run started it exactly at the close.
+        if (batch.first == batch.last
+            && alone_service[batch.first] != 0) {
+            EXPECT_EQ(batch.finished - close,
+                      alone_service[batch.first])
+                << "batch " << b << " did not start at its close";
+            ++timed;
+        }
+    }
+    // The window did gather arrivals, and most batches were checked
+    // against the eager start.
+    EXPECT_GT(gathered, 0u);
+    EXPECT_GT(timed, waited.size() / 2);
 }
 
 TEST(Gauges, QueueDepthHighWatermarkTracksThePeak)
@@ -315,60 +446,4 @@ TEST(Gauges, QueueDepthHighWatermarkTracksThePeak)
     sim::MetricsRegistry registry;
     f.server.publishMetrics(registry);
     EXPECT_EQ(registry.gauge("server.queue_depth_hwm").value(), 9.0);
-}
-
-TEST(RetryJitter, ZeroFractionIsBitIdenticalAndSeedInsensitive)
-{
-    EcssdOptions flaky = EcssdOptions::full();
-    flaky.ssd.uncorrectableReadRate = 0.05;
-    flaky.degradedPolicy = accel::DegradedReadPolicy::FailBatch;
-
-    ServerConfig a;
-    a.maxBatchRetries = 2;
-    ServerConfig b = a;
-    b.retryJitterSeed = 999; // must be irrelevant at fraction 0
-
-    OverloadFixture fa(a, flaky);
-    OverloadFixture fb(b, flaky);
-    for (int i = 0; i < 16; ++i) {
-        fa.server.enqueue(fa.query(900 + i));
-        fb.server.enqueue(fb.query(900 + i));
-    }
-    const auto ra = fa.server.processAll(3);
-    const auto rb = fb.server.processAll(3);
-    ASSERT_GT(fa.server.serverStats().batchRetries, 0u);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t i = 0; i < ra.size(); ++i)
-        EXPECT_EQ(ra[i].completedAt, rb[i].completedAt);
-}
-
-TEST(RetryJitter, JitterPerturbsTheBackoffSchedule)
-{
-    EcssdOptions flaky = EcssdOptions::full();
-    flaky.ssd.uncorrectableReadRate = 0.05;
-    flaky.degradedPolicy = accel::DegradedReadPolicy::FailBatch;
-
-    ServerConfig plain;
-    plain.maxBatchRetries = 2;
-    ServerConfig jittered = plain;
-    jittered.retryJitterFraction = 0.5;
-
-    OverloadFixture fp(plain, flaky);
-    OverloadFixture fj(jittered, flaky);
-    for (int i = 0; i < 16; ++i) {
-        fp.server.enqueue(fp.query(900 + i));
-        fj.server.enqueue(fj.query(900 + i));
-    }
-    const auto rp = fp.server.processAll(3);
-    const auto rj = fj.server.processAll(3);
-    ASSERT_GT(fp.server.serverStats().batchRetries, 0u);
-    ASSERT_EQ(rp.size(), rj.size());
-    bool diverged = false;
-    for (std::size_t i = 0; i < rp.size(); ++i)
-        diverged |= rp[i].completedAt != rj[i].completedAt;
-    EXPECT_TRUE(diverged);
-    // Jitter re-times retries; it never changes outcomes.
-    for (std::size_t i = 0; i < rp.size(); ++i)
-        EXPECT_EQ(rp[i].prediction.topCategories,
-                  rj[i].prediction.topCategories);
 }

@@ -231,8 +231,6 @@ TEST(ServerRedeploy, StagedMediaFaultRollsBack)
     ServerFixture f;
     EcssdOptions failing = EcssdOptions::full();
     failing.ssd.uncorrectableReadRate = 1.0;
-    failing.degradedPolicy =
-        accel::DegradedReadPolicy::ScreenerFallback;
     InferenceServer server(f.model.weights(), f.spec, failing,
                            &f.model.basis());
     sim::Rng rng(43);
@@ -338,24 +336,21 @@ TEST(RedeployDriver, BudgetStretchesStagingTime)
 
 TEST(ServerRedeploy, RetryBackoffServesThroughTheFlip)
 {
-    // A flaky device under the FailBatch policy retries batches with
-    // backoff; the swap must neither lose those requests nor flip
-    // mid-retry (the flip is a batch-boundary event).
+    // A flaky device serves batches with screener-degraded rows; the
+    // swap must neither lose those requests nor flip mid-batch (the
+    // flip is a batch-boundary event).
     ServerFixture f;
     EcssdOptions flaky = EcssdOptions::full();
     flaky.ssd.uncorrectableReadRate = 0.05;
-    flaky.degradedPolicy = accel::DegradedReadPolicy::FailBatch;
-    ServerConfig config;
-    config.maxBatchRetries = 3;
     InferenceServer server(f.model.weights(), f.spec, flaky,
-                           &f.model.basis(), config);
+                           &f.model.basis());
 
     sim::Rng rng(31);
     std::vector<InferenceServer::RequestId> ids;
     for (int i = 0; i < 16; ++i)
         ids.push_back(server.enqueue(f.model.sampleQuery(rng)));
-    // Relax the recall floor: the flaky screener comparison is still
-    // exact (identical weights), but keep the test about retries.
+    // The default recall floor holds: the screener comparison is
+    // exact (identical weights).
     RedeployConfig swap;
     ASSERT_EQ(server.beginRedeploy(f.model.weights(), f.spec, swap,
                                   &f.model.basis()),
@@ -366,8 +361,7 @@ TEST(ServerRedeploy, RetryBackoffServesThroughTheFlip)
     std::vector<InferenceServer::RequestId> seen;
     for (const auto &response : responses) {
         seen.push_back(response.id);
-        // Served (possibly degraded after exhausted retries), never
-        // lost to the swap.
+        // Served (possibly degraded), never lost to the swap.
         EXPECT_NE(response.status,
                   InferenceServer::Response::Status::Shed);
     }

@@ -2,7 +2,7 @@
  * @file
  * Chaos-swap fault campaign: randomized server hot swaps begun at a
  * random point of a request stream, with injected media faults
- * (uncorrectable reads under both degraded-read policies), DRAM
+ * (uncorrectable reads that degrade rows to the screener score), DRAM
  * pressure that leaves no room for the staged screener, hostile
  * weights that fail validation, and idle-daemon advance steps.
  *
@@ -61,9 +61,6 @@ TEST(ChaosSwap, ServerSwapNeverLosesOrDoublesRequests)
         EcssdOptions options = EcssdOptions::full();
         if (rng.uniform() < 0.5) {
             options.ssd.uncorrectableReadRate = 0.05;
-            options.degradedPolicy = rng.uniform() < 0.5
-                ? accel::DegradedReadPolicy::FailBatch
-                : accel::DegradedReadPolicy::ScreenerFallback;
         }
         // DRAM pressure on every third run: the device DRAM holds
         // the serving screener with a sliver to spare, so the staged

@@ -140,10 +140,11 @@ TEST(RelayoutFuzz, RandomDriftNeverRegressesBalanceOrLosesWork)
         const accel::RunResult after =
             system.runInferenceWith(verify, 2);
         EXPECT_EQ(after.batches.size(), 2u) << "iter " << iter;
-        EXPECT_EQ(after.failedBatches, 0u) << "iter " << iter;
-        for (const accel::BatchTiming &timing : after.batches)
+        for (const accel::BatchTiming &timing : after.batches) {
+            EXPECT_FALSE(timing.failed) << "iter " << iter;
             EXPECT_EQ(timing.candidateRows, batch.size())
                 << "iter " << iter;
+        }
     }
 }
 

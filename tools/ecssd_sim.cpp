@@ -17,6 +17,7 @@
  *   --batches N           inference batches to simulate (default 2)
  *   --layout KIND         sequential | uniform | learning
  *   --mac KIND            naive | skhynix | alignment-free
+ *   --precision FMT       on-flash weight precision: cfp32 | cfp16
  *   --int4 PLACE          dram | flash
  *   --no-screening        dense classification (the -N mode)
  *   --no-overlap          disable stage overlap
@@ -62,8 +63,8 @@
  *
  * Observability (see docs/MODELING.md Section 9):
  *   --metrics-json FILE   dump the metrics registry as JSON after the
- *                         run ("-" = stdout, suppressing the normal
- *                         report)
+ *                         run ("-" = stdout, which then carries the
+ *                         dump alone: no report or summary lines)
  *   --metrics-prom FILE   Prometheus-style text dump of the registry
  *   --span-log FILE       dump the hierarchical span trace as JSON
  *   --serve-requests N    additionally run a serving pass of N
@@ -102,7 +103,6 @@
  *                         ReducedCandidates rung (default 0.5)
  *   --batch-max-wait-us U    dynamic batching: partial batches wait
  *                         up to U for more arrivals (0 = eager)
- *   --retry-jitter F      seeded retry-backoff jitter fraction
  *
  * Multi-tenant serving (MODELING.md Section 16):
  *   --tenant SPEC         admit one tenant for the serving pass;
@@ -170,6 +170,10 @@ struct CliOptions
         return !metricsJson.empty() || !metricsProm.empty()
             || !spanLog.empty();
     }
+
+    /** True when the JSON dump goes to stdout, which then carries
+     *  nothing else: every report and summary line is suppressed. */
+    bool quiet() const { return metricsJson == "-"; }
 };
 
 [[noreturn]] void
@@ -205,7 +209,7 @@ usage(const char *argv0, int code)
                 "  [--admission-target-us U] [--brownout-enter-us U]\n"
                 "  [--brownout-exit-us U] [--brownout-guard-us U]\n"
                 "  [--brownout-reduced-fraction F]\n"
-                "  [--batch-max-wait-us U] [--retry-jitter F]\n"
+                "  [--batch-max-wait-us U]\n"
                 "  [--tenant name:dramMb:cacheMb[:p99ms]]...\n",
                 argv0);
     std::exit(code);
@@ -291,6 +295,26 @@ parseMac(const std::string &value)
     if (value == "alignment-free")
         return circuit::FpMacKind::AlignmentFree;
     sim::fatal("unknown MAC kind '", value, "'");
+}
+
+accel::WeightPrecision
+parsePrecision(const std::string &value)
+{
+    if (value == "cfp32")
+        return accel::WeightPrecision::Cfp32;
+    if (value == "cfp16")
+        return accel::WeightPrecision::Cfp16;
+    sim::fatal("unknown precision '", value, "' (cfp32|cfp16)");
+}
+
+accel::Int4Placement
+parseInt4Placement(const std::string &value)
+{
+    if (value == "dram")
+        return accel::Int4Placement::Dram;
+    if (value == "flash")
+        return accel::Int4Placement::Flash;
+    sim::fatal("unknown INT4 placement '", value, "' (dram|flash)");
 }
 
 void
@@ -440,6 +464,8 @@ runTrafficPass(InferenceServer &server, const CliOptions &cli,
     sim::TrafficEngine engine(cli.trafficConfig);
     const auto responses =
         server.runTraffic(engine, cli.serveRequests, queries, 5);
+    if (cli.quiet())
+        return;
 
     const ServerStats &stats = server.serverStats();
     std::uint64_t served = 0;
@@ -529,7 +555,7 @@ runServingPass(const xclass::BenchmarkSpec &spec,
                           toString(begun));
         }
         runTrafficPass(server, cli, model);
-        if (redeploy_at > 0) {
+        if (redeploy_at > 0 && !cli.quiet()) {
             const RedeployStatus status = server.redeployStatus();
             std::printf("  redeploy: %s  staged %llu/%llu bytes  "
                         "version %llu\n",
@@ -571,6 +597,8 @@ runServingPass(const xclass::BenchmarkSpec &spec,
         for (unsigned r = before; r < requests; ++r)
             server.enqueue(model.sampleQuery(rng));
         server.processAll(5);
+    }
+    if (redeploy_at > 0 && !cli.quiet()) {
         const RedeployStatus status = server.redeployStatus();
         std::printf("  redeploy: %s%s%s  staged %llu/%llu bytes  "
                     "recall %.3f  epoch %llu -> %llu  version %llu\n",
@@ -637,6 +665,10 @@ runMultiTenantPass(const xclass::BenchmarkSpec &spec,
         queries.push_back(models.front()->sampleQuery(rng));
 
     const auto outcomes = device.run(mix, queries, /*k=*/5);
+    if (metrics)
+        device.publishMetrics(*metrics);
+    if (cli.quiet())
+        return;
     std::printf("  multi-tenant serving: %zu tenants  %u arrivals "
                 "each  shared device time %.3f ms\n",
                 cli.tenants.size(), cli.serveRequests,
@@ -657,8 +689,6 @@ runMultiTenantPass(const xclass::BenchmarkSpec &spec,
                     (unsigned long long)stats.shedRequests,
                     (unsigned long long)stats.brownoutTransitions);
     }
-    if (metrics)
-        device.publishMetrics(*metrics);
 }
 
 /** Write @p write's output to @p path ("-" = stdout). */
@@ -708,15 +738,11 @@ run(int argc, char **argv)
         } else if (arg == "--mac") {
             cli.device.fpKind = parseMac(next("--mac"));
         } else if (arg == "--precision") {
-            const std::string value = next("--precision");
-            cli.device.weightPrecision = value == "cfp16"
-                ? accel::WeightPrecision::Cfp16
-                : accel::WeightPrecision::Cfp32;
+            cli.device.weightPrecision =
+                parsePrecision(next("--precision"));
         } else if (arg == "--int4") {
-            const std::string value = next("--int4");
-            cli.device.int4Placement = value == "dram"
-                ? accel::Int4Placement::Dram
-                : accel::Int4Placement::Flash;
+            cli.device.int4Placement =
+                parseInt4Placement(next("--int4"));
         } else if (arg == "--no-screening") {
             cli.device.screening = false;
         } else if (arg == "--no-overlap") {
@@ -843,9 +869,6 @@ run(int argc, char **argv)
             cli.serverConfig.batchMaxWait =
                 sim::microseconds(std::strtod(
                     next("--batch-max-wait-us").c_str(), nullptr));
-        } else if (arg == "--retry-jitter") {
-            cli.serverConfig.retryJitterFraction = std::strtod(
-                next("--retry-jitter").c_str(), nullptr);
         } else if (arg == "--tenant") {
             cli.tenants.push_back(parseTenantSpec(next("--tenant")));
         } else {
@@ -924,9 +947,8 @@ run(int argc, char **argv)
     if (cli.observability() || cli.serveRequests > 0) {
         sim::MetricsRegistry registry;
         sim::SpanTracer tracer;
-        const bool quiet = cli.metricsJson == "-";
         report(spec, cli.device, cli.batches, cli.energy,
-               cli.health, &registry, &tracer, quiet);
+               cli.health, &registry, &tracer, cli.quiet());
         if (!cli.tenants.empty())
             runMultiTenantPass(spec, cli, &registry, &tracer);
         else if (cli.serveRequests > 0)
