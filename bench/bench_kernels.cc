@@ -13,12 +13,12 @@
  * BENCH_kernels.json into DIR: absolute per-pass times, rows/s, and
  * the speedups over both the nibble-wise scalar reference and the
  * scalar LUT, one entry per (kernel, ISA level) with the tuned row
- * chunk, query tile, and pool threads recorded alongside.  Unlike
- * BENCH_e2e/BENCH_breakdown these numbers are *wall clock* — they are
- * uploaded for trend inspection, never diffed as a CI gate.  Every
- * measured pass is first checked byte-identical against the scalar
- * reference; a divergence aborts the run instead of recording a
- * speedup for wrong results.
+ * chunk, query tile, and pool threads recorded alongside, and the
+ * host's core count in the config.  Unlike BENCH_paper.json these
+ * numbers are *wall clock* — they are uploaded for trend inspection,
+ * never diffed as a CI gate.  Every measured pass is first checked
+ * byte-identical against the scalar reference; a divergence aborts
+ * the run instead of recording a speedup for wrong results.
  */
 
 #include <benchmark/benchmark.h>
@@ -28,6 +28,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "numeric/autotune.hh"
@@ -48,8 +49,22 @@ namespace
 /** The screening regime: L x K after projection (Section 2.1). */
 constexpr std::size_t kRows = 268000;
 constexpr std::size_t kCols = 64;
-constexpr unsigned kPoolThreads = 8;
 constexpr std::size_t kBatchQueries = 8;
+
+/** Host cores as the runtime reports them (at least 1). */
+unsigned
+hostCores()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/** The pooled kernels' threads: 8, or fewer on a smaller host, so the
+ *  pool never oversubscribes the cores it is measured on. */
+unsigned
+poolThreads()
+{
+    return std::min(8u, hostCores());
+}
 
 /** Shared benchmark inputs, built once. */
 struct Inputs
@@ -182,7 +197,7 @@ void
 BM_ScreenerLutPooled(benchmark::State &state, IsaLevel isa)
 {
     const Inputs &in = inputs();
-    sim::ThreadPool pool(kPoolThreads);
+    sim::ThreadPool pool(poolThreads());
     std::vector<double> out(kRows);
     for (auto _ : state) {
         pooledPass(in, isa, pool, out);
@@ -266,7 +281,7 @@ writeBaseline(const std::string &out_dir)
 {
     const Inputs &in = inputs();
     const BatchInputs batch(in);
-    sim::ThreadPool pool(kPoolThreads);
+    sim::ThreadPool pool(poolThreads());
     std::vector<double> reference(kRows);
     std::vector<double> out(kRows);
     std::vector<double> batch_out(kBatchQueries * kRows);
@@ -320,7 +335,7 @@ writeBaseline(const std::string &out_dir)
         pooled.name = "lut_pooled";
         pooled.isa = level;
         pooled.rowChunk = tunedRowChunk();
-        pooled.poolThreads = kPoolThreads;
+        pooled.poolThreads = poolThreads();
         pooled.wallMs = bestMs(
             kRepeats, [&] { pooledPass(in, isa, pool, out); });
         pooled.rowsPerPass = static_cast<double>(kRows);
@@ -357,8 +372,10 @@ writeBaseline(const std::string &out_dir)
     json.value(static_cast<std::uint64_t>(kRows));
     json.key("cols");
     json.value(static_cast<std::uint64_t>(kCols));
+    json.key("nproc");
+    json.value(static_cast<std::uint64_t>(hostCores()));
     json.key("pool_threads");
-    json.value(static_cast<std::uint64_t>(kPoolThreads));
+    json.value(static_cast<std::uint64_t>(poolThreads()));
     json.key("batch_queries");
     json.value(static_cast<std::uint64_t>(kBatchQueries));
     json.key("best_isa");

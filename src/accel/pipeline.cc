@@ -150,6 +150,33 @@ InferencePipeline::fetchInt4Tile(std::uint64_t tile,
     return done;
 }
 
+// Inline: the fetch path calls it once per candidate page group.
+inline InferencePipeline::GroupRead
+InferencePipeline::readGroup(std::uint64_t group,
+                             std::uint64_t bytes_wanted,
+                             sim::Tick issue_at, sim::Tick transfer_gate,
+                             std::vector<ssdsim::PhysicalPage> &group_pages)
+{
+    GroupRead read{std::max(issue_at, transfer_gate), 0};
+    std::uint64_t bytes_left = bytes_wanted;
+    group_pages.clear();
+    for (unsigned p = 0; p < pagesPerRow_; ++p) {
+        const ssdsim::PhysicalPage ppa =
+            layout::pageOfRow(strategy_, ssd_.config(), group, p);
+        const std::uint32_t chunk =
+            static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                bytes_left, ssd_.config().pageBytes));
+        bool unreadable = false;
+        read.done = std::max(
+            read.done, ssd_.flash().readPage(ppa, issue_at, transfer_gate,
+                                             chunk, &unreadable));
+        read.unreadablePages += unreadable;
+        bytes_left -= chunk;
+        group_pages.push_back(ppa);
+    }
+    return read;
+}
+
 sim::Tick
 InferencePipeline::fetchFp32Rows(
     std::span<const std::uint64_t> rows, sim::Tick issue_at,
@@ -163,6 +190,8 @@ InferencePipeline::fetchFp32Rows(
     // address the strategy at group granularity, and stream only
     // the wanted rows' bytes over the bus (partial-page transfer).
     sim::Tick done = issue_at;
+    // The earliest tick any group's data can move.
+    const sim::Tick start = std::max(issue_at, transfer_gate);
     // Reused by every group, so the walk allocates nothing per group
     // (a batch crosses up to one group per candidate row).
     std::vector<ssdsim::PhysicalPage> group_pages;
@@ -185,7 +214,6 @@ InferencePipeline::fetchFp32Rows(
         // A hit on a group whose flash copy previously failed ECC
         // serves cleanly (avoided degradation, counted by the cache).
         if (cache_ && cache_->lookup(group, rows_wanted)) {
-            const sim::Tick start = std::max(issue_at, transfer_gate);
             const sim::Tick hit_done =
                 ssd_.dram().stream(bytes_wanted, start);
             done = std::max(done, hit_done);
@@ -194,49 +222,31 @@ InferencePipeline::fetchFp32Rows(
             continue;
         }
 
-        const sim::Tick group_start = std::max(issue_at, transfer_gate);
-        sim::Tick group_done = group_start;
-        std::uint64_t bytes_left = bytes_wanted;
-        bool group_unreadable = false;
-        group_pages.clear();
-        for (unsigned p = 0; p < pagesPerRow_; ++p) {
-            const ssdsim::PhysicalPage ppa = layout::pageOfRow(
-                strategy_, ssd_.config(), group, p);
-            const std::uint32_t chunk =
-                static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                    bytes_left, ssd_.config().pageBytes));
-            bool unreadable = false;
-            const sim::Tick page_done = ssd_.flash().readPage(
-                ppa, issue_at, transfer_gate, chunk, &unreadable);
-            if (unreadable) {
-                // The rows packed in this page keep their INT4
-                // screener score; no extra device time.
-                group_unreadable = true;
-                ++timing.uncorrectablePages;
-            }
-            done = std::max(done, page_done);
-            group_done = std::max(group_done, page_done);
-            bytes_left -= chunk;
-            ++timing.fp32PagesRead;
+        const GroupRead read = readGroup(group, bytes_wanted, issue_at,
+                                         transfer_gate, group_pages);
+        done = std::max(done, read.done);
+        timing.fp32PagesRead += group_pages.size();
+        for (const ssdsim::PhysicalPage &ppa : group_pages)
             ++timing.channelPages[ppa.channel];
-            group_pages.push_back(ppa);
-        }
-        if (group_unreadable)
+        // The rows packed in a lost page keep their INT4 screener
+        // score; no extra device time.
+        timing.uncorrectablePages += read.unreadablePages;
+        if (read.unreadablePages > 0)
             timing.degradedRows += rows_wanted;
         timing.fp32BytesRead += bytes_wanted;
         if (cache_) {
             timing.cacheMissRows += rows_wanted;
-            timing.cacheMissTime += group_done - group_start;
+            timing.cacheMissTime += read.done - start;
             // Admit only groups whose row data arrived intact: a
             // lost page leaves the group incomplete.  The admitted
             // fill occupies the DRAM port after the group's flash
             // transfer lands; it is off-critical-path (the consumer
             // already has the data in the staging buffer) but its
             // port time is modeled.
-            if (group_unreadable)
+            if (read.unreadablePages > 0)
                 cache_->markFlashLost(group);
             else if (cache_->admit(group, group_pages))
-                ssd_.dram().stream(bytes_wanted, group_done);
+                ssd_.dram().stream(bytes_wanted, read.done);
         }
     }
     return done;
@@ -269,34 +279,17 @@ InferencePipeline::warmRows(std::span<const std::uint64_t> rows,
             static_cast<std::uint64_t>(pagesPerRow_)
                 * ssd_.config().pageBytes);
 
-        sim::Tick group_done = issue_at;
-        std::uint64_t bytes_left = bytes_wanted;
-        bool group_unreadable = false;
-        group_pages.clear();
-        for (unsigned p = 0; p < pagesPerRow_; ++p) {
-            const ssdsim::PhysicalPage ppa = layout::pageOfRow(
-                strategy_, ssd_.config(), group, p);
-            const std::uint32_t chunk =
-                static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                    bytes_left, ssd_.config().pageBytes));
-            bool unreadable = false;
-            const sim::Tick page_done = ssd_.flash().readPage(
-                ppa, issue_at, 0, chunk, &unreadable);
-            if (unreadable)
-                group_unreadable = true;
-            group_done = std::max(group_done, page_done);
-            bytes_left -= chunk;
-            group_pages.push_back(ppa);
-        }
-        done = std::max(done, group_done);
-        if (group_unreadable) {
+        const GroupRead read =
+            readGroup(group, bytes_wanted, issue_at, 0, group_pages);
+        done = std::max(done, read.done);
+        if (read.unreadablePages > 0) {
             cache_->markFlashLost(group);
             continue;
         }
         if (cache_->admit(group, group_pages)) {
             cache_->noteWarmInsertion();
             done = std::max(
-                done, ssd_.dram().stream(bytes_wanted, group_done));
+                done, ssd_.dram().stream(bytes_wanted, read.done));
         }
     }
     return done;

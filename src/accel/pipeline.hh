@@ -258,6 +258,29 @@ class InferencePipeline
         std::span<const std::uint64_t> rows, sim::Tick issue_at,
         sim::Tick transfer_gate, BatchTiming &timing);
 
+    /** One page group's flash read. */
+    struct GroupRead
+    {
+        /** Completion tick of the group's last page transfer (at
+         *  least the issue tick and the transfer gate). */
+        sim::Tick done;
+        /** Pages that came back uncorrectable. */
+        unsigned unreadablePages;
+    };
+
+    /**
+     * Read page group @p group from the layout's flash placement,
+     * streaming @p bytes_wanted of its pages over the bus (partial-page
+     * transfer).  The demand fetch and the cache warm-up share it.
+     *
+     * @param transfer_gate As for fetchFp32Rows(); 0 for no gate.
+     * @param group_pages Cleared, then filled with the pages read;
+     *        reused across groups so the walk allocates nothing.
+     */
+    GroupRead readGroup(std::uint64_t group, std::uint64_t bytes_wanted,
+                        sim::Tick issue_at, sim::Tick transfer_gate,
+                        std::vector<ssdsim::PhysicalPage> &group_pages);
+
     /** Record one finished batch into the attached registry. */
     void recordBatchMetrics(const BatchTiming &timing);
 

@@ -34,7 +34,7 @@
  * runTraffic() instead serves whatever has arrived whenever the
  * device frees up.  A single-tenant MultiTenantServer is therefore
  * not latency-equivalent to a lone server with the same lane options:
- * at light load its requests wait for a full batch (bench_smoke's
+ * at light load its requests wait for a full batch (paper_tables'
  * tenant "a", GNMT-E32K at 1,024 rows, D = 128, batch 4, 400 Poisson
  * arrivals at 2,000/s: p99 3.96 ms here against 0.07 ms from
  * runTraffic() on the same carved options).  The layer adds no

@@ -22,7 +22,7 @@
  * pressure, a staged media fault, a read-only device or a validation
  * failure rolls back automatically; the old version keeps serving and
  * no request fails.  This is the swap `ecssd-sim --redeploy-at` and
- * bench_smoke's redeploy.* keys drive.
+ * paper_tables' redeploy.GNMT-E32K-2048.* keys drive.
  */
 
 #ifndef ECSSD_ECSSD_SERVER_HH

@@ -1,9 +1,7 @@
 #include "json.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "logging.hh"
 
@@ -175,169 +173,6 @@ void
 JsonWriter::value(const char *v)
 {
     value(std::string(v));
-}
-
-namespace
-{
-
-/** Recursive-descent cursor over the JSON text. */
-struct Parser
-{
-    const std::string &text;
-    std::size_t pos = 0;
-    std::map<std::string, double> out;
-
-    [[noreturn]] void
-    fail(const char *what)
-    {
-        fatal("malformed JSON at offset ", pos, ": ", what);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size()
-               && std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        if (pos >= text.size())
-            fail("unexpected end of input");
-        return text[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail("unexpected character");
-        ++pos;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string s;
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c == '\\') {
-                if (pos >= text.size())
-                    fail("dangling escape");
-                const char esc = text[pos++];
-                switch (esc) {
-                  case 'n':
-                    c = '\n';
-                    break;
-                  case 't':
-                    c = '\t';
-                    break;
-                  case 'r':
-                    c = '\r';
-                    break;
-                  case 'u':
-                    // Flat numeric view: keep the raw digits.
-                    if (pos + 4 > text.size())
-                        fail("short \\u escape");
-                    s += "\\u" + text.substr(pos, 4);
-                    pos += 4;
-                    continue;
-                  default:
-                    c = esc;
-                }
-            }
-            s += c;
-        }
-        if (pos >= text.size())
-            fail("unterminated string");
-        ++pos; // closing quote
-        return s;
-    }
-
-    void
-    parseValue(const std::string &prefix)
-    {
-        const char c = peek();
-        if (c == '{') {
-            ++pos;
-            if (peek() == '}') {
-                ++pos;
-                return;
-            }
-            while (true) {
-                const std::string name = parseString();
-                expect(':');
-                parseValue(prefix.empty() ? name
-                                          : prefix + "." + name);
-                const char sep = peek();
-                if (sep == ',') {
-                    ++pos;
-                    continue;
-                }
-                expect('}');
-                break;
-            }
-        } else if (c == '[') {
-            ++pos;
-            if (peek() == ']') {
-                ++pos;
-                return;
-            }
-            for (std::uint64_t index = 0;; ++index) {
-                parseValue(prefix + "." + std::to_string(index));
-                const char sep = peek();
-                if (sep == ',') {
-                    ++pos;
-                    continue;
-                }
-                expect(']');
-                break;
-            }
-        } else if (c == '"') {
-            parseString(); // non-numeric leaf: dropped
-        } else if (c == 't') {
-            literal("true");
-        } else if (c == 'f') {
-            literal("false");
-        } else if (c == 'n') {
-            literal("null");
-        } else {
-            char *end = nullptr;
-            const double v =
-                std::strtod(text.c_str() + pos, &end);
-            if (end == text.c_str() + pos)
-                fail("expected a value");
-            pos = static_cast<std::size_t>(end - text.c_str());
-            out[prefix.empty() ? "value" : prefix] = v;
-        }
-    }
-
-    void
-    literal(const char *word)
-    {
-        for (const char *p = word; *p; ++p) {
-            if (pos >= text.size() || text[pos] != *p)
-                fail("bad literal");
-            ++pos;
-        }
-    }
-};
-
-} // namespace
-
-std::map<std::string, double>
-parseFlatJson(const std::string &text)
-{
-    Parser parser{text, 0, {}};
-    parser.parseValue("");
-    parser.skipWs();
-    if (parser.pos != text.size())
-        parser.fail("trailing characters");
-    return std::move(parser.out);
 }
 
 } // namespace sim

@@ -1,21 +1,17 @@
 /**
  * @file
- * Minimal JSON emission and flat-document parsing.
+ * Minimal JSON emission.
  *
- * The observability exports (metrics registry, span logs, bench
- * baselines) need deterministic, dependency-free JSON.  JsonWriter
+ * The metrics-registry dump and the bench outputs need
+ * deterministic, dependency-free JSON.  JsonWriter
  * emits objects/arrays with stable formatting (numbers via %.17g, so
- * round-trips are exact); parseFlatJson reads a JSON document of
- * nested objects back into a flat "a.b.c" -> number map, which is all
- * the baseline comparator and tests need.  Strings, booleans and
- * nulls are parsed but dropped from the flat view.
+ * round-trips are exact and a changed value is a changed line).
  */
 
 #ifndef ECSSD_SIM_JSON_HH
 #define ECSSD_SIM_JSON_HH
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -71,15 +67,6 @@ class JsonWriter
     std::vector<bool> firstInScope_;
     bool afterKey_ = false;
 };
-
-/**
- * Parse a JSON document into a flat dotted-name -> number map.
- *
- * Nested object keys are joined with '.'; array elements get their
- * index as the key segment.  Non-numeric leaves are skipped.  Fatal
- * on malformed input.
- */
-std::map<std::string, double> parseFlatJson(const std::string &text);
 
 } // namespace sim
 } // namespace ecssd

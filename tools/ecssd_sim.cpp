@@ -119,11 +119,13 @@
  *                         "tenant.<name>.*"
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "baselines/baselines.hh"
@@ -230,6 +232,41 @@ listTargets()
         std::printf("  %s\n", baselines::toString(arch).c_str());
 }
 
+/**
+ * @p text as a decimal count for @p flag, shifted left by @p shift bits
+ * (20 turns MiB into bytes).  Fatal unless the whole text is a
+ * non-negative number whose shifted value fits in T.
+ */
+template <typename T = std::uint64_t>
+T
+parseCount(const char *flag, const std::string &text, unsigned shift = 0)
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || text.find('-') != std::string::npos)
+        sim::fatal(flag, " needs a non-negative whole number, got '", text,
+                   "'");
+    if (errno == ERANGE || value > (std::numeric_limits<T>::max() >> shift))
+        sim::fatal(flag, " value '", text, "' is out of range");
+    return static_cast<T>(value << shift);
+}
+
+/** @p text as a real number for @p flag; fatal unless the whole text
+ *  is one, in range. */
+double
+parseReal(const char *flag, const std::string &text)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0')
+        sim::fatal(flag, " needs a number, got '", text, "'");
+    if (errno == ERANGE)
+        sim::fatal(flag, " value '", text, "' is out of range");
+    return value;
+}
+
 layout::LayoutKind
 parseLayout(const std::string &value)
 {
@@ -275,12 +312,10 @@ parseTenantSpec(const std::string &value)
                    "got '", value, "'");
     TenantConfig config;
     config.name = fields[0];
-    config.dramBytes =
-        std::strtoull(fields[1].c_str(), nullptr, 10) << 20;
-    config.cacheQuotaBytes =
-        std::strtoull(fields[2].c_str(), nullptr, 10) << 20;
+    config.dramBytes = parseCount("--tenant", fields[1], 20);
+    config.cacheQuotaBytes = parseCount("--tenant", fields[2], 20);
     if (fields.size() == 4)
-        config.p99TargetMs = std::strtod(fields[3].c_str(), nullptr);
+        config.p99TargetMs = parseReal("--tenant", fields[3]);
     config.validate();
     return config;
 }
@@ -727,12 +762,10 @@ run(int argc, char **argv)
         } else if (arg == "--benchmark") {
             cli.benchmark = next("--benchmark");
         } else if (arg == "--scale") {
-            cli.scale = std::strtoull(next("--scale").c_str(),
-                                      nullptr, 10);
+            cli.scale = parseCount("--scale", next("--scale"));
         } else if (arg == "--batches") {
-            cli.batches = static_cast<unsigned>(
-                std::strtoul(next("--batches").c_str(), nullptr,
-                             10));
+            cli.batches =
+                parseCount<unsigned>("--batches", next("--batches"));
         } else if (arg == "--layout") {
             cli.device.layoutKind = parseLayout(next("--layout"));
         } else if (arg == "--mac") {
@@ -756,57 +789,54 @@ run(int argc, char **argv)
         } else if (arg == "--trace") {
             sim::enableTraceCategories(next("--trace"));
         } else if (arg == "--seed") {
-            cli.device.seed = std::strtoull(
-                next("--seed").c_str(), nullptr, 10);
+            cli.device.seed = parseCount("--seed", next("--seed"));
         } else if (arg == "--threads") {
-            cli.device.threads = static_cast<unsigned>(
-                std::strtoul(next("--threads").c_str(), nullptr,
-                             10));
+            cli.device.threads =
+                parseCount<unsigned>("--threads", next("--threads"));
         } else if (arg == "--isa") {
             cli.device.isa = next("--isa");
         } else if (arg == "--cache-mb") {
             cli.device.cache.capacityBytes =
-                std::strtoull(next("--cache-mb").c_str(), nullptr,
-                              10)
-                << 20;
+                parseCount("--cache-mb", next("--cache-mb"), 20);
         } else if (arg == "--deploy-host-budget-mb") {
-            cli.device.deployHostBudgetBytes = std::strtoull(
-                next("--deploy-host-budget-mb").c_str(), nullptr,
-                10)
-                << 20;
+            cli.device.deployHostBudgetBytes =
+                parseCount("--deploy-host-budget-mb",
+                           next("--deploy-host-budget-mb"), 20);
         } else if (arg == "--relayout") {
             cli.device.relayout.enabled = true;
         } else if (arg == "--relayout-threshold") {
             cli.device.relayout.enabled = true;
-            cli.device.relayout.divergenceThreshold = std::strtod(
-                next("--relayout-threshold").c_str(), nullptr);
+            cli.device.relayout.divergenceThreshold = parseReal(
+                "--relayout-threshold", next("--relayout-threshold"));
         } else if (arg == "--relayout-pages") {
             cli.device.relayout.enabled = true;
-            cli.device.relayout.pageBudget =
-                static_cast<unsigned>(std::strtoul(
-                    next("--relayout-pages").c_str(), nullptr, 10));
+            cli.device.relayout.pageBudget = parseCount<unsigned>(
+                "--relayout-pages", next("--relayout-pages"));
         } else if (arg == "--relayout-io-budget") {
             cli.device.relayout.enabled = true;
-            cli.device.relayout.ioBudgetFraction = std::strtod(
-                next("--relayout-io-budget").c_str(), nullptr);
+            cli.device.relayout.ioBudgetFraction = parseReal(
+                "--relayout-io-budget", next("--relayout-io-budget"));
         } else if (arg == "--uncorrectable-read-rate") {
-            cli.device.ssd.uncorrectableReadRate = std::strtod(
-                next("--uncorrectable-read-rate").c_str(), nullptr);
+            cli.device.ssd.uncorrectableReadRate =
+                parseReal("--uncorrectable-read-rate",
+                          next("--uncorrectable-read-rate"));
         } else if (arg == "--read-retry-rate") {
-            cli.device.ssd.readRetryRate = std::strtod(
-                next("--read-retry-rate").c_str(), nullptr);
+            cli.device.ssd.readRetryRate =
+                parseReal("--read-retry-rate", next("--read-retry-rate"));
         } else if (arg == "--erase-failure-rate") {
-            cli.device.ssd.eraseFailureRate = std::strtod(
-                next("--erase-failure-rate").c_str(), nullptr);
+            cli.device.ssd.eraseFailureRate =
+                parseReal("--erase-failure-rate",
+                          next("--erase-failure-rate"));
         } else if (arg == "--wear-coefficient") {
-            cli.device.ssd.wearErrorCoefficient = std::strtod(
-                next("--wear-coefficient").c_str(), nullptr);
+            cli.device.ssd.wearErrorCoefficient =
+                parseReal("--wear-coefficient", next("--wear-coefficient"));
         } else if (arg == "--wear-exponent") {
-            cli.device.ssd.wearExponent = std::strtod(
-                next("--wear-exponent").c_str(), nullptr);
+            cli.device.ssd.wearExponent =
+                parseReal("--wear-exponent", next("--wear-exponent"));
         } else if (arg == "--retention-coefficient") {
-            cli.device.ssd.retentionErrorCoefficient = std::strtod(
-                next("--retention-coefficient").c_str(), nullptr);
+            cli.device.ssd.retentionErrorCoefficient =
+                parseReal("--retention-coefficient",
+                          next("--retention-coefficient"));
         } else if (arg == "--health") {
             cli.health = true;
         } else if (arg == "--metrics-json") {
@@ -816,59 +846,55 @@ run(int argc, char **argv)
         } else if (arg == "--span-log") {
             cli.spanLog = next("--span-log");
         } else if (arg == "--serve-requests") {
-            cli.serveRequests = static_cast<unsigned>(std::strtoul(
-                next("--serve-requests").c_str(), nullptr, 10));
+            cli.serveRequests = parseCount<unsigned>(
+                "--serve-requests", next("--serve-requests"));
         } else if (arg == "--redeploy-at") {
-            cli.redeployAt = static_cast<unsigned>(std::strtoul(
-                next("--redeploy-at").c_str(), nullptr, 10));
+            cli.redeployAt = parseCount<unsigned>("--redeploy-at",
+                                                  next("--redeploy-at"));
         } else if (arg == "--redeploy-io-budget") {
-            cli.redeployIoBudget = std::strtod(
-                next("--redeploy-io-budget").c_str(), nullptr);
+            cli.redeployIoBudget = parseReal(
+                "--redeploy-io-budget", next("--redeploy-io-budget"));
         } else if (arg == "--traffic") {
             cli.traffic = next("--traffic");
             cli.trafficConfig.process =
                 parseTrafficProcess(cli.traffic);
         } else if (arg == "--traffic-rate") {
-            cli.trafficConfig.ratePerSecond = std::strtod(
-                next("--traffic-rate").c_str(), nullptr);
+            cli.trafficConfig.ratePerSecond =
+                parseReal("--traffic-rate", next("--traffic-rate"));
         } else if (arg == "--traffic-burst-mult") {
-            cli.trafficConfig.burstRateMultiplier = std::strtod(
-                next("--traffic-burst-mult").c_str(), nullptr);
+            cli.trafficConfig.burstRateMultiplier = parseReal(
+                "--traffic-burst-mult", next("--traffic-burst-mult"));
         } else if (arg == "--traffic-users") {
-            cli.trafficConfig.users = std::strtoull(
-                next("--traffic-users").c_str(), nullptr, 10);
+            cli.trafficConfig.users =
+                parseCount("--traffic-users", next("--traffic-users"));
         } else if (arg == "--traffic-gold-fraction") {
-            cli.trafficConfig.goldFraction = std::strtod(
-                next("--traffic-gold-fraction").c_str(), nullptr);
+            cli.trafficConfig.goldFraction =
+                parseReal("--traffic-gold-fraction",
+                          next("--traffic-gold-fraction"));
         } else if (arg == "--traffic-seed") {
-            cli.trafficConfig.seed = std::strtoull(
-                next("--traffic-seed").c_str(), nullptr, 10);
+            cli.trafficConfig.seed =
+                parseCount("--traffic-seed", next("--traffic-seed"));
             cli.trafficSeedSet = true;
         } else if (arg == "--admission-target-us") {
-            cli.serverConfig.admissionTargetDelay =
-                sim::microseconds(std::strtod(
-                    next("--admission-target-us").c_str(), nullptr));
+            cli.serverConfig.admissionTargetDelay = sim::microseconds(
+                parseReal("--admission-target-us",
+                          next("--admission-target-us")));
         } else if (arg == "--brownout-enter-us") {
-            cli.serverConfig.brownout.enterDelay =
-                sim::microseconds(std::strtod(
-                    next("--brownout-enter-us").c_str(), nullptr));
+            cli.serverConfig.brownout.enterDelay = sim::microseconds(
+                parseReal("--brownout-enter-us", next("--brownout-enter-us")));
         } else if (arg == "--brownout-exit-us") {
-            cli.serverConfig.brownout.exitDelay =
-                sim::microseconds(std::strtod(
-                    next("--brownout-exit-us").c_str(), nullptr));
+            cli.serverConfig.brownout.exitDelay = sim::microseconds(
+                parseReal("--brownout-exit-us", next("--brownout-exit-us")));
         } else if (arg == "--brownout-guard-us") {
-            cli.serverConfig.brownout.recoveryGuard =
-                sim::microseconds(std::strtod(
-                    next("--brownout-guard-us").c_str(), nullptr));
+            cli.serverConfig.brownout.recoveryGuard = sim::microseconds(
+                parseReal("--brownout-guard-us", next("--brownout-guard-us")));
         } else if (arg == "--brownout-reduced-fraction") {
             cli.serverConfig.brownout.reducedCandidateFraction =
-                std::strtod(
-                    next("--brownout-reduced-fraction").c_str(),
-                    nullptr);
+                parseReal("--brownout-reduced-fraction",
+                          next("--brownout-reduced-fraction"));
         } else if (arg == "--batch-max-wait-us") {
-            cli.serverConfig.batchMaxWait =
-                sim::microseconds(std::strtod(
-                    next("--batch-max-wait-us").c_str(), nullptr));
+            cli.serverConfig.batchMaxWait = sim::microseconds(
+                parseReal("--batch-max-wait-us", next("--batch-max-wait-us")));
         } else if (arg == "--tenant") {
             cli.tenants.push_back(parseTenantSpec(next("--tenant")));
         } else {
