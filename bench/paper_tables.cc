@@ -29,7 +29,8 @@
  * check their invariants (no lost request, a committed swap, a
  * contained noisy neighbour, a spilling deploy inside its budget, a
  * re-layout that recovers the balance gap) and stop with sim::fatal
- * when one fails.
+ * when one fails.  A failed invariant or an unwritable DIR (checked
+ * before the first section) exits with status 2.
  */
 
 #include <array>
@@ -144,12 +145,10 @@ class Report
         row({"`" + key + "`", unit, orDash(paper), value});
     }
 
+    /** Write every entry to @p os, the opened @p path. */
     void
-    writeJson(const std::string &path) const
+    writeJson(std::ostream &os, const std::string &path) const
     {
-        std::ofstream os(path);
-        if (!os)
-            sim::fatal("cannot open '", path, "' for writing");
         sim::JsonWriter json(os);
         json.beginObject();
         for (const Entry &entry : entries_) {
@@ -1440,10 +1439,8 @@ relayout(Report &out)
     out.add(key + "drift_divergence", stats.lastDivergence, "fraction");
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string out_dir = ".";
     for (int i = 1; i < argc; ++i) {
@@ -1454,6 +1451,12 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    // Opened before the first section, so an unwritable DIR fails in
+    // a moment instead of after the whole run.
+    const std::string json_path = out_dir + "/BENCH_paper.json";
+    std::ofstream json_out(json_path);
+    if (!json_out)
+        sim::fatal("cannot open '", json_path, "' for writing");
 
     const Ladder ladder = runLadder();
     const std::map<std::string, Storing> storing = runStoring();
@@ -1486,7 +1489,21 @@ main(int argc, char **argv)
     streamingDeploy(out);
     relayout(out);
 
-    out.writeJson(out_dir + "/BENCH_paper.json");
+    out.writeJson(json_out, json_path);
     out.printMarkdown();
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const sim::FatalError &) {
+        // A bad DIR or a broken section invariant: fatal() already
+        // printed the reason.
+        return 2;
+    }
 }

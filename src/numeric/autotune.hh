@@ -3,9 +3,8 @@
  * Deterministic kernel autotuner for the INT4 screener.
  *
  * At deploy time the screener asks for a KernelPlan: which ISA level
- * to run, how many rows one parallel chunk should cover (the L2
- * tiling of the packed matrix), and how many queries the batch
- * kernel blocks together (the register tiling).
+ * to run and how many rows one parallel chunk should cover (the L2
+ * tiling of the packed matrix).
  *
  * Selection is a pure function of (matrix shape, ISA level): nothing
  * is timed, so the same shape always yields the same plan and golden
@@ -36,8 +35,6 @@ struct KernelPlan
     std::size_t bytesPerRow = 0;
     /** Rows per parallel chunk (also the single-query row tile). */
     std::size_t rowChunk = 0;
-    /** Queries the batch kernel blocks per decoded row. */
-    std::size_t queryTile = 0;
 };
 
 /**
@@ -47,16 +44,6 @@ struct KernelPlan
  * that overflows it.
  */
 std::size_t rowChunkFor(std::size_t bytes_per_row);
-
-/**
- * Closed-form batch query tile for a screener row of
- * @p bytes_per_row at @p isa — a pure function of (shape, ISA) like
- * the rest of the plan (docs/MODELING.md §14).  Power of two in
- * [1, 16]: the narrower of the level's accumulator-register budget
- * and the number of widened query features that fit the per-tile L1
- * share.
- */
-std::size_t batchQueryTile(std::size_t bytes_per_row, IsaLevel isa);
 
 /** Tune the screener kernels for @p matrix at @p isa. */
 KernelPlan autotuneScreenerKernels(const Int4Matrix &matrix,

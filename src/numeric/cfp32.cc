@@ -81,5 +81,39 @@ losslessFraction(std::span<const Cfp32Vector> vectors)
     return 1.0 - static_cast<double>(lossy) / static_cast<double>(total);
 }
 
+std::uint32_t
+preAlignSigned(std::span<const float> values, std::int32_t *out,
+               IsaLevel level)
+{
+    // thread_local: the classifier aligns rows from pool workers.
+    thread_local std::vector<Cfp32Element> pairs;
+    pairs.resize(values.size());
+    const std::uint32_t exponent = cfp32MaxExponent(values, level);
+    cfp32AlignSpan(values, exponent,
+                   reinterpret_cast<std::uint32_t *>(pairs.data()),
+                   level);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const auto significand =
+            static_cast<std::int32_t>(pairs[i].significand);
+        out[i] = pairs[i].sign != 0 ? -significand : significand;
+    }
+    return exponent;
+}
+
+void
+splitSignificands(const Cfp32Vector &query, std::int32_t *lo,
+                  std::int32_t *hi)
+{
+    for (std::size_t i = 0; i < query.size(); ++i) {
+        const Cfp32Element &elem = query[i];
+        const auto low = static_cast<std::int32_t>(elem.significand
+                                                   & 0xffff);
+        const auto high =
+            static_cast<std::int32_t>(elem.significand >> 16);
+        lo[i] = elem.sign != 0 ? -low : low;
+        hi[i] = elem.sign != 0 ? -high : high;
+    }
+}
+
 } // namespace numeric
 } // namespace ecssd

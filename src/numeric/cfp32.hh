@@ -116,6 +116,25 @@ class Cfp32Vector
  */
 double losslessFraction(std::span<const Cfp32Vector> vectors);
 
+/**
+ * Pre-align @p values into one row of a CFP32 slab, the layout the
+ * re-rank dot (numeric::cfp32SlabDot) reads: values.size() signed
+ * significands (sign applied) at @p out.  Returns the shared biased
+ * exponent.  The same bits as Cfp32Vector::preAlign, through the same
+ * kernels, without a per-row allocation.
+ */
+std::uint32_t preAlignSigned(std::span<const float> values,
+                             std::int32_t *out, IsaLevel level);
+
+/**
+ * Split the significands of the pre-aligned @p query into the signed
+ * 16-bit low and 15-bit high halves numeric::cfp32SlabDot takes:
+ * significand = hi * 2^16 + lo, each half carrying the element's
+ * sign.  @p lo and @p hi hold query.size() values each.
+ */
+void splitSignificands(const Cfp32Vector &query, std::int32_t *lo,
+                       std::int32_t *hi);
+
 } // namespace numeric
 } // namespace ecssd
 

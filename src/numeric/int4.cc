@@ -268,61 +268,6 @@ Int4Matrix::dotRowsLut(std::size_t row_begin, std::size_t row_end,
     }
 }
 
-void
-Int4Matrix::dotRowsBatchLut(std::size_t row_begin,
-                            std::size_t row_end,
-                            const std::int16_t *features,
-                            std::size_t query_count,
-                            std::size_t feature_stride,
-                            const float *feature_scales, double *out,
-                            std::size_t out_stride, IsaLevel isa,
-                            std::size_t query_tile) const
-{
-    ECSSD_ASSERT(row_begin <= row_end && row_end <= rows_
-                     && feature_stride >= 2 * bytesPerRow_,
-                 "int4 batch kernel misuse");
-    // Tile over queries so each decoded weight row is reused across
-    // the whole query block while it is still hot; int32 accumulator
-    // tiles, one rescale per (row, query) at the end.  The tile
-    // width only changes grouping — every (row, query) cell is an
-    // independent exact integer, so any tile yields the same bits.
-    constexpr std::size_t kMaxQueryTile = 16;
-    const std::size_t tile_width =
-        std::clamp<std::size_t>(query_tile, 1, kMaxQueryTile);
-    const bool simd = isa != IsaLevel::Scalar
-        && cols_ <= kInt32SafeCols;
-    std::array<std::int64_t, kMaxQueryTile> acc;
-    for (std::size_t q0 = 0; q0 < query_count; q0 += tile_width) {
-        const std::size_t tile =
-            std::min(tile_width, query_count - q0);
-        for (std::size_t r = row_begin; r < row_end; ++r) {
-            const std::uint8_t *row =
-                packed_.data() + r * bytesPerRow_;
-            if (simd) {
-                rowDotWidenedBatch(row,
-                                   features + q0 * feature_stride,
-                                   tile, feature_stride, bytesPerRow_,
-                                   acc.data(), isa);
-            } else {
-                for (std::size_t q = 0; q < tile; ++q) {
-                    const std::int16_t *widened =
-                        features + (q0 + q) * feature_stride;
-                    acc[q] = cols_ <= kInt32SafeCols
-                        ? accumulateRow<std::int32_t>(row, widened,
-                                                      bytesPerRow_)
-                        : accumulateRow<std::int64_t>(row, widened,
-                                                      bytesPerRow_);
-                }
-            }
-            for (std::size_t q = 0; q < tile; ++q) {
-                out[(q0 + q) * out_stride + (r - row_begin)] =
-                    rescale(acc[q], scales_[r],
-                            feature_scales[q0 + q]);
-            }
-        }
-    }
-}
-
 std::int64_t
 Int4Matrix::rowAbsSum(std::size_t r) const
 {

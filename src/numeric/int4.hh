@@ -141,30 +141,6 @@ class Int4Matrix
                     float feature_scale, double *out,
                     IsaLevel isa = activeIsa()) const;
 
-    /** Default query-block width of dotRowsBatchLut. */
-    static constexpr std::size_t kDefaultQueryTile = 8;
-
-    /**
-     * Multi-query blocked kernel: score rows [row_begin, row_end)
-     * against @p query_count widened features (query q at
-     * features + q * feature_stride, scale feature_scales[q]) into
-     * out[q * out_stride + (r - row_begin)].  Each weight row is
-     * decoded once and reused across every query in the block
-     * (GEMM-style reuse); int32 accumulators, one rescale at the
-     * end.  Bit-identical to per-query dotRowsLut for any
-     * @p query_tile in [1, 16] (each (row, query) cell is an
-     * independent exact integer).
-     */
-    void dotRowsBatchLut(std::size_t row_begin, std::size_t row_end,
-                         const std::int16_t *features,
-                         std::size_t query_count,
-                         std::size_t feature_stride,
-                         const float *feature_scales, double *out,
-                         std::size_t out_stride,
-                         IsaLevel isa = activeIsa(),
-                         std::size_t query_tile =
-                             kDefaultQueryTile) const;
-
     /** Packed bytes of one row (two nibbles per byte). */
     std::span<const std::uint8_t>
     packedRow(std::size_t r) const

@@ -63,10 +63,6 @@ makeBytePairs()
 
 constexpr std::array<NibblePair, 256> kBytePairs = makeBytePairs();
 
-/** Largest query tile any batch kernel accepts (register budget of
- *  the widest variant; callers tile above this). */
-constexpr std::size_t kMaxQueryTile = 16;
-
 // --- Level resolution ---------------------------------------------
 
 /** Active level, or -1 before first resolution. */
@@ -907,6 +903,134 @@ cfp32AlignSpan(std::span<const float> values, std::uint32_t emax,
 }
 
 // ==================================================================
+// CFP32 re-rank dot
+// ==================================================================
+//
+// Exact integer accumulation, so the lanes may sum in any order: every
+// partial sum of either half is bounded by the half's total of
+// |products|, which the dim <= kCfp32SlabMaxDim contract keeps below
+// 2^63.  _mm*_mul_epi32 multiplies the even int32 lanes into int64
+// products; a 32-bit shift of each 64-bit lane brings the odd lanes
+// down for a second multiply.
+
+namespace
+{
+
+/**
+ * The scalar body, which also finishes the SIMD tails: add row * lo
+ * and row * hi over [begin, n) to the two sums, then join them as
+ * hi * 2^16 + lo.
+ */
+__int128
+slabDotFrom(const std::int32_t *row, const std::int32_t *lo,
+            const std::int32_t *hi, std::size_t begin, std::size_t n,
+            std::int64_t lo_sum, std::int64_t hi_sum)
+{
+    for (std::size_t d = begin; d < n; ++d) {
+        lo_sum += static_cast<std::int64_t>(row[d]) * lo[d];
+        hi_sum += static_cast<std::int64_t>(row[d]) * hi[d];
+    }
+    return static_cast<__int128>(hi_sum) * 65536 + lo_sum;
+}
+
+#if ECSSD_KERNELS_X86
+
+__attribute__((target("avx2"))) inline std::int64_t
+laneSum64x4(__m256i v)
+{
+    const __m128i pair = _mm_add_epi64(_mm256_castsi256_si128(v),
+                                       _mm256_extracti128_si256(v, 1));
+    return _mm_cvtsi128_si64(pair) + _mm_extract_epi64(pair, 1);
+}
+
+__attribute__((target("avx2"))) __int128
+cfp32SlabDotAvx2(const std::int32_t *row, const std::int32_t *lo,
+                 const std::int32_t *hi, std::size_t n)
+{
+    __m256i acc_lo = _mm256_setzero_si256();
+    __m256i acc_hi = _mm256_setzero_si256();
+    std::size_t d = 0;
+    for (; d + 8 <= n; d += 8) {
+        const __m256i w = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(row + d));
+        const __m256i l = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(lo + d));
+        const __m256i h = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(hi + d));
+        const __m256i w_odd = _mm256_srli_epi64(w, 32);
+        acc_lo = _mm256_add_epi64(acc_lo, _mm256_mul_epi32(w, l));
+        acc_lo = _mm256_add_epi64(
+            acc_lo, _mm256_mul_epi32(w_odd, _mm256_srli_epi64(l, 32)));
+        acc_hi = _mm256_add_epi64(acc_hi, _mm256_mul_epi32(w, h));
+        acc_hi = _mm256_add_epi64(
+            acc_hi, _mm256_mul_epi32(w_odd, _mm256_srli_epi64(h, 32)));
+    }
+    return slabDotFrom(row, lo, hi, d, n, laneSum64x4(acc_lo),
+                       laneSum64x4(acc_hi));
+}
+
+/**
+ * The all-lanes maskz forms compute the unmasked operations: GCC 12's
+ * unmasked _mm512_mul_epi32, _mm512_srli_epi64 and
+ * _mm512_reduce_add_epi64 read an undefined pass-through operand and
+ * warn.
+ */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) __int128
+cfp32SlabDotAvx512(const std::int32_t *row, const std::int32_t *lo,
+                   const std::int32_t *hi, std::size_t n)
+{
+    constexpr __mmask8 all = 0xff;
+    __m512i acc_lo = _mm512_setzero_si512();
+    __m512i acc_hi = _mm512_setzero_si512();
+    std::size_t d = 0;
+    for (; d + 16 <= n; d += 16) {
+        const __m512i w = _mm512_loadu_si512(row + d);
+        const __m512i l = _mm512_loadu_si512(lo + d);
+        const __m512i h = _mm512_loadu_si512(hi + d);
+        const __m512i w_odd = _mm512_maskz_srli_epi64(all, w, 32);
+        acc_lo = _mm512_add_epi64(acc_lo, _mm512_maskz_mul_epi32(all, w, l));
+        acc_lo = _mm512_add_epi64(
+            acc_lo, _mm512_maskz_mul_epi32(
+                        all, w_odd, _mm512_maskz_srli_epi64(all, l, 32)));
+        acc_hi = _mm512_add_epi64(acc_hi, _mm512_maskz_mul_epi32(all, w, h));
+        acc_hi = _mm512_add_epi64(
+            acc_hi, _mm512_maskz_mul_epi32(
+                        all, w_odd, _mm512_maskz_srli_epi64(all, h, 32)));
+    }
+    const __m256i lo4 =
+        _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(0xf, acc_lo, 0),
+                         _mm512_maskz_extracti64x4_epi64(0xf, acc_lo, 1));
+    const __m256i hi4 =
+        _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(0xf, acc_hi, 0),
+                         _mm512_maskz_extracti64x4_epi64(0xf, acc_hi, 1));
+    return slabDotFrom(row, lo, hi, d, n, laneSum64x4(lo4),
+                       laneSum64x4(hi4));
+}
+
+#endif // ECSSD_KERNELS_X86
+
+} // namespace
+
+__int128
+cfp32SlabDot(const std::int32_t *row, const std::int32_t *query_lo,
+             const std::int32_t *query_hi, std::size_t dim,
+             IsaLevel level)
+{
+    ECSSD_ASSERT(dim <= kCfp32SlabMaxDim,
+                 "CFP32 slab dot is exact only up to 2^16 elements");
+    switch (level) {
+#if ECSSD_KERNELS_X86
+    case IsaLevel::Avx2:
+        return cfp32SlabDotAvx2(row, query_lo, query_hi, dim);
+    case IsaLevel::Avx512:
+        return cfp32SlabDotAvx512(row, query_lo, query_hi, dim);
+#endif
+    default:
+        return slabDotFrom(row, query_lo, query_hi, 0, dim, 0, 0);
+    }
+}
+
+// ==================================================================
 // INT4 LUT kernels
 // ==================================================================
 
@@ -997,42 +1121,6 @@ rowDotAvx2(const std::uint8_t *row, const std::int16_t *feature,
     return total;
 }
 
-__attribute__((target("avx2"))) void
-rowDotBatchAvx2(const std::uint8_t *row, const std::int16_t *features,
-                std::size_t query_count, std::size_t stride,
-                std::size_t bytes, std::int64_t *out)
-{
-    __m256i acc[kMaxQueryTile];
-    for (std::size_t q = 0; q < query_count; ++q)
-        acc[q] = _mm256_setzero_si256();
-    std::size_t b = 0;
-    for (; b + 16 <= bytes; b += 16) {
-        __m256i w0, w1;
-        decode16Avx2(row + b, w0, w1);
-        for (std::size_t q = 0; q < query_count; ++q) {
-            const std::int16_t *f = features + q * stride + 2 * b;
-            const __m256i f0 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(f));
-            const __m256i f1 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(f + 16));
-            acc[q] = _mm256_add_epi32(acc[q],
-                                      _mm256_madd_epi16(w0, f0));
-            acc[q] = _mm256_add_epi32(acc[q],
-                                      _mm256_madd_epi16(w1, f1));
-        }
-    }
-    for (std::size_t q = 0; q < query_count; ++q)
-        out[q] = laneSum256(acc[q]);
-    for (; b < bytes; ++b) {
-        const NibblePair pair = kBytePairs[row[b]];
-        for (std::size_t q = 0; q < query_count; ++q) {
-            const std::int16_t *f = features + q * stride;
-            out[q] += static_cast<std::int64_t>(pair.lo) * f[2 * b]
-                + static_cast<std::int64_t>(pair.hi) * f[2 * b + 1];
-        }
-    }
-}
-
 /**
  * Decode 32 packed bytes into two 512-bit int16 vectors.  The
  * 256-bit unpack interleaves within 128-bit lanes, so the widened
@@ -1121,63 +1209,6 @@ rowDotAvx512(const std::uint8_t *row, const std::int16_t *feature,
     }
     return total;
 }
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void
-rowDotBatchAvx512(const std::uint8_t *row,
-                  const std::int16_t *features,
-                  std::size_t query_count, std::size_t stride,
-                  std::size_t bytes, std::int64_t *out)
-{
-    __m512i acc[kMaxQueryTile];
-    for (std::size_t q = 0; q < query_count; ++q)
-        acc[q] = _mm512_setzero_si512();
-    std::size_t b = 0;
-    for (; b + 32 <= bytes; b += 32) {
-        __m512i w0, w1;
-        decode32Avx512(row + b, w0, w1);
-        for (std::size_t q = 0; q < query_count; ++q) {
-            const std::int16_t *f = features + q * stride + 2 * b;
-            acc[q] = _mm512_add_epi32(
-                acc[q],
-                _mm512_madd_epi16(w0, loadFeaturePermuted(f, 0, 32)));
-            acc[q] = _mm512_add_epi32(
-                acc[q], _mm512_madd_epi16(
-                            w1, loadFeaturePermuted(f, 16, 48)));
-        }
-    }
-    for (std::size_t q = 0; q < query_count; ++q)
-        out[q] = laneSum512(acc[q]);
-    if (b + 16 <= bytes) {
-        __m256i w0, w1;
-        decode16Avx2(row + b, w0, w1);
-        for (std::size_t q = 0; q < query_count; ++q) {
-            const std::int16_t *f = features + q * stride + 2 * b;
-            __m256i acc2 = _mm256_madd_epi16(
-                w0, _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(f)));
-            acc2 = _mm256_add_epi32(
-                acc2,
-                _mm256_madd_epi16(
-                    w1, _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(f
-                                                              + 16))));
-            out[q] += laneSum256(acc2);
-        }
-        b += 16;
-    }
-    for (; b < bytes; ++b) {
-        const NibblePair pair = kBytePairs[row[b]];
-        for (std::size_t q = 0; q < query_count; ++q) {
-            const std::int16_t *f = features + q * stride;
-            out[q] += static_cast<std::int64_t>(pair.lo) * f[2 * b]
-                + static_cast<std::int64_t>(pair.hi) * f[2 * b + 1];
-        }
-    }
-}
-
-#endif // ECSSD_KERNELS_X86
-
-#if ECSSD_KERNELS_X86
 
 /**
  * Row-range wrappers: keep the per-row loop inside one
@@ -1299,16 +1330,6 @@ rowDotRangeAvx512(const std::uint8_t *rows, std::size_t row_stride,
 
 #endif // ECSSD_KERNELS_X86
 
-void
-rowDotBatchPortable(const std::uint8_t *row,
-                    const std::int16_t *features,
-                    std::size_t query_count, std::size_t stride,
-                    std::size_t bytes, std::int64_t *out)
-{
-    for (std::size_t q = 0; q < query_count; ++q)
-        out[q] = rowDotScalar(row, features + q * stride, bytes);
-}
-
 } // namespace
 
 std::int64_t
@@ -1359,33 +1380,6 @@ rowDotWidenedRange(const std::uint8_t *rows, std::size_t row_stride,
                 rowDotScalar(rows + i * row_stride, feature, bytes);
         return;
 #endif
-    }
-}
-
-void
-rowDotWidenedBatch(const std::uint8_t *row,
-                   const std::int16_t *features,
-                   std::size_t query_count, std::size_t feature_stride,
-                   std::size_t bytes, std::int64_t *acc,
-                   IsaLevel level)
-{
-    ECSSD_ASSERT(query_count <= kMaxQueryTile,
-                 "batch kernel tile exceeds register budget");
-    switch (level) {
-#if ECSSD_KERNELS_X86
-    case IsaLevel::Avx2:
-        rowDotBatchAvx2(row, features, query_count, feature_stride,
-                        bytes, acc);
-        return;
-    case IsaLevel::Avx512:
-        rowDotBatchAvx512(row, features, query_count, feature_stride,
-                          bytes, acc);
-        return;
-#endif
-    default:
-        rowDotBatchPortable(row, features, query_count,
-                            feature_stride, bytes, acc);
-        return;
     }
 }
 

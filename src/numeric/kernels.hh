@@ -3,8 +3,8 @@
  * Runtime-dispatched SIMD host kernels.
  *
  * Every hot host-compute kernel (INT4 LUT screening, quantization,
- * the projection GEMV, the FP32 pairwise-tree dot) exists at up to
- * three ISA levels:
+ * the projection GEMV, the FP32 pairwise-tree dot, the CFP32 re-rank
+ * dot) exists at up to three ISA levels:
  *
  *   scalar  — the original reference loops (byte-for-byte the PR 7
  *             code paths).  The fallback on hosts without AVX2.
@@ -184,16 +184,28 @@ void rowDotWidenedRange(const std::uint8_t *rows,
                         std::size_t bytes, std::int64_t *out,
                         IsaLevel level);
 
+// --- CFP32 re-rank kernel (exact integer accumulation) ------------
+
+/** Longest vector the CFP32 slab dot sums exactly (see below). */
+constexpr std::size_t kCfp32SlabMaxDim = std::size_t{1} << 16;
+
 /**
- * Multi-query row block: for each query q in [0, query_count), raw
- * int32 dot of @p row against features + q * feature_stride into
- * acc[q].  One row decode shared by the whole query block.
+ * Exact integer dot of one pre-aligned CFP32 row against one
+ * pre-aligned query: sum_d row[d] * (hi[d] * 2^16 + lo[d]), the sum
+ * AlignmentFreeMac::dot accumulates in __int128.
+ *
+ * @p row holds signed aligned significands (sign applied, |row[d]| <
+ * 2^31).  The query's 31-bit significand is split into a 16-bit low
+ * half @p query_lo and a 15-bit high half @p query_hi, each carrying
+ * the element's sign.  The two halves accumulate in separate int64
+ * sums, exact for @p dim <= kCfp32SlabMaxDim because |row * lo| * dim
+ * < 2^47 * 2^16 = 2^63 and every partial sum is bounded by that total,
+ * in any order.  So every level returns the same integer.
  */
-void rowDotWidenedBatch(const std::uint8_t *row,
-                        const std::int16_t *features,
-                        std::size_t query_count,
-                        std::size_t feature_stride, std::size_t bytes,
-                        std::int64_t *acc, IsaLevel level);
+__int128 cfp32SlabDot(const std::int32_t *row,
+                      const std::int32_t *query_lo,
+                      const std::int32_t *query_hi, std::size_t dim,
+                      IsaLevel level);
 
 } // namespace numeric
 } // namespace ecssd

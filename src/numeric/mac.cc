@@ -145,13 +145,21 @@ AlignmentFreeMac::dot(const Cfp32Vector &a, const Cfp32Vector &b)
     }
 
     result.ops.normalizations += 1;
+    result.value =
+        normalize(acc, a.sharedExponent(), b.sharedExponent());
+    return result;
+}
+
+double
+AlignmentFreeMac::normalize(__int128 acc, std::uint32_t exponent_a,
+                            std::uint32_t exponent_b)
+{
     // Each significand is m * 2^(E - bias - 23 - 7); the product scale
     // therefore uses both shared exponents.
-    const int exp2 = static_cast<int>(a.sharedExponent())
-        + static_cast<int>(b.sharedExponent()) - 2 * fp32ExponentBias
+    const int exp2 = static_cast<int>(exponent_a)
+        + static_cast<int>(exponent_b) - 2 * fp32ExponentBias
         - 2 * (fp32MantissaBits + cfp32CompensationBits);
-    result.value = std::ldexp(static_cast<double>(acc), exp2);
-    return result;
+    return std::ldexp(static_cast<double>(acc), exp2);
 }
 
 double

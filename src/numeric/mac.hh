@@ -98,6 +98,15 @@ class AlignmentFreeMac
      * @pre a.size() == b.size().
      */
     static MacResult dot(const Cfp32Vector &a, const Cfp32Vector &b);
+
+    /**
+     * The one final normalization: scale the exact integer sum
+     * @p acc of two CFP32 vectors by their shared biased exponents.
+     * Every CFP32 re-rank path finishes here, so an equal integer
+     * gives an equal double.
+     */
+    static double normalize(__int128 acc, std::uint32_t exponent_a,
+                            std::uint32_t exponent_b);
 };
 
 /** Exact (double-precision) reference for accuracy comparisons. */

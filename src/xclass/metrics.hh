@@ -42,11 +42,10 @@ topKIndices(std::span<const Score> scores, std::size_t k)
         return a < b;
     };
     if (k < scores.size()) {
-        std::nth_element(order.begin(),
-                         order.begin()
-                             + static_cast<std::ptrdiff_t>(k),
-                         order.end(), better);
-        order.resize(k);
+        const auto kth = order.begin() + static_cast<std::ptrdiff_t>(k);
+        std::nth_element(order.begin(), kth, order.end(), better);
+        // A fresh k-slot vector: resize(k) would keep all n slots held.
+        order = std::vector<std::uint64_t>(order.begin(), kth);
     }
     std::sort(order.begin(), order.end(), better);
     return order;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "sim/logging.hh"
 #include "xclass/metrics.hh"
@@ -82,86 +83,109 @@ Screener::scoresInto(const numeric::Int4Vector &feature,
         score_rows(0, screener_.rows());
 }
 
-std::vector<std::vector<double>>
-Screener::scoresBatch(
-    std::span<const numeric::Int4Vector> features) const
+namespace
 {
-    const std::size_t queries = features.size();
-    std::vector<std::vector<double>> out(queries);
-    if (queries == 0)
-        return out;
 
-    // Widen every query once, contiguously, so the blocked kernel
-    // can stride across them.
-    const std::size_t stride = 2 * screener_.bytesPerRow();
-    std::vector<std::int16_t> widened(queries * stride);
-    std::vector<float> scales(queries);
-    std::vector<std::int16_t> one;
-    for (std::size_t q = 0; q < queries; ++q) {
-        screener_.widenFeature(features[q], one);
-        std::copy(one.begin(), one.end(),
-                  widened.begin()
-                      + static_cast<std::ptrdiff_t>(q * stride));
-        scales[q] = features[q].scale;
-    }
-    for (std::size_t q = 0; q < queries; ++q)
-        out[q].resize(screener_.rows());
-
-    // The parallel dimension is rows: each chunk runs the blocked
-    // kernel over its row range for every query, then scatters into
-    // the per-query output vectors — disjoint slots, so chunk
-    // execution order cannot matter.
-    const auto score_rows_blocked = [&](std::size_t row_begin,
-                                        std::size_t row_end) {
-        // Flat chunk-local buffer, query-major, then scatter to the
-        // per-query vectors in fixed order.
-        const std::size_t rows = row_end - row_begin;
-        std::vector<double> block(queries * rows);
-        screener_.dotRowsBatchLut(row_begin, row_end, widened.data(),
-                                  queries, stride, scales.data(),
-                                  block.data(), rows, plan_.isa,
-                                  plan_.queryTile);
-        for (std::size_t q = 0; q < queries; ++q)
-            std::copy(block.begin()
-                          + static_cast<std::ptrdiff_t>(q * rows),
-                      block.begin()
-                          + static_cast<std::ptrdiff_t>((q + 1)
-                                                        * rows),
-                      out[q].begin()
-                          + static_cast<std::ptrdiff_t>(row_begin));
-    };
-    if (pool_)
-        pool_->parallelFor(0, screener_.rows(), plan_.rowChunk,
-                           score_rows_blocked);
-    else
-        score_rows_blocked(0, screener_.rows());
-    return out;
+/**
+ * Order-preserving image of a finite double: unsigned key order is the
+ * numeric order (a negative's bits flip, a positive gains the top
+ * bit).  Only -0.0 and +0.0 compare equal with distinct keys, and a
+ * screener score is never -0.0 (an exact integer times two
+ * non-negative scales), so equal keys are equal scores.
+ */
+std::uint64_t
+orderKey(double value)
+{
+    constexpr std::uint64_t top = std::uint64_t{1} << 63;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return (bits & top) != 0 ? ~bits : bits | top;
 }
+
+double
+fromOrderKey(std::uint64_t key)
+{
+    constexpr std::uint64_t top = std::uint64_t{1} << 63;
+    const std::uint64_t bits = (key & top) != 0 ? key & ~top : ~key;
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+}
+
+/** Key bits one histogram pass resolves (2^16 buckets, 512 KiB). */
+constexpr unsigned kSelectBits = 16;
+
+} // namespace
 
 void
 Screener::calibrate(const std::vector<std::vector<float>> &queries)
 {
     ECSSD_ASSERT(!queries.empty(), "calibration needs queries");
-    // Pool all screener scores and pick the global quantile that
-    // passes candidateRatio of them: the "pre-trained threshold".
-    // One blocked sweep scores every calibration query at once.
+    // The "pre-trained threshold" is the global quantile that passes
+    // candidateRatio of all Q x L pooled screener scores: the score at
+    // ascending rank Q * L - keep.  It is found by exact radix
+    // selection over order keys.  Each pass scores one query at a
+    // time.  A histogram pass fixes the next kSelectBits key bits of
+    // the threshold; once the boundary bucket holds at most L scores,
+    // one more pass collects it for nth_element.
     std::vector<numeric::Int4Vector> prepared(queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q)
         prepareFeatureInto(queries[q], prepared[q]);
-    const std::vector<std::vector<double>> all =
-        scoresBatch(prepared);
-    std::vector<double> pooled;
-    pooled.reserve(queries.size() * screener_.rows());
-    for (const std::vector<double> &s : all)
-        pooled.insert(pooled.end(), s.begin(), s.end());
+    const auto for_each_score = [&](const auto &visit) {
+        for (const numeric::Int4Vector &feature : prepared) {
+            scoresInto(feature, scoreScratch_);
+            for (const double score : scoreScratch_)
+                visit(score);
+        }
+    };
+
+    const std::size_t rows = screener_.rows();
+    const std::size_t total = queries.size() * rows;
     const std::size_t keep = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               static_cast<double>(pooled.size())
-               * spec_.candidateRatio));
-    std::nth_element(pooled.begin(),
-                     pooled.end() - static_cast<std::ptrdiff_t>(keep),
-                     pooled.end());
-    threshold_ = pooled[pooled.size() - keep];
+        1, static_cast<std::size_t>(static_cast<double>(total)
+                                    * spec_.candidateRatio));
+    ECSSD_ASSERT(keep <= total, "candidate ratio above 1");
+    // Ascending rank of the threshold among the scores under the
+    // prefix fixed so far.
+    std::size_t rank = total - keep;
+    std::uint64_t prefix = 0;
+    unsigned fixed_bits = 0;
+    const auto under_prefix = [&](std::uint64_t key) {
+        return fixed_bits == 0 || key >> (64 - fixed_bits) == prefix;
+    };
+
+    std::size_t boundary_size = total;
+    std::vector<std::size_t> histogram;
+    while (boundary_size > rows && fixed_bits < 64) {
+        histogram.assign(std::size_t{1} << kSelectBits, 0);
+        const unsigned shift = 64 - fixed_bits - kSelectBits;
+        for_each_score([&](double score) {
+            const std::uint64_t key = orderKey(score);
+            if (under_prefix(key))
+                ++histogram[(key >> shift) & (histogram.size() - 1)];
+        });
+        std::size_t bucket = 0;
+        while (rank >= histogram[bucket])
+            rank -= histogram[bucket++];
+        prefix = (prefix << kSelectBits) | bucket;
+        fixed_bits += kSelectBits;
+        boundary_size = histogram[bucket];
+    }
+    if (fixed_bits == 64) {
+        // Every key bit is fixed: the boundary holds one value.
+        threshold_ = fromOrderKey(prefix);
+        return;
+    }
+    std::vector<double> boundary;
+    boundary.reserve(boundary_size);
+    for_each_score([&](double score) {
+        if (under_prefix(orderKey(score)))
+            boundary.push_back(score);
+    });
+    std::nth_element(boundary.begin(),
+                     boundary.begin() + static_cast<std::ptrdiff_t>(rank),
+                     boundary.end());
+    threshold_ = boundary[rank];
 }
 
 std::vector<std::uint64_t>
@@ -197,33 +221,34 @@ Screener::rowAbsMasses() const
     return masses;
 }
 
+/** Pre-alignment rows per parallel chunk. */
+static constexpr std::size_t kAlignGrain = 256;
+
 CandidateClassifier::CandidateClassifier(
     const numeric::FloatMatrix &weights, sim::ThreadPool *pool)
     : weights_(weights), pool_(pool), isa_(numeric::activeIsa())
 {
-}
-
-/** Pre-alignment rows per parallel chunk. */
-static constexpr std::size_t kAlignGrain = 256;
-
-void
-CandidateClassifier::ensureAligned() const
-{
-    if (aligned_)
-        return;
-    alignedRows_.resize(weights_.rows());
+    const std::size_t dim = weights_.cols();
+    if (dim > numeric::kCfp32SlabMaxDim)
+        sim::fatal("the CFP32 re-rank sums rows of at most ",
+                   numeric::kCfp32SlabMaxDim, " elements exactly; got ",
+                   dim);
+    slab_.resize(weights_.rows() * dim);
+    rowExponents_.resize(weights_.rows());
+    // Each row is aligned on its own into its own slots, so any
+    // chunking over the pool builds the same slab.
     const auto align_rows = [&](std::size_t row_begin,
                                 std::size_t row_end) {
         for (std::size_t r = row_begin; r < row_end; ++r)
-            alignedRows_[r] =
-                numeric::Cfp32Vector::preAlign(weights_.row(r));
+            rowExponents_[r] = static_cast<std::uint8_t>(
+                numeric::preAlignSigned(weights_.row(r),
+                                        slab_.data() + r * dim, isa_));
     };
     if (pool_)
         pool_->parallelFor(0, weights_.rows(), kAlignGrain,
                            align_rows);
     else
         align_rows(0, weights_.rows());
-    aligned_ = true;
 }
 
 /** Candidate MACs per parallel chunk of the FP32 re-rank. */
@@ -264,13 +289,20 @@ CandidateClassifier::scores(std::span<const float> feature,
         return out;
     }
 
-    ensureAligned();
-    const numeric::Cfp32Vector aligned_feature =
-        numeric::Cfp32Vector::preAlign(feature);
+    // The slab dot sums the same integer AlignmentFreeMac::dot does,
+    // and the same normalization turns it into the same double.
+    const std::size_t dim = weights_.cols();
+    ECSSD_ASSERT(feature.size() == dim, "dot operand size mismatch");
+    const numeric::Cfp32Vector aligned =
+        numeric::Cfp32Vector::preAlign(feature, isa_);
+    std::vector<std::int32_t> lo(dim);
+    std::vector<std::int32_t> hi(dim);
+    numeric::splitSignificands(aligned, lo.data(), hi.data());
     run([&](std::uint64_t row) {
-        return numeric::AlignmentFreeMac::dot(alignedRows_[row],
-                                              aligned_feature)
-            .value;
+        return numeric::AlignmentFreeMac::normalize(
+            numeric::cfp32SlabDot(slab_.data() + row * dim, lo.data(),
+                                  hi.data(), dim, isa_),
+            rowExponents_[row], aligned.sharedExponent());
     });
     return out;
 }

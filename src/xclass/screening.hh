@@ -78,10 +78,9 @@ class Screener
     const numeric::Projector &projector() const { return projector_; }
 
     /**
-     * The kernel plan tuned at construction: ISA level, row chunk
-     * (the parallel grain of scoresInto/scoresBatch), query tile,
-     * and the observability-only candidate timings.  Deterministic
-     * for a given (shape, active ISA) — see numeric/autotune.hh.
+     * The kernel plan tuned at construction: ISA level and row chunk
+     * (the parallel grain of scoresInto).  Deterministic for a given
+     * (shape, active ISA) — see numeric/autotune.hh.
      */
     const numeric::KernelPlan &kernelPlan() const { return plan_; }
 
@@ -110,17 +109,11 @@ class Screener
                     std::vector<double> &out) const;
 
     /**
-     * Score @p features.size() prepared queries in one blocked
-     * sweep: every weight row is decoded once per query block
-     * instead of once per query.  Returns one L-length score vector
-     * per query, bit-identical to calling scores() per query.
-     */
-    std::vector<std::vector<double>> scoresBatch(
-        std::span<const numeric::Int4Vector> features) const;
-
-    /**
      * Calibrate the threshold on @p queries so that on average a
-     * candidateRatio fraction of categories clears it.
+     * candidateRatio fraction of categories clears it: the threshold
+     * is the keep-th largest of the Q x L pooled screener scores,
+     * keep = max(1, floor(Q * L * candidateRatio)).  Exact selection
+     * in O(L) memory: every pass scores one query at a time.
      */
     void calibrate(const std::vector<std::vector<float>> &queries);
 
@@ -174,12 +167,17 @@ class CandidateClassifier
     };
 
     /**
+     * Pre-align every row of @p weights into the CFP32 slab (the
+     * offline Pre_align() of the weights).
+     *
      * @param weights The L x D FP32 matrix (kept by reference; must
-     *        outlive the classifier).
+     *        outlive the classifier).  Fatal when D exceeds
+     *        numeric::kCfp32SlabMaxDim, the longest row the re-rank
+     *        dot sums exactly.
      * @param pool Optional host-compute pool: pre-alignment and
      *        candidate scoring run chunked over its threads
-     *        (bit-identical — every candidate's MAC is an
-     *        independent output slot).
+     *        (bit-identical — every row and every candidate's MAC is
+     *        an independent output slot).
      */
     explicit CandidateClassifier(const numeric::FloatMatrix &weights,
                                  sim::ThreadPool *pool = nullptr);
@@ -198,14 +196,13 @@ class CandidateClassifier
     const numeric::FloatMatrix &weights_;
     sim::ThreadPool *pool_ = nullptr;
     // ISA level captured at construction so every re-rank in this
-    // classifier's lifetime runs the same FP32 kernel.
+    // classifier's lifetime runs the same kernels.
     numeric::IsaLevel isa_ = numeric::IsaLevel::Scalar;
-    // Per-row pre-aligned weights, built lazily on first
-    // alignment-free use (the offline Pre_align() of the weights).
-    mutable std::vector<numeric::Cfp32Vector> alignedRows_;
-    mutable bool aligned_ = false;
-
-    void ensureAligned() const;
+    // The pre-aligned weights: row r's signed significands (sign
+    // applied) at slab_[r * D, (r + 1) * D), its shared biased
+    // exponent at rowExponents_[r].
+    std::vector<std::int32_t> slab_;
+    std::vector<std::uint8_t> rowExponents_;
 };
 
 /** End-to-end approximate classifier: screen, then classify. */

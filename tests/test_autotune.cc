@@ -59,38 +59,6 @@ TEST(Autotune, RowChunkIsTheDeepestPow2InTheL2Budget)
         EXPECT_EQ(rowChunkFor(bytes), chunk) << bytes;
 }
 
-TEST(Autotune, BatchQueryTileIsShapeHeuristicInContract)
-{
-    // Pure function of (shape, ISA): power of two, inside the batch
-    // kernel's [1, 16] contract, monotonically non-increasing in the
-    // row width (wider rows -> bigger widened features -> narrower
-    // tile), and never wider than the level's register budget.
-    for (const IsaLevel isa :
-         {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512}) {
-        std::size_t previous = 16;
-        for (const std::size_t bytes :
-             {0ull, 1ull, 16ull, 64ull, 256ull, 512ull, 1024ull,
-              4096ull, 65536ull}) {
-            const std::size_t tile = batchQueryTile(bytes, isa);
-            SCOPED_TRACE(std::string(toString(isa)) + " bytes "
-                         + std::to_string(bytes));
-            EXPECT_EQ(tile, batchQueryTile(bytes, isa));
-            EXPECT_GE(tile, 1u);
-            EXPECT_LE(tile, 16u);
-            EXPECT_EQ(tile & (tile - 1), 0u);
-            EXPECT_LE(tile, previous);
-            EXPECT_LE(tile,
-                      isa == IsaLevel::Avx512 ? 16u : 8u);
-            previous = tile;
-        }
-    }
-    // AVX-512's deeper register file widens the tile on short rows.
-    EXPECT_GT(batchQueryTile(32, IsaLevel::Avx512),
-              batchQueryTile(32, IsaLevel::Avx2));
-    // Huge rows squeeze the tile down to (but never below) one.
-    EXPECT_EQ(batchQueryTile(1u << 20, IsaLevel::Avx2), 1u);
-}
-
 TEST(Autotune, PlanIsPureFunctionOfShapeAndIsa)
 {
     const Int4Matrix matrix = smallMatrix(3000, 40);
@@ -104,10 +72,7 @@ TEST(Autotune, PlanIsPureFunctionOfShapeAndIsa)
             EXPECT_EQ(plan.cols, matrix.cols());
             EXPECT_EQ(plan.bytesPerRow, matrix.bytesPerRow());
             EXPECT_EQ(plan.rowChunk, first.rowChunk) << run;
-            EXPECT_EQ(plan.queryTile, first.queryTile) << run;
             EXPECT_EQ(plan.rowChunk, rowChunkFor(matrix.bytesPerRow()));
-            EXPECT_EQ(plan.queryTile,
-                      batchQueryTile(matrix.bytesPerRow(), isa));
         }
     }
 }
@@ -123,12 +88,10 @@ TEST(Autotune, ScreenerPlanDeterministicAcrossConstructions)
     const KernelPlan &b = second.kernelPlan();
     EXPECT_EQ(b.isa, a.isa);
     EXPECT_EQ(b.rowChunk, a.rowChunk);
-    EXPECT_EQ(b.queryTile, a.queryTile);
     EXPECT_EQ(b.rows, a.rows);
     EXPECT_EQ(b.cols, a.cols);
     EXPECT_EQ(a.isa, activeIsa());
     EXPECT_GT(a.rowChunk, 0u);
-    EXPECT_GT(a.queryTile, 0u);
 }
 
 TEST(Autotune, ValidateRejectsUnknownIsaOption)

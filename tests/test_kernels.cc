@@ -1,12 +1,12 @@
 /**
  * @file
- * Kernel-equivalence property tests: the byte-wise LUT kernels and
- * the blocked multi-query kernel must match the scalar nibble-by-
- * nibble reference bit for bit — the whole basis of the repo's
- * any-thread-count golden-run contract — across odd/even column
- * counts, all-zero rows, saturated nibbles, and random seeds.  Also
- * covers the in-place packing constructor, quantizeVectorInto reuse,
- * and the nth_element top-k against a full-sort reference.
+ * Kernel-equivalence property tests: the byte-wise LUT kernels must
+ * match the scalar nibble-by-nibble reference bit for bit — the
+ * whole basis of the repo's any-thread-count golden-run contract —
+ * across odd/even column counts, all-zero rows, saturated nibbles,
+ * and random seeds.  Also covers the in-place packing constructor,
+ * quantizeVectorInto reuse, and the nth_element top-k against a
+ * full-sort reference.
  */
 
 #include <gtest/gtest.h>
@@ -151,49 +151,6 @@ TEST(Int4Kernels, MatchScalarOnSaturatedNibbles)
     for (std::size_t c = 0; c < cols; ++c)
         spikes[c] = (c % 2 == 0) ? -50.0f : 50.0f;
     expectKernelsMatchScalar(matrix, quantizeVector(spikes));
-}
-
-TEST(Int4Kernels, BatchKernelMatchesPerQueryKernel)
-{
-    const std::size_t rows = 73;
-    const std::size_t cols = 33;
-    const Int4Matrix matrix(randomMatrix(rows, cols, 11));
-
-    // Query counts around the internal tile width (8): below, equal,
-    // above, and a non-multiple.
-    for (const std::size_t queries : {1ull, 7ull, 8ull, 9ull, 19ull}) {
-        std::vector<Int4Vector> features;
-        for (std::size_t q = 0; q < queries; ++q)
-            features.push_back(
-                quantizeVector(randomVector(cols, 100 + q)));
-
-        const std::size_t stride = 2 * matrix.bytesPerRow();
-        std::vector<std::int16_t> widened(queries * stride, 0);
-        std::vector<float> scales(queries);
-        std::vector<std::int16_t> one;
-        for (std::size_t q = 0; q < queries; ++q) {
-            matrix.widenFeature(features[q], one);
-            std::copy(one.begin(), one.end(),
-                      widened.begin()
-                          + static_cast<std::ptrdiff_t>(q * stride));
-            scales[q] = features[q].scale;
-        }
-
-        std::vector<double> batch(queries * rows);
-        matrix.dotRowsBatchLut(0, rows, widened.data(), queries,
-                               stride, scales.data(), batch.data(),
-                               rows);
-
-        std::vector<double> single(rows);
-        for (std::size_t q = 0; q < queries; ++q) {
-            matrix.widenFeature(features[q], one);
-            matrix.dotRowsLut(0, rows, one, features[q].scale,
-                              single.data());
-            for (std::size_t r = 0; r < rows; ++r)
-                EXPECT_EQ(batch[q * rows + r], single[r])
-                    << "query " << q << " row " << r;
-        }
-    }
 }
 
 TEST(Int4Kernels, InPlacePackingMatchesSerialAndParallel)

@@ -7,9 +7,10 @@
  * contract is exact replication; the checked-in goldens at the bottom
  * pin the tolerance contract any future reassociating kernel would
  * have to meet).  Shapes cover cols = 1, odd, even, zero rows,
- * saturated nibbles, and the int64-fallback boundary near
- * 0x7fffffff / 49 columns where the int32 SIMD accumulators sit one
- * product away from overflow.
+ * saturated nibbles, the int64-fallback boundary near 0x7fffffff / 49
+ * columns where the int32 SIMD accumulators sit one product away from
+ * overflow, and the 2^16-element CFP32 slab dot whose int64 halves
+ * sit just inside theirs.
  */
 
 #include <gtest/gtest.h>
@@ -131,49 +132,6 @@ expectIntegerKernelsAgree(const Int4Matrix &matrix,
     }
 }
 
-/**
- * Assert the multi-query batch kernel matches scalar per-query
- * results at every level for query tiles below/at/above the blocking
- * width.
- */
-void
-expectBatchKernelAgrees(const Int4Matrix &matrix,
-                        std::span<const Int4Vector> features,
-                        const char *label)
-{
-    const std::size_t rows = matrix.rows();
-    const std::size_t queries = features.size();
-    const std::size_t stride = 2 * matrix.bytesPerRow();
-    std::vector<std::int16_t> widened(queries * stride, 0);
-    std::vector<float> scales(queries);
-    std::vector<std::int16_t> one;
-    for (std::size_t q = 0; q < queries; ++q) {
-        matrix.widenFeature(features[q], one);
-        std::copy(one.begin(), one.end(),
-                  widened.begin()
-                      + static_cast<std::ptrdiff_t>(q * stride));
-        scales[q] = features[q].scale;
-    }
-
-    std::vector<double> ref(queries * rows);
-    matrix.dotRowsBatchLut(0, rows, widened.data(), queries, stride,
-                           scales.data(), ref.data(), rows,
-                           IsaLevel::Scalar);
-
-    for (const IsaLevel isa : levels()) {
-        for (const std::size_t tile : {1ull, 3ull, 8ull, 16ull}) {
-            SCOPED_TRACE(std::string(label) + " isa="
-                         + toString(isa) + " tile="
-                         + std::to_string(tile));
-            std::vector<double> out(queries * rows, -1.0);
-            matrix.dotRowsBatchLut(0, rows, widened.data(), queries,
-                                   stride, scales.data(), out.data(),
-                                   rows, isa, tile);
-            EXPECT_EQ(out, ref);
-        }
-    }
-}
-
 } // namespace
 
 TEST(KernelsDifferential, RandomShapesAllPairsByteIdentical)
@@ -239,30 +197,6 @@ TEST(KernelsDifferential, ZeroRowsAndZeroFeature)
     expectIntegerKernelsAgree(
         matrix, quantizeVector(std::vector<float>(24, 0.0f)),
         "zero feature");
-}
-
-TEST(KernelsDifferential, BatchKernelAllPairsByteIdentical)
-{
-    const struct
-    {
-        std::size_t rows, cols;
-    } shapes[] = {{19, 1}, {73, 33}, {64, 64}, {21, 129}};
-    for (const auto &shape : shapes) {
-        const Int4Matrix matrix(
-            randomMatrix(shape.rows, shape.cols, 61));
-        for (const std::size_t queries : {1ull, 7ull, 9ull, 19ull}) {
-            std::vector<Int4Vector> features;
-            for (std::size_t q = 0; q < queries; ++q)
-                features.push_back(quantizeVector(
-                    randomVector(shape.cols, 700 + 10 * q)));
-            const std::string label =
-                std::to_string(shape.rows) + "x"
-                + std::to_string(shape.cols) + " q"
-                + std::to_string(queries);
-            expectBatchKernelAgrees(matrix, features,
-                                    label.c_str());
-        }
-    }
 }
 
 TEST(KernelsDifferential, Int64FallbackBoundary)
@@ -420,6 +354,106 @@ TEST(KernelsDifferential, PreAlignAllPairsByteIdentical)
     for (int e = -20; e <= 20; ++e)
         spread.push_back(std::ldexp(1.0f, e));
     expectPreAlignAgrees(spread, "binade spread");
+}
+
+namespace
+{
+
+/**
+ * Assert the CFP32 slab dot of @p row x @p query matches
+ * AlignmentFreeMac::dot at every supported level: the same integer
+ * (an off-by-one could round away in the double) and the same bits
+ * after the shared normalization.
+ */
+void
+expectSlabDotAgrees(const std::vector<float> &row,
+                    const std::vector<float> &query, const char *label)
+{
+    ASSERT_EQ(row.size(), query.size());
+    const std::size_t n = row.size();
+    const Cfp32Vector row32 = Cfp32Vector::preAlign(row, IsaLevel::Scalar);
+    const Cfp32Vector query32 =
+        Cfp32Vector::preAlign(query, IsaLevel::Scalar);
+    const double want = AlignmentFreeMac::dot(row32, query32).value;
+    __int128 want_sum = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const __int128 product =
+            static_cast<__int128>(row32[i].significand)
+            * query32[i].significand;
+        want_sum += (row32[i].sign ^ query32[i].sign) ? -product
+                                                      : product;
+    }
+
+    for (const IsaLevel isa : levels()) {
+        SCOPED_TRACE(std::string(label) + " isa=" + toString(isa));
+        std::vector<std::int32_t> slab_row(n);
+        std::vector<std::int32_t> lo(n);
+        std::vector<std::int32_t> hi(n);
+        const std::uint32_t row_exponent =
+            preAlignSigned(row, slab_row.data(), isa);
+        EXPECT_EQ(row_exponent, row32.sharedExponent());
+        const Cfp32Vector aligned = Cfp32Vector::preAlign(query, isa);
+        splitSignificands(aligned, lo.data(), hi.data());
+        const __int128 sum = cfp32SlabDot(slab_row.data(), lo.data(),
+                                          hi.data(), n, isa);
+        EXPECT_TRUE(sum == want_sum)
+            << "high words " << static_cast<std::int64_t>(sum >> 64)
+            << " vs " << static_cast<std::int64_t>(want_sum >> 64);
+        const double got = AlignmentFreeMac::normalize(
+            sum, row_exponent, aligned.sharedExponent());
+        std::uint64_t got_bits = 0, want_bits = 0;
+        std::memcpy(&got_bits, &got, sizeof(got));
+        std::memcpy(&want_bits, &want, sizeof(want));
+        EXPECT_EQ(got_bits, want_bits) << got << " vs " << want;
+    }
+}
+
+} // namespace
+
+TEST(KernelsDifferential, Cfp32SlabDotMatchesAlignmentFreeMacEveryLevel)
+{
+    // D = 1, odd D and the SIMD tails around 1024.
+    for (const std::size_t n :
+         {1ull, 7ull, 31ull, 1023ull, 1024ull, 1025ull}) {
+        for (const std::uint64_t seed : {5ull, 71ull}) {
+            const std::string label = "gauss n=" + std::to_string(n);
+            expectSlabDotAgrees(randomVector(n, seed),
+                                randomVector(n, seed + 1000),
+                                label.c_str());
+        }
+    }
+
+    // Signed zeros on both sides, against zeros and non-zeros.
+    std::vector<float> row = randomVector(37, 9);
+    std::vector<float> query = randomVector(37, 10);
+    for (std::size_t i = 0; i < row.size(); i += 3)
+        row[i] = (i % 2 == 0) ? -0.0f : 0.0f;
+    for (std::size_t i = 0; i < query.size(); i += 4)
+        query[i] = -0.0f;
+    expectSlabDotAgrees(row, query, "signed zeros");
+    expectSlabDotAgrees(std::vector<float>(19, -0.0f),
+                        randomVector(19, 11), "all -0 row");
+
+    // Row and query exponents far apart, with a wide spread inside
+    // the row (alignment shifts past the compensation bits).
+    std::vector<float> big = randomVector(97, 12);
+    std::vector<float> tiny = randomVector(97, 13);
+    for (std::size_t i = 0; i < big.size(); ++i) {
+        big[i] = std::ldexp(big[i], 100 - static_cast<int>(i % 40));
+        tiny[i] = std::ldexp(tiny[i], -120);
+    }
+    expectSlabDotAgrees(big, tiny, "exponents far apart");
+
+    // The overflow bound: D = 2^16, every significand at its largest
+    // value (2^24 - 1) * 2^7 and one shared sign, so no product
+    // cancels another.
+    const float largest = std::nextafter(2.0f, 0.0f);
+    const std::vector<float> plus(kCfp32SlabMaxDim, largest);
+    const std::vector<float> minus(kCfp32SlabMaxDim, -largest);
+    ASSERT_EQ(Cfp32Vector::preAlign(plus)[0].significand,
+              ((1u << 24) - 1) << 7);
+    expectSlabDotAgrees(minus, minus, "bound, positive products");
+    expectSlabDotAgrees(plus, minus, "bound, negative products");
 }
 
 TEST(KernelsDifferential, ProjectGemvBitIdentical)

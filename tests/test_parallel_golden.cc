@@ -89,13 +89,11 @@ TEST(ParallelGolden, ScreenerScoresMatchSerialExactly)
 {
     const xclass::BenchmarkSpec spec = smallSpec();
     const xclass::SyntheticModel model(spec, 1);
-    const xclass::Screener serial(model.weights(), spec, 2);
+    xclass::Screener serial(model.weights(), spec, 2);
     sim::ThreadPool pool(8);
-    const xclass::Screener pooled(model.weights(), spec, 2, nullptr,
-                                  &pool);
+    xclass::Screener pooled(model.weights(), spec, 2, nullptr, &pool);
 
     const auto queries = sampleQueries(model, 6);
-    std::vector<numeric::Int4Vector> prepared;
     for (const auto &query : queries) {
         const numeric::Int4Vector feature =
             serial.prepareFeature(query);
@@ -107,16 +105,12 @@ TEST(ParallelGolden, ScreenerScoresMatchSerialExactly)
                   serial.scores(feature));
         EXPECT_EQ(pooled.screen(query, xclass::FilterMode::TopRatio),
                   serial.screen(query, xclass::FilterMode::TopRatio));
-        prepared.push_back(feature);
     }
 
-    // The blocked multi-query sweep equals per-query scoring.
-    const std::vector<std::vector<double>> batch =
-        pooled.scoresBatch(prepared);
-    ASSERT_EQ(batch.size(), prepared.size());
-    for (std::size_t q = 0; q < prepared.size(); ++q)
-        EXPECT_EQ(batch[q], serial.scores(prepared[q]))
-            << "query " << q;
+    // Calibration scores the queries through the same pool.
+    serial.calibrate(queries);
+    pooled.calibrate(queries);
+    EXPECT_EQ(pooled.threshold(), serial.threshold());
 }
 
 TEST(ParallelGolden, ClassifierPredictionsMatchSerialExactly)

@@ -8,8 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
+#include "numeric/kernels.hh"
+#include "numeric/mac.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "sim/thread_pool.hh"
 #include "xclass/metrics.hh"
 #include "xclass/screening.hh"
 #include "xclass/workload.hh"
@@ -31,6 +37,48 @@ smallSpec()
     spec.hiddenDim = 256;
     spec.candidateRatio = 0.10;
     return spec;
+}
+
+/**
+ * The pooled reference calibrate() must reproduce bit for bit: every
+ * query's scores in one vector, nth_element at the keep-th largest.
+ */
+double
+pooledThreshold(const Screener &screener,
+                const std::vector<std::vector<float>> &queries,
+                double ratio)
+{
+    std::vector<double> pooled;
+    for (const std::vector<float> &query : queries) {
+        const std::vector<double> scores =
+            screener.scores(screener.prepareFeature(query));
+        pooled.insert(pooled.end(), scores.begin(), scores.end());
+    }
+    const std::size_t keep = std::max<std::size_t>(
+        1, static_cast<std::size_t>(static_cast<double>(pooled.size())
+                                    * ratio));
+    std::nth_element(pooled.begin(),
+                     pooled.end() - static_cast<std::ptrdiff_t>(keep),
+                     pooled.end());
+    return pooled[pooled.size() - keep];
+}
+
+void
+expectCalibrationExact(const numeric::FloatMatrix &weights,
+                       const BenchmarkSpec &spec,
+                       const std::vector<std::vector<float>> &queries,
+                       const std::string &label)
+{
+    SCOPED_TRACE(label);
+    Screener screener(weights, spec, 2);
+    screener.calibrate(queries);
+    const double want =
+        pooledThreshold(screener, queries, spec.candidateRatio);
+    std::uint64_t got_bits = 0, want_bits = 0;
+    const double got = screener.threshold();
+    std::memcpy(&got_bits, &got, sizeof(got));
+    std::memcpy(&want_bits, &want, sizeof(want));
+    EXPECT_EQ(got_bits, want_bits) << got << " vs " << want;
 }
 
 } // namespace
@@ -59,6 +107,19 @@ TEST(Metrics, TopKBreaksTiesByIndex)
         topKIndices(std::span<const double>(scores), 2);
     EXPECT_EQ(top[0], 0u);
     EXPECT_EQ(top[1], 1u);
+}
+
+TEST(Metrics, TopKHoldsOnlyKSlots)
+{
+    // A caller that keeps many answers (one per query at L = 670K)
+    // must not keep n slots per answer.
+    std::vector<double> scores(100000);
+    for (std::size_t i = 0; i < scores.size(); ++i)
+        scores[i] = static_cast<double>((i * 7919) % scores.size());
+    const auto top = topKIndices(std::span<const double>(scores), 5);
+    ASSERT_EQ(top.size(), 5u);
+    EXPECT_LT(top.capacity(), 1000u);
+    EXPECT_EQ(scores[top[0]], 99999.0);
 }
 
 TEST(Metrics, RecallCountsIntersection)
@@ -118,6 +179,61 @@ TEST(Screener, CalibratedThresholdHitsTargetRatio)
             / static_cast<double>(spec.categories);
     }
     EXPECT_NEAR(total_ratio / queries, spec.candidateRatio, 0.06);
+}
+
+TEST(Screener, CalibrateMatchesPooledSelectionExactly)
+{
+    // Two model shapes, each with: i.i.d. queries; every row repeated
+    // (ties within each query); one repeated row against queries
+    // scaled by multiples of 2^-20 (ties across a whole query, and a
+    // boundary bucket wider than L that only lower key bits split);
+    // all-zero queries, alone (every score +0.0) and mixed in.
+    BenchmarkSpec wide = smallSpec();
+    BenchmarkSpec narrow =
+        scaledDown(benchmarkByName("XMLCNN-A670K"), 3000);
+    narrow.hiddenDim = 64;
+    narrow.candidateRatio = 0.05;
+    for (const BenchmarkSpec &spec : {wide, narrow}) {
+        const SyntheticModel model(spec, 40);
+        const std::string shape = std::to_string(spec.categories) + "x"
+            + std::to_string(spec.hiddenDim) + " ";
+        sim::Rng rng(41);
+        std::vector<std::vector<float>> queries;
+        for (int q = 0; q < 8; ++q)
+            queries.push_back(model.sampleQuery(rng));
+        expectCalibrationExact(model.weights(), spec, queries,
+                               shape + "iid");
+
+        numeric::FloatMatrix tiled(spec.categories, spec.hiddenDim);
+        numeric::FloatMatrix single(spec.categories, spec.hiddenDim);
+        for (std::size_t r = 0; r < spec.categories; ++r) {
+            for (std::size_t c = 0; c < spec.hiddenDim; ++c) {
+                tiled.at(r, c) = model.weights().at(r % 7, c);
+                single.at(r, c) = model.weights().at(0, c);
+            }
+        }
+        expectCalibrationExact(tiled, spec, queries, shape + "tiled");
+        std::vector<std::vector<float>> scaled;
+        for (int q = 0; q < 8; ++q) {
+            scaled.push_back(queries[0]);
+            for (float &v : scaled.back())
+                v *= 1.0f + static_cast<float>(q) * 0x1p-20f;
+        }
+        expectCalibrationExact(single, spec, scaled,
+                               shape + "one row, scaled queries");
+
+        const std::vector<float> zero(spec.hiddenDim, 0.0f);
+        expectCalibrationExact(model.weights(), spec,
+                               std::vector<std::vector<float>>(3, zero),
+                               shape + "all-zero");
+        std::vector<std::vector<float>> mixed(6, zero);
+        mixed.push_back(queries[1]);
+        mixed.push_back(queries[2]);
+        BenchmarkSpec half = spec;
+        half.candidateRatio = 0.5;
+        expectCalibrationExact(model.weights(), half, mixed,
+                               shape + "zeros mixed in");
+    }
 }
 
 TEST(Screener, RowMassesMatchMatrixDimensions)
@@ -217,6 +333,57 @@ TEST(CandidateClassifier, Cfp32MatchesFp32Datapath)
     const auto top_cfp32 =
         topKIndices(std::span<const double>(cfp32), 5);
     EXPECT_GE(recall(top_fp32, top_cfp32), 0.8);
+}
+
+TEST(CandidateClassifier, Cfp32ScoresMatchAlignmentFreeMacEveryLevel)
+{
+    // The slab re-rank keeps every score's bits: the same integer and
+    // the same normalization as AlignmentFreeMac::dot, at every level
+    // and pool size.
+    const BenchmarkSpec spec = smallSpec();
+    const SyntheticModel model(spec, 31);
+    sim::Rng rng(32);
+    const std::vector<float> query = model.sampleQuery(rng);
+    const numeric::Cfp32Vector aligned_query =
+        numeric::Cfp32Vector::preAlign(query);
+    std::vector<std::uint64_t> candidates;
+    for (std::uint64_t r = 0; r < spec.categories; r += 3)
+        candidates.push_back(r);
+    std::vector<double> want;
+    for (const std::uint64_t r : candidates)
+        want.push_back(numeric::AlignmentFreeMac::dot(
+                           numeric::Cfp32Vector::preAlign(
+                               model.weights().row(r)),
+                           aligned_query)
+                           .value);
+
+    sim::ThreadPool pool(3);
+    for (const numeric::IsaLevel isa : numeric::supportedIsaLevels()) {
+        SCOPED_TRACE(numeric::toString(isa));
+        numeric::setActiveIsa(isa);
+        for (sim::ThreadPool *p : {static_cast<sim::ThreadPool *>(nullptr),
+                                   &pool}) {
+            const CandidateClassifier classifier(model.weights(), p);
+            const std::vector<double> got = classifier.scores(
+                query, candidates,
+                CandidateClassifier::Datapath::Cfp32AlignmentFree);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)),
+                          0)
+                    << "candidate " << candidates[i];
+        }
+    }
+    numeric::applyIsaRequest("auto");
+}
+
+TEST(CandidateClassifier, RowsPastTheExactSlabDotAreFatal)
+{
+    const numeric::FloatMatrix ok(1, numeric::kCfp32SlabMaxDim);
+    EXPECT_NO_THROW(CandidateClassifier{ok});
+    const numeric::FloatMatrix too_long(1,
+                                        numeric::kCfp32SlabMaxDim + 1);
+    EXPECT_THROW(CandidateClassifier{too_long}, sim::FatalError);
 }
 
 TEST(ApproximateClassifier, ThresholdModeRespectsSetThreshold)
