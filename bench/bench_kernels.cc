@@ -8,7 +8,9 @@
  *    screening scale (268K categories x K=64);
  *  - the CFP32 re-rank: AlignmentFreeMac::dot over per-row vectors vs
  *    the slab dot, on a 10% candidate set at D = 64 (65,536 rows) and
- *    D = 1024 (4,096 rows).
+ *    D = 1024 (4,096 rows);
+ *  - the projection GEMV that prepares every screened query, at
+ *    D = 1024 -> K = 256 (serve-gnmt4k's shape).
  *
  *   bench_kernels [google-benchmark flags] [--out DIR]
  *
@@ -16,9 +18,10 @@
  * same kernels with a best-of-N wall-clock loop and writes
  * BENCH_kernels.json into DIR: absolute per-pass times, rows/s, and
  * the speedups over the kernel family's scalar reference (nibble-wise
- * dotRow; AlignmentFreeMac::dot) and over its scalar level, one entry
- * per (kernel, ISA level) with the tuned row chunk and pool threads
- * recorded alongside, and the host's core count in the config.
+ * dotRow; AlignmentFreeMac::dot; the scalar GEMV) and over its scalar
+ * level, one entry per (kernel, ISA level) with the screener row
+ * chunk and pool threads recorded alongside, and the host's core
+ * count in the config.
  * Unlike BENCH_paper.json these numbers are *wall clock* — they are
  * uploaded for trend inspection, never diffed as a CI gate.  Every
  * measured pass is first checked bit-identical against its scalar
@@ -36,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "numeric/autotune.hh"
 #include "numeric/cfp32.hh"
 #include "numeric/int4.hh"
 #include "numeric/kernels.hh"
@@ -103,10 +105,10 @@ inputs()
     return shared;
 }
 
-/** The tuned row chunk for this shape (a pure function of the row
- *  width, so one computation serves every ISA level). */
+/** The screener's row chunk for this shape (a pure function of the
+ *  row width, so one computation serves every ISA level). */
 std::size_t
-tunedRowChunk()
+screenerRowChunk()
 {
     static const std::size_t chunk =
         rowChunkFor(inputs().matrix.bytesPerRow());
@@ -134,7 +136,7 @@ void
 pooledPass(const Inputs &in, IsaLevel isa, sim::ThreadPool &pool,
            std::vector<double> &out)
 {
-    pool.parallelFor(0, kRows, tunedRowChunk(),
+    pool.parallelFor(0, kRows, screenerRowChunk(),
                      [&](std::size_t b, std::size_t e) {
                          in.matrix.dotRowsLut(b, e, in.widened,
                                               in.feature.scale,
@@ -322,7 +324,8 @@ struct Entry
     std::size_t rowChunk = 0;
     unsigned poolThreads = 1;
     double wallMs = 0.0;
-    /** Rows scored (or candidate rows re-ranked) per pass. */
+    /** Rows scored (candidate rows re-ranked, outputs projected) per
+     *  pass. */
     double rowsPerPass = 0.0;
     /** The family's scalar reference and scalar-level passes. */
     double referenceMs = 0.0;
@@ -331,9 +334,9 @@ struct Entry
 
 /** Best-of-N repeats of one pass. */
 constexpr unsigned kRepeats = 5;
-/** The re-rank passes are short (409 dots at D = 1024): more
- *  repeats. */
-constexpr unsigned kSlabRepeats = 20;
+/** The re-rank and GEMV passes are short (409 dots at D = 1024; one
+ *  1024 x 256 GEMV): more repeats. */
+constexpr unsigned kShortRepeats = 20;
 
 /** INT4 screening: nibble-wise reference, then LUT and pooled LUT
  *  per level. */
@@ -378,7 +381,7 @@ int4Entries(std::vector<Entry> &entries)
         Entry lut;
         lut.name = "lut_1t";
         lut.isa = level;
-        lut.rowChunk = tunedRowChunk();
+        lut.rowChunk = screenerRowChunk();
         lut.wallMs = bestMs(kRepeats, [&] { lutPass(in, isa, out); });
         lut.rowsPerPass = static_cast<double>(kRows);
         entries.push_back(lut);
@@ -390,7 +393,7 @@ int4Entries(std::vector<Entry> &entries)
         Entry pooled;
         pooled.name = "lut_pooled";
         pooled.isa = level;
-        pooled.rowChunk = tunedRowChunk();
+        pooled.rowChunk = screenerRowChunk();
         pooled.poolThreads = poolThreads();
         pooled.wallMs = bestMs(
             kRepeats, [&] { pooledPass(in, isa, pool, out); });
@@ -420,7 +423,7 @@ cfp32Entries(std::size_t dim, std::vector<Entry> &entries)
     Entry mac;
     mac.name = "cfp32_mac_ref" + suffix;
     mac.isa = "scalar";
-    mac.wallMs = bestMs(kSlabRepeats, [&] { macPass(in, out); });
+    mac.wallMs = bestMs(kShortRepeats, [&] { macPass(in, out); });
     mac.rowsPerPass = static_cast<double>(in.candidates.size());
     entries.push_back(mac);
 
@@ -438,7 +441,7 @@ cfp32Entries(std::size_t dim, std::vector<Entry> &entries)
         slab.name = "cfp32_slab" + suffix;
         slab.isa = toString(isa);
         slab.wallMs =
-            bestMs(kSlabRepeats, [&] { slabPass(in, isa, out); });
+            bestMs(kShortRepeats, [&] { slabPass(in, isa, out); });
         slab.rowsPerPass = static_cast<double>(in.candidates.size());
         entries.push_back(slab);
         if (isa == IsaLevel::Scalar)
@@ -450,6 +453,53 @@ cfp32Entries(std::size_t dim, std::vector<Entry> &entries)
     }
     std::printf("cfp32 d=%zu: mac %.3f ms, scalar slab %.3f ms\n", dim,
                 mac.wallMs, scalar_level_ms);
+}
+
+/** The 1024 -> 256 projection GEMV per level; the scalar level is the
+ *  reference every other level must match bit for bit. */
+void
+gemvEntries(std::vector<Entry> &entries)
+{
+    constexpr std::size_t full_dim = 1024;
+    constexpr std::size_t shrunk_dim = 256;
+    std::vector<float> basis_t(full_dim * shrunk_dim);
+    std::vector<float> vec(full_dim);
+    sim::Rng rng(3);
+    for (float &v : basis_t)
+        v = static_cast<float>(rng.gaussian(0.0, 1.0));
+    for (float &v : vec)
+        v = static_cast<float>(rng.gaussian(0.0, 1.0));
+    const auto pass = [&](IsaLevel isa, std::vector<float> &out) {
+        projectGemv(basis_t, full_dim, shrunk_dim, vec, out.data(), isa);
+    };
+    std::vector<float> reference(shrunk_dim);
+    std::vector<float> out(shrunk_dim);
+    const std::size_t first = entries.size();
+
+    pass(IsaLevel::Scalar, reference);
+    double scalar_ms = 0.0;
+    for (const IsaLevel isa : supportedIsaLevels()) {
+        pass(isa, out);
+        if (std::memcmp(out.data(), reference.data(),
+                        out.size() * sizeof(float))
+            != 0)
+            sim::fatal("projectGemv at isa=", toString(isa),
+                       " diverges from the scalar level; refusing to "
+                       "record a speedup");
+        Entry gemv;
+        gemv.name = "gemv_1024x256";
+        gemv.isa = toString(isa);
+        gemv.wallMs = bestMs(kShortRepeats, [&] { pass(isa, out); });
+        gemv.rowsPerPass = static_cast<double>(shrunk_dim);
+        entries.push_back(gemv);
+        if (isa == IsaLevel::Scalar)
+            scalar_ms = gemv.wallMs;
+    }
+    for (std::size_t e = first; e < entries.size(); ++e) {
+        entries[e].referenceMs = scalar_ms;
+        entries[e].scalarLevelMs = scalar_ms;
+    }
+    std::printf("gemv 1024x256: scalar %.3f ms\n", scalar_ms);
 }
 
 void
@@ -464,6 +514,7 @@ writeBaseline(const std::string &out_dir)
     int4Entries(entries);
     cfp32Entries(64, entries);
     cfp32Entries(1024, entries);
+    gemvEntries(entries);
 
     sim::JsonWriter json(os);
     json.beginObject();

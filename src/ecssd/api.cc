@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "numeric/kernels.hh"
 #include "sim/logging.hh"
 #include "xclass/metrics.hh"
 
@@ -161,9 +160,6 @@ InferenceSession::results(
 
 EcssdApi::EcssdApi(const EcssdOptions &options) : options_(options)
 {
-    // Pin the host-compute ISA up front so a bad request (option or
-    // ECSSD_ISA) dies at construction, not mid-deploy.
-    numeric::applyIsaRequest(options_.isa);
 }
 
 void
@@ -194,10 +190,6 @@ EcssdApi::weightDeploy(const numeric::FloatMatrix &weights,
     ECSSD_ASSERT(spec.int4WeightBytes() <= options_.ssd.dramBytes,
                  "INT4 screener does not fit the SSD DRAM; "
                  "scale out (Section 7.1)");
-
-    // Re-resolve the ISA request (ECSSD_ISA may have changed since
-    // construction) before the screener captures its kernel plan.
-    numeric::applyIsaRequest(options_.isa);
 
     // The timed system comes up before the placement streams: run
     // spills and merge reads go through its live FTL, so staging GC

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "numeric/kernels.hh"
 #include "sim/logging.hh"
 
 namespace ecssd
@@ -47,26 +46,12 @@ ServerConfig::validate() const
     brownout.validate();
 }
 
-namespace
-{
-
-/** Apply the host-ISA request before any functional model (the
- *  classifier's screener) captures its kernel plan. */
-const EcssdOptions &
-withIsaApplied(const EcssdOptions &options)
-{
-    numeric::applyIsaRequest(options.isa);
-    return options;
-}
-
-} // namespace
-
 InferenceServer::InferenceServer(
     const numeric::FloatMatrix &weights,
     const xclass::BenchmarkSpec &spec, const EcssdOptions &options,
     const numeric::FloatMatrix *trained_projection,
     const ServerConfig &server_config)
-    : options_(withIsaApplied(options)), config_(server_config),
+    : options_(options), config_(server_config),
       threadPool_(
           std::make_unique<sim::ThreadPool>(options.threads)),
       live_(buildVersion(weights, spec, options_, trained_projection,

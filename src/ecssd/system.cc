@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -26,9 +25,6 @@ EcssdOptions::validate(const xclass::BenchmarkSpec *spec) const
                    predictorNoise);
     if (cache.associativity == 0)
         sim::fatal("EcssdOptions: cache associativity must be >= 1");
-    if (!numeric::isValidIsaRequest(isa))
-        sim::fatal("EcssdOptions: unknown isa '", isa,
-                   "' (want scalar|avx2|avx512|auto)");
     if (relayout.enabled) {
         if (!std::isfinite(relayout.divergenceThreshold)
             || relayout.divergenceThreshold < 0.0
@@ -46,10 +42,9 @@ EcssdOptions::validate(const xclass::BenchmarkSpec *spec) const
                        "must be in (0, 1], got ",
                        relayout.ioBudgetFraction);
     }
-    if (const char *env = std::getenv("ECSSD_ISA");
-        env != nullptr && !numeric::isValidIsaRequest(env))
-        sim::fatal("EcssdOptions: unknown ECSSD_ISA '", env,
-                   "' (want scalar|avx2|avx512|auto)");
+    // Resolve the host-kernel level now, so a bad ECSSD_ISA dies
+    // before any system is built.
+    numeric::activeIsa();
     ssd.validate();
     if (spec != nullptr) {
         // DRAM residency: the INT4 screener claims its bytes first;
@@ -82,8 +77,6 @@ describe(const EcssdOptions &options)
                : "flash")
        << " overlap=" << (options.overlapStages ? "on" : "off")
        << " screening=" << (options.screening ? "on" : "off");
-    if (options.isa != "auto" && !options.isa.empty())
-        os << " isa=" << options.isa;
     if (options.cache.enabled())
         os << " cache=" << (options.cache.capacityBytes >> 20)
            << "MiB/" << accel::toString(options.cache.admission);
@@ -113,11 +106,6 @@ EcssdSystem::EcssdSystem(const xclass::BenchmarkSpec &spec,
       trace_(std::make_unique<accel::TraceSource>(
           spec, options.seed, options.predictorNoise))
 {
-    // Pin the host-compute ISA before any functional-tier component
-    // (screener, classifier) captures it.  ECSSD_ISA, when set, wins
-    // over the option so goldens can be replayed pinned.
-    numeric::applyIsaRequest(options_.isa);
-
     // Build the weight placement at page-group granularity (rows
     // narrower than a flash page share a page).  The learning-based
     // layout consumes the hot-degree predictions (here: the trace's

@@ -83,15 +83,6 @@ struct EcssdOptions
      * bit-identical for any value (see sim::ThreadPool).
      */
     unsigned threads = 1;
-    /**
-     * Host-compute ISA request ("auto", "scalar", "avx2",
-     * "avx512").  Applied process-wide when the system is built; the
-     * ECSSD_ISA environment variable, when set, wins over this field
-     * (so goldens can be replayed pinned).  Wall-clock only: every
-     * level computes bit-identical results (numeric/kernels.hh), and
-     * simulated device time never depends on it.
-     */
-    std::string isa = "auto";
     std::uint64_t seed = 1;
     ssdsim::SsdConfig ssd = ssdsim::SsdConfig{};
     /** DRAM hot-row candidate cache (capacityBytes = 0: disabled,

@@ -49,6 +49,16 @@ constexpr std::array<NibblePair, 256> kBytePairs = makeBytePairs();
  */
 constexpr std::size_t kInt32SafeCols = 0x7fffffff / 49;
 
+/**
+ * Packed bytes one parallel chunk should keep resident: half a
+ * typical 512KB-1MB L2 so the widened feature, outputs, and the
+ * other hyperthread still fit.
+ */
+constexpr std::size_t kChunkByteBudget = 256 * 1024;
+
+constexpr std::size_t kMinRowChunk = 512;
+constexpr std::size_t kMaxRowChunk = 4096;
+
 /** Rescale a raw integer dot product exactly as dotRow() does. */
 inline double
 rescale(std::int64_t acc, float row_scale, float feature_scale)
@@ -101,6 +111,16 @@ dequantize(const Int4Vector &vec)
     for (std::size_t i = 0; i < vec.size; ++i)
         out[i] = static_cast<float>(unpackInt4(vec, i)) * vec.scale;
     return out;
+}
+
+std::size_t
+rowChunkFor(std::size_t bytes_per_row)
+{
+    const std::size_t bytes = std::max<std::size_t>(1, bytes_per_row);
+    std::size_t chunk = kMaxRowChunk;
+    while (chunk > kMinRowChunk && chunk * bytes > kChunkByteBudget)
+        chunk /= 2;
+    return chunk;
 }
 
 Int4Matrix::Int4Matrix(const FloatMatrix &source,
@@ -183,49 +203,6 @@ Int4Matrix::widenFeature(const Int4Vector &feature,
     // vanish.
 }
 
-namespace
-{
-
-/**
- * The shared inner loop: accumulate one packed row against a widened
- * feature.  Acc is int32 on every realistic shape (kInt32SafeCols)
- * and int64 beyond it; both produce the same exact integer.
- */
-template <typename Acc>
-inline Acc
-accumulateRow(const std::uint8_t *row, const std::int16_t *feature,
-              std::size_t bytes)
-{
-    Acc acc = 0;
-    for (std::size_t b = 0; b < bytes; ++b) {
-        const NibblePair pair = kBytePairs[row[b]];
-        acc += static_cast<Acc>(pair.lo) * feature[2 * b]
-            + static_cast<Acc>(pair.hi) * feature[2 * b + 1];
-    }
-    return acc;
-}
-
-} // namespace
-
-std::int64_t
-Int4Matrix::rawDotRowLut(std::size_t r,
-                         std::span<const std::int16_t> feature,
-                         IsaLevel isa) const
-{
-    ECSSD_ASSERT(r < rows_ && feature.size() == 2 * bytesPerRow_,
-                 "int4 widened feature mismatch");
-    const std::uint8_t *row = packed_.data() + r * bytesPerRow_;
-    // Past the int32-safe column bound every level shares the exact
-    // scalar int64 loop (the SIMD bodies keep int32 accumulators).
-    if (cols_ > kInt32SafeCols)
-        return accumulateRow<std::int64_t>(row, feature.data(),
-                                           bytesPerRow_);
-    if (isa == IsaLevel::Scalar)
-        return accumulateRow<std::int32_t>(row, feature.data(),
-                                           bytesPerRow_);
-    return rowDotWidened(row, feature.data(), bytesPerRow_, isa);
-}
-
 void
 Int4Matrix::dotRowsLut(std::size_t row_begin, std::size_t row_end,
                        std::span<const std::int16_t> feature,
@@ -236,17 +213,20 @@ Int4Matrix::dotRowsLut(std::size_t row_begin, std::size_t row_end,
                      && feature.size() == 2 * bytesPerRow_,
                  "int4 row-range kernel misuse");
     const std::int16_t *widened = feature.data();
-    if (isa == IsaLevel::Scalar || cols_ > kInt32SafeCols) {
-        // The original LUT loop, kept inline so the pinned-scalar
-        // path stays byte-for-byte the pre-dispatch code.
+    if (cols_ > kInt32SafeCols) {
+        // Past the int32-safe column bound every level shares this
+        // exact int64 loop (the range kernels keep int32
+        // accumulators).
         for (std::size_t r = row_begin; r < row_end; ++r) {
             const std::uint8_t *row =
                 packed_.data() + r * bytesPerRow_;
-            const std::int64_t acc = cols_ <= kInt32SafeCols
-                ? accumulateRow<std::int32_t>(row, widened,
-                                              bytesPerRow_)
-                : accumulateRow<std::int64_t>(row, widened,
-                                              bytesPerRow_);
+            std::int64_t acc = 0;
+            for (std::size_t b = 0; b < bytesPerRow_; ++b) {
+                const NibblePair pair = kBytePairs[row[b]];
+                acc += static_cast<std::int64_t>(pair.lo) * widened[2 * b]
+                    + static_cast<std::int64_t>(pair.hi)
+                        * widened[2 * b + 1];
+            }
             out[r - row_begin] =
                 rescale(acc, scales_[r], feature_scale);
         }

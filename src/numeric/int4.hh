@@ -64,6 +64,14 @@ int unpackInt4(const Int4Vector &vec, std::size_t i);
 std::vector<float> dequantize(const Int4Vector &vec);
 
 /**
+ * Rows per parallel screening chunk for @p bytes_per_row: the largest
+ * power of two in [512, 4096] whose packed rows fit the chunk's L2
+ * budget (fewer dispatches while the chunk stays resident); 512 when
+ * even that overflows it.
+ */
+std::size_t rowChunkFor(std::size_t bytes_per_row);
+
+/**
  * A row-quantized INT4 matrix: the storage format of the approximate
  * screener weights held in ECSSD's DRAM.
  */
@@ -100,35 +108,26 @@ class Int4Matrix
     std::int64_t rawDotRow(std::size_t r,
                            std::span<const std::int8_t> feature) const;
 
-    // --- Fast byte-wise kernels -----------------------------------
+    // --- Fast byte-wise kernel ------------------------------------
     //
     // The scalar dotRow() above unpacks one nibble per step with a
-    // bounds assert and a sign-extension branch.  The kernels below
-    // consume two nibbles per byte through a 256-entry signed-pair
-    // LUT against a feature pre-widened to int16, accumulate in
-    // int32, and rescale once per row with the exact expression
-    // dotRow() uses — so their results are bit-identical to the
-    // scalar reference (integer accumulation has no rounding, and
-    // the final rescale is the same double product).
+    // bounds assert and a sign-extension branch.  dotRowsLut()
+    // consumes two nibbles per byte against a feature pre-widened to
+    // int16, accumulates in int32, and rescales once per row with the
+    // exact expression dotRow() uses — so its results are
+    // bit-identical to the scalar reference (integer accumulation has
+    // no rounding, and the final rescale is the same double product).
     //
-    // Each row-range kernel takes an IsaLevel (default: the
-    // process-wide activeIsa()) selecting the SIMD body from
-    // numeric/kernels.hh.  Integer accumulation is associative, so
-    // every level returns the same bits; IsaLevel::Scalar runs the
-    // original LUT loops unchanged.
+    // It takes an IsaLevel (default: the process-wide activeIsa())
+    // selecting the rowDotWidenedRange body from numeric/kernels.hh,
+    // the scalar LUT loop included.  Integer accumulation is
+    // associative, so every level returns the same bits.  Past
+    // kInt32SafeCols columns every level runs one int64 loop.
 
     /** Widen @p feature to the int16 layout the kernels consume: one
      *  value per nibble slot, zero-padded to 2 * bytes-per-row. */
     void widenFeature(const Int4Vector &feature,
                       std::vector<std::int16_t> &out) const;
-
-    /**
-     * LUT dot product of row @p r with a widened feature (no
-     * rescale).  @p feature must come from widenFeature().
-     */
-    std::int64_t rawDotRowLut(std::size_t r,
-                              std::span<const std::int16_t> feature,
-                              IsaLevel isa = activeIsa()) const;
 
     /**
      * Score rows [row_begin, row_end) against one widened feature

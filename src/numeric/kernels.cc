@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define ECSSD_KERNELS_X86 1
@@ -63,34 +64,12 @@ makeBytePairs()
 
 constexpr std::array<NibblePair, 256> kBytePairs = makeBytePairs();
 
-// --- Level resolution ---------------------------------------------
+/** Every level, worst to best. */
+constexpr IsaLevel kIsaLevels[] = {IsaLevel::Scalar, IsaLevel::Avx2,
+                                   IsaLevel::Avx512};
 
 /** Active level, or -1 before first resolution. */
 std::atomic<int> g_activeIsa{-1};
-
-IsaLevel
-resolveRequest(const std::string &request)
-{
-    // ECSSD_ISA always wins: it is how tests and CI pin the kernel
-    // path underneath any option set, and it is re-read on every
-    // apply so a setenv between system constructions takes effect.
-    const char *env = std::getenv("ECSSD_ISA");
-    const std::string effective = env ? std::string(env) : request;
-    const char *origin = env ? "ECSSD_ISA" : "isa request";
-    if (effective.empty() || effective == "auto")
-        return detectBestIsa();
-    const std::optional<IsaLevel> parsed = parseIsaLevel(effective);
-    if (!parsed) {
-        sim::fatal("E_BAD_ISA: unknown ", origin, " value '",
-                   effective,
-                   "' (want scalar|avx2|avx512|auto)");
-    }
-    if (!isaSupported(*parsed)) {
-        sim::fatal("E_ISA_UNSUPPORTED: ", origin, " pins '",
-                   effective, "' but this CPU cannot execute it");
-    }
-    return *parsed;
-}
 
 } // namespace
 
@@ -106,25 +85,6 @@ toString(IsaLevel level)
         return "avx512";
     }
     return "?";
-}
-
-std::optional<IsaLevel>
-parseIsaLevel(std::string_view name)
-{
-    if (name == "scalar")
-        return IsaLevel::Scalar;
-    if (name == "avx2")
-        return IsaLevel::Avx2;
-    if (name == "avx512")
-        return IsaLevel::Avx512;
-    return std::nullopt;
-}
-
-bool
-isValidIsaRequest(std::string_view request)
-{
-    return request == "auto" || request.empty()
-        || parseIsaLevel(request).has_value();
 }
 
 bool
@@ -167,12 +127,30 @@ std::vector<IsaLevel>
 supportedIsaLevels()
 {
     std::vector<IsaLevel> levels;
-    for (const IsaLevel level :
-         {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512}) {
+    for (const IsaLevel level : kIsaLevels) {
         if (isaSupported(level))
             levels.push_back(level);
     }
     return levels;
+}
+
+IsaLevel
+resolveIsa(const char *value)
+{
+    const std::string_view name = value ? value : "";
+    if (name.empty() || name == "auto")
+        return detectBestIsa();
+    for (const IsaLevel level : kIsaLevels) {
+        if (name != toString(level))
+            continue;
+        if (!isaSupported(level)) {
+            sim::fatal("E_ISA_UNSUPPORTED: ECSSD_ISA pins '", name,
+                       "' but this CPU cannot execute it");
+        }
+        return level;
+    }
+    sim::fatal("E_BAD_ISA: unknown ECSSD_ISA value '", name,
+               "' (want scalar|avx2|avx512|auto)");
 }
 
 IsaLevel
@@ -181,16 +159,9 @@ activeIsa()
     const int current = g_activeIsa.load(std::memory_order_acquire);
     if (current >= 0)
         return static_cast<IsaLevel>(current);
-    const IsaLevel resolved = resolveRequest("auto");
-    g_activeIsa.store(static_cast<int>(resolved),
-                      std::memory_order_release);
-    return resolved;
-}
-
-IsaLevel
-applyIsaRequest(const std::string &request)
-{
-    const IsaLevel resolved = resolveRequest(request);
+    // A fatal resolution stores nothing, so every later call dies
+    // the same way.
+    const IsaLevel resolved = resolveIsa(std::getenv("ECSSD_ISA"));
     g_activeIsa.store(static_cast<int>(resolved),
                       std::memory_order_release);
     return resolved;
@@ -258,84 +229,60 @@ tailTree(const float *a, const float *b, std::size_t t)
     return p[0];
 }
 
+#if ECSSD_KERNELS_X86
+
 /**
- * The generic 8-wide block-sum body, shared by the AVX variants: the
- * same GCC vector-extension source compiled under different target
- * attributes lowers to 256-bit AVX2 or AVX-512VL.
  * Two blocks per iteration; the shuffles keep every addition on
  * exactly the operand pair the scalar tree adds.
  */
-#define ECSSD_BLOCK_SUMS_BODY                                          \
-    do {                                                               \
-        typedef float v8f32 __attribute__((vector_size(32)));          \
-        std::size_t i = 0;                                             \
-        for (; i + 2 <= m; i += 2) {                                   \
-            v8f32 va, vb, wa, wb;                                      \
-            std::memcpy(&va, a + 8 * i, 32);                           \
-            std::memcpy(&vb, b + 8 * i, 32);                           \
-            std::memcpy(&wa, a + 8 * i + 8, 32);                       \
-            std::memcpy(&wb, b + 8 * i + 8, 32);                       \
-            const v8f32 p0 = va * vb;                                  \
-            const v8f32 p1 = wa * wb;                                  \
-            const v8f32 even = __builtin_shufflevector(                \
-                p0, p1, 0, 2, 4, 6, 8, 10, 12, 14);                    \
-            const v8f32 odd = __builtin_shufflevector(                 \
-                p0, p1, 1, 3, 5, 7, 9, 11, 13, 15);                    \
-            const v8f32 l1 = even + odd;                               \
-            const v8f32 e2 = __builtin_shufflevector(                  \
-                l1, l1, 0, 2, 4, 6, 0, 2, 4, 6);                       \
-            const v8f32 o2 = __builtin_shufflevector(                  \
-                l1, l1, 1, 3, 5, 7, 1, 3, 5, 7);                       \
-            const v8f32 l2 = e2 + o2;                                  \
-            out[i] = l2[0] + l2[1];                                    \
-            out[i + 1] = l2[2] + l2[3];                                \
-        }                                                              \
-        for (; i < m; ++i)                                             \
-            out[i] = blockSum8Scalar(a + 8 * i, b + 8 * i);            \
-    } while (0)
-
-#if ECSSD_KERNELS_X86
-
 __attribute__((target("avx2"))) void
 blockSumsAvx2(const float *a, const float *b, std::size_t m,
               float *out)
 {
-    ECSSD_BLOCK_SUMS_BODY;
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void
-blockSumsAvx512(const float *a, const float *b, std::size_t m,
-                float *out)
-{
-    ECSSD_BLOCK_SUMS_BODY;
+    typedef float v8f32 __attribute__((vector_size(32)));
+    std::size_t i = 0;
+    for (; i + 2 <= m; i += 2) {
+        v8f32 va, vb, wa, wb;
+        std::memcpy(&va, a + 8 * i, 32);
+        std::memcpy(&vb, b + 8 * i, 32);
+        std::memcpy(&wa, a + 8 * i + 8, 32);
+        std::memcpy(&wb, b + 8 * i + 8, 32);
+        const v8f32 p0 = va * vb;
+        const v8f32 p1 = wa * wb;
+        const v8f32 even =
+            __builtin_shufflevector(p0, p1, 0, 2, 4, 6, 8, 10, 12, 14);
+        const v8f32 odd =
+            __builtin_shufflevector(p0, p1, 1, 3, 5, 7, 9, 11, 13, 15);
+        const v8f32 l1 = even + odd;
+        const v8f32 e2 =
+            __builtin_shufflevector(l1, l1, 0, 2, 4, 6, 0, 2, 4, 6);
+        const v8f32 o2 =
+            __builtin_shufflevector(l1, l1, 1, 3, 5, 7, 1, 3, 5, 7);
+        const v8f32 l2 = e2 + o2;
+        out[i] = l2[0] + l2[1];
+        out[i + 1] = l2[2] + l2[3];
+    }
+    for (; i < m; ++i)
+        out[i] = blockSum8Scalar(a + 8 * i, b + 8 * i);
 }
 
 #endif // ECSSD_KERNELS_X86
-
-#undef ECSSD_BLOCK_SUMS_BODY
 
 void
 blockSums(const float *a, const float *b, std::size_t m, float *out,
           IsaLevel level)
 {
     switch (level) {
-    case IsaLevel::Scalar:
-        for (std::size_t i = 0; i < m; ++i)
-            out[i] = blockSum8Scalar(a + 8 * i, b + 8 * i);
-        return;
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
+    case IsaLevel::Avx512:
         blockSumsAvx2(a, b, m, out);
         return;
-    case IsaLevel::Avx512:
-        blockSumsAvx512(a, b, m, out);
-        return;
-#else
+#endif
     default:
         for (std::size_t i = 0; i < m; ++i)
             out[i] = blockSum8Scalar(a + 8 * i, b + 8 * i);
         return;
-#endif
     }
 }
 
@@ -473,10 +420,6 @@ projectGemv(std::span<const float> basisT, std::size_t full_dim,
                      && vec.size() == full_dim,
                  "projectGemv operand shape mismatch");
     switch (level) {
-    case IsaLevel::Scalar:
-        projectGemvScalarT(basisT.data(), full_dim, shrunk_dim,
-                           vec.data(), out, 0);
-        return;
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
         projectGemvAvx2(basisT.data(), full_dim, shrunk_dim,
@@ -486,12 +429,11 @@ projectGemv(std::span<const float> basisT, std::size_t full_dim,
         projectGemvAvx512(basisT.data(), full_dim, shrunk_dim,
                           vec.data(), out);
         return;
-#else
+#endif
     default:
         projectGemvScalarT(basisT.data(), full_dim, shrunk_dim,
                            vec.data(), out, 0);
         return;
-#endif
     }
 }
 
@@ -665,13 +607,10 @@ maxAbsSpan(std::span<const float> values, IsaLevel level)
 // Both preAlign passes are pure integer manipulation of the float
 // bit patterns (field extraction, shifts, compares), so every level
 // produces identical bits with no rounding caveats.  The scalar
-// bodies are the original cfp32.cc loops verbatim; the vector bodies
+// bodies are the original cfp32.cc loops verbatim; the AVX2 bodies
 // compute the same per-lane values with well-defined shifts (counts
 // masked to [0, 31] and the >= 32 case selected to zero explicitly,
-// matching the scalar semantics).  One generic
-// vector-extension body per kernel is instantiated at the AVX2 and
-// AVX-512 levels via target attributes, like the pairwise block-sum
-// body above.
+// matching the scalar semantics) and also serve the AVX-512 level.
 
 namespace
 {
@@ -737,121 +676,86 @@ cfp32AlignScalar(const float *values, std::size_t n,
     return lossy;
 }
 
-/**
- * 8-lane CFP32 pass-1 body: extract the biased exponents, trap
- * NaN/Inf, and lane-max them.
- */
-#define ECSSD_CFP32_EMAX_BODY                                          \
-    do {                                                               \
-        typedef std::uint32_t v8u32 __attribute__((vector_size(32)));  \
-        typedef std::int32_t v8i32 __attribute__((vector_size(32)));   \
-        v8u32 vmax = {};                                               \
-        v8i32 bad = {};                                                \
-        std::size_t i = 0;                                             \
-        for (; i + 8 <= n; i += 8) {                                   \
-            v8u32 bits;                                                \
-            std::memcpy(&bits, values + i, 32);                        \
-            const v8u32 exp = (bits >> 23) & kF32ExpLanes;             \
-            bad |= (exp == kF32ExpLanes);                              \
-            const v8u32 gt = reinterpret_cast<v8u32>(exp > vmax);      \
-            vmax = vmax ^ ((vmax ^ exp) & gt);                         \
-        }                                                              \
-        std::int32_t any_bad = 0;                                      \
-        for (int j = 0; j < 8; ++j) {                                  \
-            any_bad |= bad[j];                                         \
-            emax = std::max(emax, vmax[j]);                            \
-        }                                                              \
-        if (any_bad != 0)                                              \
-            sim::fatal("CFP32 pre-alignment rejects NaN/Inf input");   \
-        return cfp32MaxExponentScalar(values, n, i, emax);             \
-    } while (0)
-
 #if ECSSD_KERNELS_X86
 
+/**
+ * 8-lane CFP32 pass 1: extract the biased exponents, trap NaN/Inf,
+ * and lane-max them.
+ */
 __attribute__((target("avx2"))) std::uint32_t
-cfp32MaxExponentAvx2(const float *values, std::size_t n,
-                     std::uint32_t emax)
+cfp32MaxExponentAvx2(const float *values, std::size_t n)
 {
-    ECSSD_CFP32_EMAX_BODY;
+    typedef std::uint32_t v8u32 __attribute__((vector_size(32)));
+    typedef std::int32_t v8i32 __attribute__((vector_size(32)));
+    v8u32 vmax = {};
+    v8i32 bad = {};
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        v8u32 bits;
+        std::memcpy(&bits, values + i, 32);
+        const v8u32 exp = (bits >> 23) & kF32ExpLanes;
+        bad |= (exp == kF32ExpLanes);
+        const v8u32 gt = reinterpret_cast<v8u32>(exp > vmax);
+        vmax = vmax ^ ((vmax ^ exp) & gt);
+    }
+    std::uint32_t emax = 0;
+    std::int32_t any_bad = 0;
+    for (int j = 0; j < 8; ++j) {
+        any_bad |= bad[j];
+        emax = std::max(emax, vmax[j]);
+    }
+    if (any_bad != 0)
+        sim::fatal("CFP32 pre-alignment rejects NaN/Inf input");
+    return cfp32MaxExponentScalar(values, n, i, emax);
 }
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) std::uint32_t
-cfp32MaxExponentAvx512(const float *values, std::size_t n,
-                       std::uint32_t emax)
-{
-    ECSSD_CFP32_EMAX_BODY;
-}
-
-#endif // ECSSD_KERNELS_X86
-
-#undef ECSSD_CFP32_EMAX_BODY
 
 /**
- * 8-lane CFP32 pass-2 body.  The scalar branch structure collapses
- * to one straight-line select chain: since the promoted significand
- * occupies 31 bits, every gap >= 31 shifts it to zero and drops all
- * of it, so the gap >= 63 special case and the in-range path agree
- * on (zero, lossy) for the whole [31, inf) range.  Shift counts are
- * masked to [0, 31] and the >= 32 case is selected to zero to keep
- * the C shifts well-defined.
+ * 8-lane CFP32 pass 2.  The scalar branch structure collapses to one
+ * straight-line select chain: since the promoted significand occupies
+ * 31 bits, every gap >= 31 shifts it to zero and drops all of it, so
+ * the gap >= 63 special case and the in-range path agree on (zero,
+ * lossy) for the whole [31, inf) range.  Shift counts are masked to
+ * [0, 31] and the >= 32 case is selected to zero to keep the C shifts
+ * well-defined.
  */
-#define ECSSD_CFP32_ALIGN_BODY                                         \
-    do {                                                               \
-        typedef std::uint32_t v8u32 __attribute__((vector_size(32)));  \
-        v8u32 lossy_acc = {};                                          \
-        std::size_t i = 0;                                             \
-        const v8u32 vemax = emax - (v8u32){};                          \
-        for (; i + 8 <= n; i += 8) {                                   \
-            v8u32 bits;                                                \
-            std::memcpy(&bits, values + i, 32);                        \
-            const v8u32 sign = bits >> 31;                             \
-            const v8u32 exp = (bits >> 23) & kF32ExpLanes;             \
-            const v8u32 nonzero =                                      \
-                reinterpret_cast<v8u32>(exp != 0);                     \
-            const v8u32 m24 =                                          \
-                (kF32HiddenOne | (bits & kF32FracMask)) & nonzero;     \
-            const v8u32 gap = (vemax - exp) & nonzero;                 \
-            const v8u32 promoted = m24 << kCfp32CompBits;       \
-            const v8u32 in_range =                                     \
-                reinterpret_cast<v8u32>(gap < 32);                     \
-            const v8u32 gsh = gap & 31;                                \
-            const v8u32 sig = (promoted >> gsh) & in_range;            \
-            const v8u32 back = (sig << gsh) & in_range;                \
-            const v8u32 lossy =                                        \
-                reinterpret_cast<v8u32>(back != promoted);             \
-            lossy_acc += lossy & 1;                                    \
-            const v8u32 lo = __builtin_shufflevector(                  \
-                sign, sig, 0, 8, 1, 9, 2, 10, 3, 11);                  \
-            const v8u32 hi = __builtin_shufflevector(                  \
-                sign, sig, 4, 12, 5, 13, 6, 14, 7, 15);                \
-            std::memcpy(out + 2 * i, &lo, 32);                         \
-            std::memcpy(out + 2 * i + 8, &hi, 32);                     \
-        }                                                              \
-        std::uint64_t total = 0;                                       \
-        for (int j = 0; j < 8; ++j)                                    \
-            total += lossy_acc[j];                                     \
-        return total + cfp32AlignScalar(values, n, emax, out, i);      \
-    } while (0)
-
-#if ECSSD_KERNELS_X86
-
 __attribute__((target("avx2"))) std::uint64_t
 cfp32AlignAvx2(const float *values, std::size_t n, std::uint32_t emax,
                std::uint32_t *out)
 {
-    ECSSD_CFP32_ALIGN_BODY;
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl"))) std::uint64_t
-cfp32AlignAvx512(const float *values, std::size_t n,
-                 std::uint32_t emax, std::uint32_t *out)
-{
-    ECSSD_CFP32_ALIGN_BODY;
+    typedef std::uint32_t v8u32 __attribute__((vector_size(32)));
+    v8u32 lossy_acc = {};
+    std::size_t i = 0;
+    const v8u32 vemax = emax - (v8u32){};
+    for (; i + 8 <= n; i += 8) {
+        v8u32 bits;
+        std::memcpy(&bits, values + i, 32);
+        const v8u32 sign = bits >> 31;
+        const v8u32 exp = (bits >> 23) & kF32ExpLanes;
+        const v8u32 nonzero = reinterpret_cast<v8u32>(exp != 0);
+        const v8u32 m24 =
+            (kF32HiddenOne | (bits & kF32FracMask)) & nonzero;
+        const v8u32 gap = (vemax - exp) & nonzero;
+        const v8u32 promoted = m24 << kCfp32CompBits;
+        const v8u32 in_range = reinterpret_cast<v8u32>(gap < 32);
+        const v8u32 gsh = gap & 31;
+        const v8u32 sig = (promoted >> gsh) & in_range;
+        const v8u32 back = (sig << gsh) & in_range;
+        const v8u32 lossy = reinterpret_cast<v8u32>(back != promoted);
+        lossy_acc += lossy & 1;
+        const v8u32 lo =
+            __builtin_shufflevector(sign, sig, 0, 8, 1, 9, 2, 10, 3, 11);
+        const v8u32 hi = __builtin_shufflevector(sign, sig, 4, 12, 5, 13,
+                                                 6, 14, 7, 15);
+        std::memcpy(out + 2 * i, &lo, 32);
+        std::memcpy(out + 2 * i + 8, &hi, 32);
+    }
+    std::uint64_t total = 0;
+    for (int j = 0; j < 8; ++j)
+        total += lossy_acc[j];
+    return total + cfp32AlignScalar(values, n, emax, out, i);
 }
 
 #endif // ECSSD_KERNELS_X86
-
-#undef ECSSD_CFP32_ALIGN_BODY
 
 } // namespace
 
@@ -859,22 +763,15 @@ std::uint32_t
 cfp32MaxExponent(std::span<const float> values, IsaLevel level)
 {
     switch (level) {
-    case IsaLevel::Scalar:
-        return cfp32MaxExponentScalar(values.data(), values.size(), 0,
-                                      0);
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
-        return cfp32MaxExponentAvx2(values.data(), values.size(), 0);
     case IsaLevel::Avx512:
-        return cfp32MaxExponentAvx512(values.data(), values.size(),
-                                      0);
-#else
+        return cfp32MaxExponentAvx2(values.data(), values.size());
+#endif
     default:
         return cfp32MaxExponentScalar(values.data(), values.size(), 0,
                                       0);
-#endif
     }
-    return cfp32MaxExponentScalar(values.data(), values.size(), 0, 0);
 }
 
 std::uint64_t
@@ -882,24 +779,15 @@ cfp32AlignSpan(std::span<const float> values, std::uint32_t emax,
                std::uint32_t *out, IsaLevel level)
 {
     switch (level) {
-    case IsaLevel::Scalar:
-        return cfp32AlignScalar(values.data(), values.size(), emax,
-                                out, 0);
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
-        return cfp32AlignAvx2(values.data(), values.size(), emax,
-                              out);
     case IsaLevel::Avx512:
-        return cfp32AlignAvx512(values.data(), values.size(), emax,
-                                out);
-#else
+        return cfp32AlignAvx2(values.data(), values.size(), emax, out);
+#endif
     default:
         return cfp32AlignScalar(values.data(), values.size(), emax,
                                 out, 0);
-#endif
     }
-    return cfp32AlignScalar(values.data(), values.size(), emax, out,
-                            0);
 }
 
 // ==================================================================
@@ -1332,26 +1220,6 @@ rowDotRangeAvx512(const std::uint8_t *rows, std::size_t row_stride,
 
 } // namespace
 
-std::int64_t
-rowDotWidened(const std::uint8_t *row, const std::int16_t *feature,
-              std::size_t bytes, IsaLevel level)
-{
-    switch (level) {
-    case IsaLevel::Scalar:
-        return rowDotScalar(row, feature, bytes);
-#if ECSSD_KERNELS_X86
-    case IsaLevel::Avx2:
-        return rowDotAvx2(row, feature, bytes);
-    case IsaLevel::Avx512:
-        return rowDotAvx512(row, feature, bytes);
-#else
-    default:
-        return rowDotScalar(row, feature, bytes);
-#endif
-    }
-    return rowDotScalar(row, feature, bytes);
-}
-
 void
 rowDotWidenedRange(const std::uint8_t *rows, std::size_t row_stride,
                    std::size_t row_count,
@@ -1359,11 +1227,6 @@ rowDotWidenedRange(const std::uint8_t *rows, std::size_t row_stride,
                    std::int64_t *out, IsaLevel level)
 {
     switch (level) {
-    case IsaLevel::Scalar:
-        for (std::size_t i = 0; i < row_count; ++i)
-            out[i] =
-                rowDotScalar(rows + i * row_stride, feature, bytes);
-        return;
 #if ECSSD_KERNELS_X86
     case IsaLevel::Avx2:
         rowDotRangeAvx2(rows, row_stride, row_count, feature, bytes,
@@ -1373,13 +1236,12 @@ rowDotWidenedRange(const std::uint8_t *rows, std::size_t row_stride,
         rowDotRangeAvx512(rows, row_stride, row_count, feature,
                           bytes, out);
         return;
-#else
+#endif
     default:
         for (std::size_t i = 0; i < row_count; ++i)
             out[i] =
                 rowDotScalar(rows + i * row_stride, feature, bytes);
         return;
-#endif
     }
 }
 

@@ -3,13 +3,16 @@
  * Runtime-dispatched SIMD host kernels.
  *
  * Every hot host-compute kernel (INT4 LUT screening, quantization,
- * the projection GEMV, the FP32 pairwise-tree dot, the CFP32 re-rank
- * dot) exists at up to three ISA levels:
+ * the projection GEMV, the FP32 pairwise-tree dot, CFP32
+ * pre-alignment, the CFP32 re-rank dot) has one body per ISA level:
  *
- *   scalar  — the original reference loops (byte-for-byte the PR 7
- *             code paths).  The fallback on hosts without AVX2.
+ *   scalar  — the reference loops; the fallback on hosts without
+ *             AVX2.
  *   avx2    — 256-bit integer (pmaddwd) and FP paths.
- *   avx512  — 512-bit paths (requires AVX-512 F/BW/VL).
+ *   avx512  — 512-bit paths (requires AVX-512 F/BW/VL), kept only
+ *             for the INT4 range kernel, the projection GEMV and the
+ *             CFP32 re-rank dot, where it beats avx2.  The other
+ *             kernels run their avx2 body at this level.
  *
  * A level stays only while it beats the level below it.
  *
@@ -23,19 +26,16 @@
  * future reassociating FP32 kernel lives in
  * tests/test_kernels_differential.cc (see docs/MODELING.md §14).
  *
- * The active level is process-global: the ECSSD_ISA environment
- * variable pins it (tests/CI), the --isa CLI flag or
- * EcssdOptions::isa requests it, and auto-detection picks the best
- * supported level otherwise.
+ * The active level is process-global and resolved once, by
+ * activeIsa(): from the ECSSD_ISA environment variable when it is
+ * set (how tests and CI pin a path), by CPU detection otherwise.
  */
 
 #ifndef ECSSD_NUMERIC_KERNELS_HH
 #define ECSSD_NUMERIC_KERNELS_HH
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ecssd
@@ -47,21 +47,12 @@ namespace numeric
 enum class IsaLevel : int
 {
     Scalar = 0,
-    /** Values are stable: the kernel.isa gauge reports them. */
     Avx2 = 2,
     Avx512 = 3,
 };
 
 /** Canonical lowercase name ("scalar", "avx2", "avx512"). */
 const char *toString(IsaLevel level);
-
-/** Parse a level name; nullopt on anything unknown ("auto" included). */
-std::optional<IsaLevel> parseIsaLevel(std::string_view name);
-
-/** True when @p request names a level or the "auto" sentinel — the
- *  validity check EcssdOptions::validate() applies to --isa and to
- *  the ECSSD_ISA environment variable. */
-bool isValidIsaRequest(std::string_view request);
 
 /** True when this CPU can execute @p level. */
 bool isaSupported(IsaLevel level);
@@ -73,20 +64,19 @@ IsaLevel detectBestIsa();
 std::vector<IsaLevel> supportedIsaLevels();
 
 /**
- * The process-global active level all implicit-dispatch kernel entry
- * points use.  Lazily initialized from ECSSD_ISA (fatal on an
- * unknown or unsupported value) or detectBestIsa().
+ * The level an ECSSD_ISA value selects: detectBestIsa() when
+ * @p value is null, empty or "auto", else the named level.  Fatal
+ * (E_BAD_ISA) on an unknown name and (E_ISA_UNSUPPORTED) on a level
+ * this CPU cannot execute.
  */
-IsaLevel activeIsa();
+IsaLevel resolveIsa(const char *value);
 
 /**
- * Re-resolve the active level from @p request ("auto" or a level
- * name).  ECSSD_ISA, when set, always wins — that is what lets tests
- * and CI pin the path under any configuration.  Fatal (named error)
- * on an unknown request, on an unknown ECSSD_ISA value, or on a
- * pinned level this CPU cannot execute.  Returns the resolved level.
+ * The process-global active level every implicit-dispatch kernel
+ * entry point uses: resolveIsa(getenv("ECSSD_ISA")), resolved on
+ * first use and kept for the life of the process.
  */
-IsaLevel applyIsaRequest(const std::string &request);
+IsaLevel activeIsa();
 
 /** Pin the active level directly (tests).  Fatal if unsupported. */
 void setActiveIsa(IsaLevel level);
@@ -161,21 +151,12 @@ std::uint64_t cfp32AlignSpan(std::span<const float> values,
 // --- INT4 LUT kernels (exact integer accumulation) ----------------
 
 /**
- * Raw integer dot product of one packed row against a widened int16
- * feature (see Int4Matrix::widenFeature), int32 accumulation.  The
- * caller guarantees cols <= kInt32SafeCols (Int4Matrix dispatches to
- * its scalar int64 loop beyond that).
- */
-std::int64_t rowDotWidened(const std::uint8_t *row,
-                           const std::int16_t *feature,
-                           std::size_t bytes, IsaLevel level);
-
-/**
- * Row-range variant: raw dots of @p row_count packed rows (row i at
- * rows + i * row_stride) against one widened feature into out[i].
- * Same contract as rowDotWidened; the ISA dispatch runs once for
- * the whole range instead of once per row — the hot single-query
- * screener path.
+ * Raw integer dot products of @p row_count packed rows (row i at
+ * rows + i * row_stride) against one widened int16 feature (see
+ * Int4Matrix::widenFeature) into out[i], with int32 accumulation.
+ * The caller guarantees cols <= kInt32SafeCols (Int4Matrix runs its
+ * int64 loop beyond that).  The ISA dispatch runs once for the whole
+ * range — the hot single-query screener path.
  */
 void rowDotWidenedRange(const std::uint8_t *rows,
                         std::size_t row_stride,

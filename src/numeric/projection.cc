@@ -14,35 +14,28 @@ namespace numeric
 Projector::Projector(std::size_t full_dim, std::size_t shrunk_dim,
                      std::uint64_t seed)
     : fullDim_(full_dim), shrunkDim_(shrunk_dim),
-      projection_(shrunk_dim, full_dim)
+      basisT_(full_dim * shrunk_dim)
 {
     ECSSD_ASSERT(shrunk_dim > 0 && shrunk_dim <= full_dim,
                  "projection must shrink the hidden dimension");
     sim::Rng rng(seed);
     const double stddev =
         1.0 / std::sqrt(static_cast<double>(shrunk_dim));
+    // Drawn row by row of the K x D basis, stored transposed.
     for (std::size_t k = 0; k < shrunk_dim; ++k)
         for (std::size_t d = 0; d < full_dim; ++d)
-            projection_.at(k, d) =
+            basisT_[d * shrunk_dim + k] =
                 static_cast<float>(rng.gaussian(0.0, stddev));
-    buildTransposed();
 }
 
-Projector::Projector(FloatMatrix projection)
+Projector::Projector(const FloatMatrix &projection)
     : fullDim_(projection.cols()), shrunkDim_(projection.rows()),
-      projection_(std::move(projection))
+      basisT_(fullDim_ * shrunkDim_)
 {
     ECSSD_ASSERT(shrunkDim_ > 0 && shrunkDim_ <= fullDim_,
                  "projection must shrink the hidden dimension");
-    buildTransposed();
-}
-
-void
-Projector::buildTransposed()
-{
-    basisT_.resize(fullDim_ * shrunkDim_);
     for (std::size_t k = 0; k < shrunkDim_; ++k) {
-        const std::span<const float> prow = projection_.row(k);
+        const std::span<const float> prow = projection.row(k);
         for (std::size_t d = 0; d < fullDim_; ++d)
             basisT_[d * shrunkDim_ + k] = prow[d];
     }
@@ -63,22 +56,8 @@ Projector::projectInto(std::span<const float> vec,
     ECSSD_ASSERT(vec.size() == fullDim_,
                  "projection input length mismatch");
     out.resize(shrunkDim_);
-    const IsaLevel isa = activeIsa();
-    if (isa == IsaLevel::Scalar) {
-        // The original row-major loop; the SIMD GEMV below runs the
-        // identical per-output operation sequence over the
-        // transposed basis, so both paths produce the same bits.
-        for (std::size_t k = 0; k < shrunkDim_; ++k) {
-            const std::span<const float> prow = projection_.row(k);
-            double acc = 0.0;
-            for (std::size_t d = 0; d < fullDim_; ++d)
-                acc += static_cast<double>(prow[d]) * vec[d];
-            out[k] = static_cast<float>(acc);
-        }
-        return;
-    }
     projectGemv(std::span<const float>(basisT_), fullDim_,
-                shrunkDim_, vec, out.data(), isa);
+                shrunkDim_, vec, out.data(), activeIsa());
 }
 
 FloatMatrix

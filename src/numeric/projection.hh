@@ -54,7 +54,7 @@ class Projector
      * projected inner products match the full-precision ones almost
      * exactly.
      */
-    explicit Projector(FloatMatrix projection);
+    explicit Projector(const FloatMatrix &projection);
 
     std::size_t fullDim() const { return fullDim_; }
     std::size_t shrunkDim() const { return shrunkDim_; }
@@ -76,16 +76,12 @@ class Projector
                             sim::ThreadPool *pool = nullptr) const;
 
   private:
-    void buildTransposed();
-
     std::size_t fullDim_;
     std::size_t shrunkDim_;
-    FloatMatrix projection_; // K x D
     /**
-     * The same basis transposed (D x K, row-major): the SIMD GEMV
+     * The K x D basis stored transposed (D x K, row-major): the GEMV
      * runs lanes across output rows k, so it wants the k values of
-     * one input dimension contiguous.  Built eagerly — projectInto()
-     * is called from pool workers, and a lazy build would race.
+     * one input dimension contiguous.
      */
     std::vector<float> basisT_;
 };

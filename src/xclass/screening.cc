@@ -22,8 +22,8 @@ Screener::Screener(const numeric::FloatMatrix &weights,
                      : numeric::Projector(weights.cols(),
                                           spec.shrunkDim(), seed)),
       screener_(projector_.projectRows(weights, pool), pool),
-      plan_(numeric::autotuneScreenerKernels(screener_,
-                                             numeric::activeIsa()))
+      isa_(numeric::activeIsa()),
+      rowChunk_(numeric::rowChunkFor(screener_.bytesPerRow()))
 {
     ECSSD_ASSERT(weights.rows() == spec.categories,
                  "weights/spec category mismatch");
@@ -66,18 +66,18 @@ Screener::scoresInto(const numeric::Int4Vector &feature,
     screener_.widenFeature(feature, widenedScratch_);
     out.resize(screener_.rows());
     const std::span<const std::int16_t> widened(widenedScratch_);
-    // The tuned row chunk is the parallel grain: each pool task
-    // streams one L2-resident slice of the packed matrix.  The
-    // chunking (like the ISA level) only regroups exact integer
-    // dot products, so the scores are bit-identical for any plan.
+    // The row chunk is the parallel grain: each pool task streams
+    // one L2-resident slice of the packed matrix.  The chunking (like
+    // the ISA level) only regroups exact integer dot products, so the
+    // scores are bit-identical for any chunk.
     const auto score_rows = [&](std::size_t row_begin,
                                 std::size_t row_end) {
         screener_.dotRowsLut(row_begin, row_end, widened,
                              feature.scale, out.data() + row_begin,
-                             plan_.isa);
+                             isa_);
     };
     if (pool_)
-        pool_->parallelFor(0, screener_.rows(), plan_.rowChunk,
+        pool_->parallelFor(0, screener_.rows(), rowChunk_,
                            score_rows);
     else
         score_rows(0, screener_.rows());
@@ -323,20 +323,8 @@ ApproximateClassifier::predict(
     std::span<const float> feature, std::size_t k, FilterMode mode,
     CandidateClassifier::Datapath datapath) const
 {
-    Prediction prediction;
-    const std::vector<std::uint64_t> candidates =
-        screener_.screen(feature, mode);
-    prediction.candidateCount = candidates.size();
-
-    const std::vector<double> scores =
-        classifier_.scores(feature, candidates, datapath);
-    const std::vector<std::uint64_t> best =
-        topKIndices(std::span<const double>(scores), k);
-    for (const std::uint64_t local : best) {
-        prediction.topCategories.push_back(candidates[local]);
-        prediction.topScores.push_back(scores[local]);
-    }
-    return prediction;
+    return predictFrom(feature, screener_.screen(feature, mode), k,
+                       datapath);
 }
 
 ApproximateClassifier::Prediction
@@ -358,29 +346,38 @@ ApproximateClassifier::predictFrom(
     return prediction;
 }
 
-ApproximateClassifier::Prediction
-ApproximateClassifier::screenerOnly(std::span<const float> feature,
-                                    std::size_t k) const
+namespace
 {
-    Prediction prediction;
-    const numeric::Int4Vector prepared =
-        screener_.prepareFeature(feature);
-    const std::vector<double> scores = screener_.scores(prepared);
-    prediction.candidateCount = 0;
-    const std::vector<std::uint64_t> best =
-        topKIndices(std::span<const double>(scores), k);
-    for (const std::uint64_t row : best) {
+
+/** The top-k of one score per category, as a Prediction. */
+ApproximateClassifier::Prediction
+topOfAllRows(const std::vector<double> &scores, std::size_t k,
+             std::size_t candidate_count)
+{
+    ApproximateClassifier::Prediction prediction;
+    prediction.candidateCount = candidate_count;
+    for (const std::uint64_t row :
+         topKIndices(std::span<const double>(scores), k)) {
         prediction.topCategories.push_back(row);
         prediction.topScores.push_back(scores[row]);
     }
     return prediction;
 }
 
+} // namespace
+
+ApproximateClassifier::Prediction
+ApproximateClassifier::screenerOnly(std::span<const float> feature,
+                                    std::size_t k) const
+{
+    return topOfAllRows(
+        screener_.scores(screener_.prepareFeature(feature)), k, 0);
+}
+
 ApproximateClassifier::Prediction
 ApproximateClassifier::exact(std::span<const float> feature,
                              std::size_t k) const
 {
-    Prediction prediction;
     std::vector<double> scores(weights_.rows());
     const auto score_rows = [&](std::size_t row_begin,
                                 std::size_t row_end) {
@@ -393,14 +390,7 @@ ApproximateClassifier::exact(std::span<const float> feature,
                            score_rows);
     else
         score_rows(0, weights_.rows());
-    prediction.candidateCount = weights_.rows();
-    const std::vector<std::uint64_t> best =
-        topKIndices(std::span<const double>(scores), k);
-    for (const std::uint64_t row : best) {
-        prediction.topCategories.push_back(row);
-        prediction.topScores.push_back(scores[row]);
-    }
-    return prediction;
+    return topOfAllRows(scores, k, weights_.rows());
 }
 
 } // namespace xclass

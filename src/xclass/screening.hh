@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "numeric/autotune.hh"
 #include "numeric/cfp32.hh"
 #include "numeric/int4.hh"
 #include "numeric/mac.hh"
@@ -77,13 +76,6 @@ class Screener
 
     const numeric::Projector &projector() const { return projector_; }
 
-    /**
-     * The kernel plan tuned at construction: ISA level and row chunk
-     * (the parallel grain of scoresInto).  Deterministic for a given
-     * (shape, active ISA) — see numeric/autotune.hh.
-     */
-    const numeric::KernelPlan &kernelPlan() const { return plan_; }
-
     /** Project + quantize one full-dimension feature. */
     numeric::Int4Vector prepareFeature(
         std::span<const float> feature) const;
@@ -139,9 +131,10 @@ class Screener
     sim::ThreadPool *pool_ = nullptr;
     numeric::Projector projector_;
     numeric::Int4Matrix screener_;
-    // Tuned after screener_ exists (declaration order is the init
-    // order); pins the ISA level every score call runs at.
-    numeric::KernelPlan plan_;
+    // The level every score call runs at, captured at construction.
+    numeric::IsaLevel isa_ = numeric::IsaLevel::Scalar;
+    // Rows per pool task: one L2-resident slice of the packed matrix.
+    std::size_t rowChunk_ = 0;
     double threshold_ = 0.0;
     // Per-query scratch (projection output, quantized feature,
     // widened int16 feature): reused across queries so the hot path

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "numeric/int4.hh"
@@ -138,6 +139,17 @@ TEST(Int4Matrix, RowAbsSumTracksRowMass)
     const Int4Matrix q(m);
     EXPECT_EQ(q.rowAbsSum(0), 4 * 7);
     EXPECT_EQ(q.rowAbsSum(1), 7);
+}
+
+TEST(Int4Matrix, RowChunkIsTheDeepestPow2InTheL2Budget)
+{
+    // 256 KiB of packed rows per chunk, clamped to [512, 4096] rows.
+    const std::pair<std::size_t, std::size_t> pinned[] = {
+        {0, 4096},   {1, 4096},   {8, 4096},  {64, 4096},
+        {128, 2048}, {256, 1024}, {512, 512}, {1u << 20, 512},
+    };
+    for (const auto &[bytes, chunk] : pinned)
+        EXPECT_EQ(rowChunkFor(bytes), chunk) << bytes;
 }
 
 TEST(Int4Matrix, StorageIsPackedNibbles)

@@ -5,8 +5,9 @@
  * whole basis of the repo's any-thread-count golden-run contract —
  * across odd/even column counts, all-zero rows, saturated nibbles,
  * and random seeds.  Also covers the in-place packing constructor,
- * quantizeVectorInto reuse, and the nth_element top-k against a
- * full-sort reference.
+ * quantizeVectorInto reuse, the nth_element top-k against a
+ * full-sort reference, and how an ECSSD_ISA value resolves to the
+ * host-kernel level.
  */
 
 #include <gtest/gtest.h>
@@ -15,10 +16,13 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "numeric/int4.hh"
+#include "numeric/kernels.hh"
 #include "numeric/matrix.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/thread_pool.hh"
 #include "xclass/metrics.hh"
@@ -70,11 +74,14 @@ expectKernelsMatchScalar(const Int4Matrix &matrix,
     std::vector<std::int16_t> widened;
     matrix.widenFeature(feature, widened);
 
-    // Raw integer dot products: LUT vs per-nibble scalar.
+    // Raw integer dot products: the one-row range kernel at the
+    // active level vs per-nibble scalar.
     for (std::size_t r = 0; r < matrix.rows(); ++r) {
-        EXPECT_EQ(matrix.rawDotRowLut(r, widened),
-                  matrix.rawDotRow(r, unpacked))
-            << "row " << r;
+        std::int64_t lut = 0;
+        rowDotWidenedRange(matrix.packedRow(r).data(),
+                           matrix.bytesPerRow(), 1, widened.data(),
+                           matrix.bytesPerRow(), &lut, activeIsa());
+        EXPECT_EQ(lut, matrix.rawDotRow(r, unpacked)) << "row " << r;
     }
 
     // Rescaled single-query kernel vs scalar dotRow — EXPECT_EQ on
@@ -214,4 +221,54 @@ TEST(TopK, NthElementMatchesFullSortReference)
                 << "trial " << trial << " k " << k;
         }
     }
+}
+
+namespace
+{
+
+/** The message of the sim::fatal() resolveIsa(@p value) raises, or ""
+ *  when it resolves. */
+std::string
+resolveFailure(const char *value)
+{
+    try {
+        resolveIsa(value);
+    } catch (const sim::FatalError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(IsaResolution, UnsetAndAutoDetectTheBestLevel)
+{
+    EXPECT_EQ(resolveIsa(nullptr), detectBestIsa());
+    EXPECT_EQ(resolveIsa(""), detectBestIsa());
+    EXPECT_EQ(resolveIsa("auto"), detectBestIsa());
+}
+
+TEST(IsaResolution, EachLevelNameGivesItsLevelWhereSupported)
+{
+    // A level the host lacks is fatal; on a host that supports every
+    // level that branch has nothing to check.
+    for (const IsaLevel level :
+         {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512}) {
+        SCOPED_TRACE(toString(level));
+        if (isaSupported(level)) {
+            EXPECT_EQ(resolveIsa(toString(level)), level);
+        } else {
+            EXPECT_NE(resolveFailure(toString(level))
+                          .find("E_ISA_UNSUPPORTED"),
+                      std::string::npos);
+        }
+    }
+}
+
+TEST(IsaResolution, UnknownNamesDieWithBadIsa)
+{
+    for (const char *name : {"bogus", "vector", "avx1024"})
+        EXPECT_NE(resolveFailure(name).find("E_BAD_ISA"),
+                  std::string::npos)
+            << name;
 }

@@ -71,6 +71,19 @@ levels()
     return all;
 }
 
+/** Raw LUT dot of row @p r through a one-row range kernel call (the
+ *  int32 contract: cols <= kInt32SafeCols). */
+std::int64_t
+rawDotRow(const Int4Matrix &matrix, std::size_t r,
+          const std::vector<std::int16_t> &widened, IsaLevel isa)
+{
+    std::int64_t out = 0;
+    rowDotWidenedRange(matrix.packedRow(r).data(), matrix.bytesPerRow(),
+                       1, widened.data(), matrix.bytesPerRow(), &out,
+                       isa);
+    return out;
+}
+
 /**
  * Assert every integer kernel entry point produces the scalar bits
  * at every supported ISA level on @p matrix x @p feature.
@@ -87,8 +100,7 @@ expectIntegerKernelsAgree(const Int4Matrix &matrix,
     // Scalar reference results, computed once.
     std::vector<std::int64_t> raw_ref(rows);
     for (std::size_t r = 0; r < rows; ++r)
-        raw_ref[r] =
-            matrix.rawDotRowLut(r, widened, IsaLevel::Scalar);
+        raw_ref[r] = rawDotRow(matrix, r, widened, IsaLevel::Scalar);
     std::vector<double> lut_ref(rows);
     matrix.dotRowsLut(0, rows, widened, feature.scale,
                       lut_ref.data(), IsaLevel::Scalar);
@@ -96,10 +108,9 @@ expectIntegerKernelsAgree(const Int4Matrix &matrix,
     for (const IsaLevel isa : levels()) {
         SCOPED_TRACE(std::string(label) + " isa=" + toString(isa));
 
-        // Per-row raw integer dot.
+        // Per-row raw integer dot (a range kernel's odd-row tail).
         for (std::size_t r = 0; r < rows; ++r)
-            EXPECT_EQ(matrix.rawDotRowLut(r, widened, isa),
-                      raw_ref[r])
+            EXPECT_EQ(rawDotRow(matrix, r, widened, isa), raw_ref[r])
                 << "row " << r;
 
         // Rescaled row-range kernel, full range and a split range
@@ -120,8 +131,7 @@ expectIntegerKernelsAgree(const Int4Matrix &matrix,
 
         // The raw range kernel (the hot screener path) against the
         // per-row calls, only on shapes inside its int32 contract.
-        if (matrix.cols() <= kInt32SafeCols && rows > 0
-            && isa != IsaLevel::Scalar) {
+        if (matrix.cols() <= kInt32SafeCols && rows > 0) {
             std::vector<std::int64_t> range(rows);
             rowDotWidenedRange(matrix.packedRow(0).data(),
                                matrix.bytesPerRow(), rows,
@@ -234,8 +244,9 @@ TEST(KernelsDifferential, Int64FallbackBoundary)
 
         for (const IsaLevel isa : levels()) {
             SCOPED_TRACE(std::string("isa ") + toString(isa));
-            EXPECT_EQ(matrix.rawDotRowLut(0, widened, isa),
-                      expected);
+            if (cols <= kInt32SafeCols) {
+                EXPECT_EQ(rawDotRow(matrix, 0, widened, isa), expected);
+            }
             double out = 0.0;
             matrix.dotRowsLut(0, 1, widened, feature.scale, &out,
                               isa);
@@ -553,6 +564,6 @@ TEST(KernelsDifferential, Fp32CheckedInGolden)
     matrix.widenFeature(qa, widened);
     const std::int64_t int_golden = 230;
     for (const IsaLevel isa : levels())
-        EXPECT_EQ(matrix.rawDotRowLut(0, widened, isa), int_golden)
+        EXPECT_EQ(rawDotRow(matrix, 0, widened, isa), int_golden)
             << toString(isa);
 }

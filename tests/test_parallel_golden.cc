@@ -46,14 +46,12 @@ sampleQueries(const xclass::SyntheticModel &model, unsigned count)
     return queries;
 }
 
-/** Metrics JSON of one instrumented system run at @p threads,
- *  optionally pinned to one host-kernel ISA level. */
+/** Metrics JSON of one instrumented system run at @p threads. */
 std::string
-systemRunMetrics(unsigned threads, const std::string &isa = "auto")
+systemRunMetrics(unsigned threads)
 {
     EcssdOptions options = EcssdOptions::full();
     options.threads = threads;
-    options.isa = isa;
     sim::MetricsRegistry registry;
     EcssdSystem system(smallSpec(), options);
     system.attachObservability(&registry, nullptr);
@@ -62,17 +60,6 @@ systemRunMetrics(unsigned threads, const std::string &isa = "auto")
     std::ostringstream os;
     registry.writeJson(os);
     return os.str();
-}
-
-/** Names of every ISA level this host supports ("scalar" first). */
-std::vector<std::string>
-supportedIsaNames()
-{
-    std::vector<std::string> names;
-    for (const numeric::IsaLevel level :
-         numeric::supportedIsaLevels())
-        names.emplace_back(numeric::toString(level));
-    return names;
 }
 
 } // namespace
@@ -206,41 +193,44 @@ TEST(ParallelGolden, ScaleOutFleetMatchesSerialFanOut)
 //
 // The SIMD dispatch must be as invisible as the thread pool: a full
 // system run, a serving run, and a fleet run replayed with the host
-// kernels pinned to "scalar" (byte-for-byte the pre-dispatch code
-// paths) must match every better ISA level this machine supports,
-// byte for byte in the metrics JSON and bit for bit in every
-// prediction.  When CI pins ECSSD_ISA the environment wins over the
-// per-run option and both sides run the pinned level — the equality
-// still must hold.
+// kernels pinned to "scalar" must match every better ISA level this
+// machine supports, byte for byte in the metrics JSON and bit for bit
+// in every prediction.  Each replay pins its level with setActiveIsa,
+// so the levels differ even when ECSSD_ISA pins the process.
 
 namespace
 {
 
-/** Restores auto ISA detection when a pinned-ISA test exits. */
-struct IsaAutoGuard
+/** Restores the host-kernel level a pinned-ISA test found. */
+struct IsaRestore
 {
-    ~IsaAutoGuard() { numeric::applyIsaRequest("auto"); }
+    const numeric::IsaLevel found = numeric::activeIsa();
+    ~IsaRestore() { numeric::setActiveIsa(found); }
 };
 
 } // namespace
 
 TEST(ParallelGolden, SystemMetricsJsonByteIdenticalAcrossIsaLevels)
 {
-    IsaAutoGuard guard;
-    const std::string reference = systemRunMetrics(2, "scalar");
+    const IsaRestore restore;
+    numeric::setActiveIsa(numeric::IsaLevel::Scalar);
+    const std::string reference = systemRunMetrics(2);
     EXPECT_FALSE(reference.empty());
-    for (const std::string &isa : supportedIsaNames())
-        EXPECT_EQ(systemRunMetrics(2, isa), reference) << isa;
+    for (const numeric::IsaLevel isa : numeric::supportedIsaLevels()) {
+        numeric::setActiveIsa(isa);
+        EXPECT_EQ(systemRunMetrics(2), reference)
+            << numeric::toString(isa);
+    }
 }
 
 TEST(ParallelGolden, ServerResponsesMatchAcrossIsaLevels)
 {
-    IsaAutoGuard guard;
+    const IsaRestore restore;
     const xclass::BenchmarkSpec spec = smallSpec();
-    const auto serve = [&](const std::string &isa) {
+    const auto serve = [&](numeric::IsaLevel isa) {
+        numeric::setActiveIsa(isa);
         EcssdOptions options = EcssdOptions::full();
         options.threads = 2;
-        options.isa = isa;
         xclass::SyntheticModel model(spec, options.seed);
         InferenceServer server(model.weights(), spec, options);
         sim::Rng rng(options.seed);
@@ -249,11 +239,12 @@ TEST(ParallelGolden, ServerResponsesMatchAcrossIsaLevels)
         return server.processAll(5);
     };
 
-    const auto reference = serve("scalar");
+    const auto reference = serve(numeric::IsaLevel::Scalar);
     ASSERT_FALSE(reference.empty());
-    for (const std::string &isa : supportedIsaNames()) {
+    for (const numeric::IsaLevel isa : numeric::supportedIsaLevels()) {
+        SCOPED_TRACE(numeric::toString(isa));
         const auto responses = serve(isa);
-        ASSERT_EQ(responses.size(), reference.size()) << isa;
+        ASSERT_EQ(responses.size(), reference.size());
         for (std::size_t i = 0; i < reference.size(); ++i) {
             EXPECT_EQ(responses[i].id, reference[i].id);
             EXPECT_EQ(responses[i].status, reference[i].status);
@@ -261,23 +252,23 @@ TEST(ParallelGolden, ServerResponsesMatchAcrossIsaLevels)
                       reference[i].completedAt);
             EXPECT_EQ(responses[i].prediction.topCategories,
                       reference[i].prediction.topCategories)
-                << isa << " response " << i;
+                << "response " << i;
             EXPECT_EQ(responses[i].prediction.topScores,
                       reference[i].prediction.topScores)
-                << isa << " response " << i;
+                << "response " << i;
         }
     }
 }
 
 TEST(ParallelGolden, ScaleOutFleetMatchesAcrossIsaLevels)
 {
-    IsaAutoGuard guard;
+    const IsaRestore restore;
     const xclass::BenchmarkSpec spec = xclass::scaledDown(
         xclass::benchmarkByName("XMLCNN-S10M"), 32768);
-    const auto run = [&](const std::string &isa) {
+    const auto run = [&](numeric::IsaLevel isa) {
+        numeric::setActiveIsa(isa);
         EcssdOptions options = EcssdOptions::full();
         options.threads = 2;
-        options.isa = isa;
         ScaleOutEcssd fleet(spec, 4, options);
         const ScaleOutResult result = fleet.runInference(2);
         sim::MetricsRegistry registry;
@@ -287,10 +278,12 @@ TEST(ParallelGolden, ScaleOutFleetMatchesAcrossIsaLevels)
         return std::make_pair(result.totalEnergyUj, os.str());
     };
 
-    const auto reference = run("scalar");
-    for (const std::string &isa : supportedIsaNames()) {
+    const auto reference = run(numeric::IsaLevel::Scalar);
+    for (const numeric::IsaLevel isa : numeric::supportedIsaLevels()) {
         const auto replay = run(isa);
-        EXPECT_EQ(replay.first, reference.first) << isa;
-        EXPECT_EQ(replay.second, reference.second) << isa;
+        EXPECT_EQ(replay.first, reference.first)
+            << numeric::toString(isa);
+        EXPECT_EQ(replay.second, reference.second)
+            << numeric::toString(isa);
     }
 }

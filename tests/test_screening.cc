@@ -358,6 +358,7 @@ TEST(CandidateClassifier, Cfp32ScoresMatchAlignmentFreeMacEveryLevel)
                            .value);
 
     sim::ThreadPool pool(3);
+    const numeric::IsaLevel found = numeric::activeIsa();
     for (const numeric::IsaLevel isa : numeric::supportedIsaLevels()) {
         SCOPED_TRACE(numeric::toString(isa));
         numeric::setActiveIsa(isa);
@@ -374,7 +375,7 @@ TEST(CandidateClassifier, Cfp32ScoresMatchAlignmentFreeMacEveryLevel)
                     << "candidate " << candidates[i];
         }
     }
-    numeric::applyIsaRequest("auto");
+    numeric::setActiveIsa(found);
 }
 
 TEST(CandidateClassifier, RowsPastTheExactSlabDotAreFatal)

@@ -29,12 +29,13 @@
  *   --seed N              trace/workload seed
  *   --threads N           host-compute worker threads (wall-clock
  *                         only: output is bit-identical for any N)
- *   --isa LEVEL           host-compute SIMD level: auto | scalar |
- *                         avx2 | avx512 (wall-clock only, like
- *                         --threads; ECSSD_ISA overrides)
  *   --cache-mb N          SSD-DRAM hot-row candidate cache capacity
  *                         in MiB (0 = disabled, the default)
  *   --list                list benchmarks and architectures
+ *
+ * The ECSSD_ISA environment variable (auto | scalar | avx2 | avx512)
+ * pins the host-compute SIMD level; like --threads it changes wall
+ * clock only, and an unknown or unsupported level exits 2.
  *
  * Streaming deploy + background re-layout (MODELING.md Section 15):
  *   --deploy-host-budget-mb N  run an out-of-core streaming weight
@@ -191,7 +192,6 @@ usage(const char *argv0, int code)
                 "  [--arch NAME] [--sweep-layouts] [--energy]\n"
                 "  [--trace CATS (ftl,pipeline,all; others refused)]"
                 " [--seed N] [--threads N]\n"
-                "  [--isa auto|scalar|avx2|avx512]\n"
                 "  [--cache-mb N] [--list]\n"
                 "  [--deploy-host-budget-mb N] [--relayout]\n"
                 "  [--relayout-threshold F] [--relayout-pages N]\n"
@@ -793,8 +793,6 @@ run(int argc, char **argv)
         } else if (arg == "--threads") {
             cli.device.threads =
                 parseCount<unsigned>("--threads", next("--threads"));
-        } else if (arg == "--isa") {
-            cli.device.isa = next("--isa");
         } else if (arg == "--cache-mb") {
             cli.device.cache.capacityBytes =
                 parseCount("--cache-mb", next("--cache-mb"), 20);
