@@ -158,7 +158,9 @@ InferenceSession::results(
 
 // --- EcssdApi --------------------------------------------------------
 
-EcssdApi::EcssdApi(const EcssdOptions &options) : options_(options)
+EcssdApi::EcssdApi(const EcssdOptions &options)
+    : options_(options),
+      threadPool_(std::make_unique<sim::ThreadPool>(options.threads))
 {
 }
 
@@ -194,8 +196,8 @@ EcssdApi::weightDeploy(const numeric::FloatMatrix &weights,
     // The timed system comes up before the placement streams: run
     // spills and merge reads go through its live FTL, so staging GC
     // and wear are real, not assumed.
-    DeployedVersion version =
-        buildVersion(weights, spec, options_, trained_projection);
+    DeployedVersion version = buildVersion(
+        weights, spec, options_, trained_projection, threadPool_.get());
     sim::Tick deploy_time = 0;
     if (options_.layoutKind == layout::LayoutKind::LearningAdaptive) {
         // Hot degrees come from the INT4 row masses (Section 5.3),
@@ -236,6 +238,13 @@ EcssdApi::filterThreshold(double threshold)
 {
     requireDeployed("filterThreshold");
     live_.screener().setThreshold(threshold);
+}
+
+double
+EcssdApi::threshold() const
+{
+    requireDeployed("threshold");
+    return live_.screener().threshold();
 }
 
 void

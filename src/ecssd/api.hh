@@ -40,6 +40,7 @@
 #include "ecssd/streaming_deploy.hh"
 #include "ecssd/system.hh"
 #include "numeric/cfp32.hh"
+#include "sim/thread_pool.hh"
 #include "xclass/screening.hh"
 
 namespace ecssd
@@ -91,6 +92,12 @@ class InferenceSession
                    xclass::ApproximateClassifier::Prediction &out);
 
     /** Candidates selected by this session's last screen(). */
+    const std::vector<std::uint64_t> &
+    candidates() const
+    {
+        return candidates_;
+    }
+
     std::size_t candidateCount() const { return candidates_.size(); }
 
     /** Device latency of this session's last classify(), in ticks. */
@@ -202,6 +209,9 @@ class EcssdApi
     /** Set the screening threshold (Filter_threshold). */
     void filterThreshold(double threshold);
 
+    /** The deployed screener's threshold. */
+    double threshold() const;
+
     /** Calibrate the threshold on sample queries (host-side). */
     void calibrateThreshold(
         const std::vector<std::vector<float>> &queries);
@@ -259,6 +269,9 @@ class EcssdApi
     void requireDeployed(const char *api) const;
 
     EcssdOptions options_;
+    /** Host-compute pool of the deployed classifier (options.threads
+     *  workers); declared before live_ so it outlives it. */
+    std::unique_ptr<sim::ThreadPool> threadPool_;
     Mode mode_ = Mode::Ssd;
     /**
      * SSD-mode device, built from EcssdOptions::ssd.  Kept separately

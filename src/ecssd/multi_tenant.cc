@@ -279,14 +279,14 @@ MultiTenantServer::attachObservability(sim::MetricsRegistry *metrics,
 void
 MultiTenantServer::publishMetrics(sim::MetricsRegistry &registry) const
 {
-    if (lanes_.empty())
-        return;
     registry.gaugeSet("tenant.count",
                       static_cast<double>(lanes_.size()));
     registry.gaugeSet("tenant.committed_bytes",
                       static_cast<double>(committedBytes()));
     registry.gaugeSet("tenant.dram_budget_bytes",
                       static_cast<double>(options_.ssd.dramBytes));
+    registry.gaugeSet("tenant.device_time_ms",
+                      sim::tickToMs(sharedClock_));
     for (const auto &[id, lane] : lanes_) {
         registry.gaugeSet(lane.ns + "dram_bytes",
                           static_cast<double>(lane.config.dramBytes));
@@ -295,23 +295,10 @@ MultiTenantServer::publishMetrics(sim::MetricsRegistry &registry) const
             static_cast<double>(lane.config.cacheQuotaBytes));
         registry.gaugeSet(lane.ns + "screener_bytes",
                           static_cast<double>(lane.screenerBytes));
-        registry.gaugeSet(
-            lane.ns + "deploys",
-            static_cast<double>(lane.server->weightVersion()));
-    }
-    registry.gaugeSet("tenant.device_time_ms",
-                      sim::tickToMs(sharedClock_));
-    for (const auto &[id, lane] : lanes_) {
+        registry.gaugeSet(lane.ns + "p99_target_ms",
+                          lane.config.p99TargetMs);
         sim::MetricsRegistry view(registry, lane.ns);
         lane.server->publishMetrics(view);
-        view.gaugeSet("p99_ms",
-                      lane.server->latencyPercentiles().p99());
-        view.gaugeSet("p50_ms",
-                      lane.server->latencyPercentiles().p50());
-        view.gaugeSet("p99_target_ms", lane.config.p99TargetMs);
-        view.gaugeSet("sheds",
-                      static_cast<double>(
-                          lane.server->serverStats().shedRequests));
     }
 }
 

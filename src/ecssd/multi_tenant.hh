@@ -216,12 +216,11 @@ class MultiTenantServer
     /**
      * Snapshot the tenant layer into @p registry: the partition
      * ledger ("tenant.count", "tenant.committed_bytes",
-     * "tenant.dram_budget_bytes", and per tenant dram_bytes,
-     * cache_quota_bytes, screener_bytes and deploys) plus, per
-     * tenant, the lane's full "server.*" gauge set and its SLO view
-     * (p99_ms, p99_target_ms, sheds) under "tenant.<name>.".  No-op
-     * while no tenant is admitted, so single-tenant runs keep their
-     * metrics byte-identical.
+     * "tenant.dram_budget_bytes", "tenant.device_time_ms", and per
+     * tenant dram_bytes, cache_quota_bytes, screener_bytes and
+     * p99_target_ms) plus, per tenant, the lane's own snapshot
+     * (InferenceServer::publishMetrics) under "tenant.<name>.".  The
+     * ledger is published with or without admitted tenants.
      */
     void publishMetrics(sim::MetricsRegistry &registry) const;
 

@@ -173,10 +173,8 @@ fitsDevice(Build &&build)
 } // namespace
 
 void
-RedeployDriver::attachObservability(sim::MetricsRegistry *metrics,
-                                    sim::SpanTracer *spans)
+RedeployDriver::attachObservability(sim::SpanTracer *spans)
 {
-    metrics_ = metrics;
     spans_ = spans;
     // An in-flight phase span belongs to the old tracer; forget it
     // rather than closing it on a stranger.
@@ -192,10 +190,6 @@ RedeployDriver::enterPhase(RedeployPhase next, sim::Tick now)
     }
     phase_ = next;
     phaseEnteredAt_ = now;
-    if (metrics_) {
-        metrics_->gaugeSet("redeploy.phase",
-                           static_cast<double>(phase_));
-    }
     if (spans_ && active()) {
         openSpan_ = spans_->begin(
             std::string("redeploy.") + toString(phase_), now);
@@ -403,12 +397,9 @@ RedeployDriver::flip(DeployedVersion &live, sim::Tick now)
     staged_.epoch = newEpoch_;
     staged_.versionId = versionId_;
     staged_.system->setDeployVersion(newEpoch_, versionId_);
-    staged_.system->attachObservability(metrics_, spans_);
     live = std::move(staged_);
     enterPhase(RedeployPhase::Committed, now);
     ++commits_;
-    if (metrics_)
-        metrics_->counterAdd("redeploy.commits");
 }
 
 void
@@ -420,8 +411,6 @@ RedeployDriver::rollback(DeployedVersion &live, RollbackReason reason,
     reason_ = reason;
     enterPhase(RedeployPhase::RolledBack, now);
     ++rollbacks_;
-    if (metrics_)
-        metrics_->counterAdd("redeploy.rollbacks");
 }
 
 void

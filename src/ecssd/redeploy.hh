@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "ecssd/system.hh"
-#include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 #include "ssdsim/ftl.hh"
@@ -173,11 +172,11 @@ std::vector<std::uint64_t> screenCandidates(
  * staged screener's DRAM reservation and the probe pages on the live
  * device, the staged version, the warm-up and validation cursors,
  * the recall — plus the ring of recent queries the warm-up and
- * validation replay, and it publishes the swap (redeploy.* counters,
- * the redeploy.phase gauge, one "redeploy.<phase>" span per active
- * phase).  The warm-up and the shadow scoring screen the way the
- * server serves, by top ratio.  Every begun redeploy ends in exactly
- * one of Committed / RolledBack.
+ * validation replay, and it traces the swap (one "redeploy.<phase>"
+ * span per active phase); its statistics leave through the owner's
+ * snapshot (status(), commits(), rollbacks()).  The warm-up and the
+ * shadow scoring screen the way the server serves, by top ratio.
+ * Every begun redeploy ends in exactly one of Committed / RolledBack.
  *
  * The owner supplies its live version and its clock; a passing
  * validation step flips @p live to the staged version itself.
@@ -200,13 +199,9 @@ class RedeployDriver
     std::uint64_t commits() const { return commits_; }
     std::uint64_t rollbacks() const { return rollbacks_; }
 
-    /** Attach (or detach, with nullptr) observability sinks: the
-     *  registry sees redeploy.commits / redeploy.rollbacks counters
-     *  and the redeploy.phase gauge; the tracer sees one
-     *  "redeploy.<phase>" span per active phase.  A flipped-in
-     *  version records through the same sinks. */
-    void attachObservability(sim::MetricsRegistry *metrics,
-                             sim::SpanTracer *spans);
+    /** Attach (or detach, with nullptr) the tracer that sees one
+     *  "redeploy.<phase>" span per active phase. */
+    void attachObservability(sim::SpanTracer *spans);
 
     /** Record one served query (warm-up and validation material). */
     void recordQuery(std::span<const float> feature);
@@ -269,7 +264,6 @@ class RedeployDriver
     RollbackReason reason_ = RollbackReason::None;
     std::uint64_t commits_ = 0;
     std::uint64_t rollbacks_ = 0;
-    sim::MetricsRegistry *metrics_ = nullptr;
     sim::SpanTracer *spans_ = nullptr;
     sim::Tick phaseEnteredAt_ = 0;
     sim::SpanId openSpan_ = 0;

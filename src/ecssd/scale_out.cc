@@ -1,7 +1,6 @@
 #include "scale_out.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "sim/logging.hh"
 
@@ -253,63 +252,6 @@ ScaleOutEcssd::runInference(unsigned batches)
     result.meanBatchMs = sim::tickToMs(result.totalTime)
         / std::max(1u, batches);
     return result;
-}
-
-void
-ScaleOutEcssd::publishMetrics(sim::MetricsRegistry &registry,
-                              const ScaleOutResult &result) const
-{
-    sim::Tick fastest = 0;
-    sim::Tick slowest = 0;
-    bool first = true;
-    for (unsigned d = 0; d < devices(); ++d) {
-        char prefix[32];
-        std::snprintf(prefix, sizeof(prefix), "fleet.shard%02u.", d);
-        const ShardHealth &health = health_[d];
-        registry.gaugeSet(std::string(prefix) + "alive",
-                          health.alive ? 1.0 : 0.0);
-        registry.gaugeSet(
-            std::string(prefix) + "batches_served",
-            static_cast<double>(health.batchesServed));
-        registry.gaugeSet(std::string(prefix) + "service_time_ms",
-                          sim::tickToMs(health.serviceTime));
-        registry.gaugeSet(
-            std::string(prefix) + "replacements",
-            static_cast<double>(health.replacements));
-        if (d < result.shards.size()) {
-            const sim::Tick shard_time = result.shards[d].totalTime;
-            registry.gaugeSet(std::string(prefix) + "run_time_ms",
-                              sim::tickToMs(shard_time));
-            if (shard_time > 0) {
-                fastest =
-                    first ? shard_time : std::min(fastest, shard_time);
-                slowest = std::max(slowest, shard_time);
-                first = false;
-            }
-        }
-    }
-    // Load skew across the shards that actually served: the paper's
-    // balanced interleaving should keep this near zero.
-    registry.gaugeSet("fleet.time_skew",
-                      slowest == 0
-                          ? 0.0
-                          : static_cast<double>(slowest - fastest)
-                              / static_cast<double>(slowest));
-    registry.gaugeSet("fleet.devices",
-                      static_cast<double>(devices()));
-    registry.gaugeSet(
-        "fleet.surviving_devices",
-        static_cast<double>(result.survivingDevices));
-    registry.gaugeSet("fleet.failed_devices",
-                      static_cast<double>(result.failedDevices));
-    registry.gaugeSet("fleet.drained_shards",
-                      static_cast<double>(result.drainedShards));
-    registry.gaugeSet("fleet.spares_remaining",
-                      static_cast<double>(result.sparesRemaining));
-    registry.gaugeSet("fleet.total_time_ms",
-                      sim::tickToMs(result.totalTime));
-    registry.gaugeSet("fleet.recall_loss_estimate",
-                      result.recallLossEstimate);
 }
 
 } // namespace ecssd

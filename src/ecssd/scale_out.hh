@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "ecssd/system.hh"
+#include "sim/thread_pool.hh"
 
 namespace ecssd
 {
@@ -194,16 +195,6 @@ class ScaleOutEcssd
      * recall loss.  Fatal when no shard serves any batch.
      */
     ScaleOutResult runInference(unsigned batches);
-
-    /**
-     * Snapshot fleet state and the per-shard outcome of @p result
-     * into @p registry as gauges: "fleet.shard00.*" per-shard
-     * time/batches/liveness plus fleet-wide aggregates, including
-     * the load-skew gauge fleet.time_skew ((max-min)/max over the
-     * shard run times — 0 is a perfectly balanced fleet).
-     */
-    void publishMetrics(sim::MetricsRegistry &registry,
-                        const ScaleOutResult &result) const;
 
   private:
     /** Replace @p shard's device with a freshly-deployed spare.

@@ -73,94 +73,57 @@ InferenceServer::attachObservability(sim::MetricsRegistry *metrics,
     metrics_ = metrics;
     spans_ = spans;
     live_.system->attachObservability(metrics, spans);
-    redeploy_.attachObservability(metrics, spans);
+    redeploy_.attachObservability(spans);
 }
 
 void
 InferenceServer::publishMetrics(sim::MetricsRegistry &registry) const
 {
-    const auto gauge = [&](const char *name, std::uint64_t value) {
-        registry.gaugeSet(std::string("server.") + name,
-                          static_cast<double>(value));
+    const auto gauge = [&](const char *name, double value) {
+        registry.gaugeSet(std::string("server.") + name, value);
     };
-    gauge("accepted_requests", stats_.acceptedRequests);
-    gauge("shed_requests", stats_.shedRequests);
-    gauge("degraded_responses", stats_.degradedResponses);
-    gauge("ok_responses", stats_.okResponses);
-    gauge("degraded_rows", stats_.degradedRows);
-    gauge("queue_depth_hwm", stats_.queueDepthHwm);
-    if (config_.admissionTargetDelay != 0
-        || config_.brownout.enabled()) {
-        // Overload-control gauges appear only when the stack is
-        // configured, so legacy metric dumps stay byte-identical.
-        gauge("shed_gold", stats_.shedGold);
-        gauge("shed_best_effort", stats_.shedBestEffort);
-        gauge("admission_sheds", stats_.admissionSheds);
-        gauge("brownout_sheds", stats_.brownoutSheds);
-        gauge("evicted_best_effort", stats_.evictedBestEffort);
-        gauge("brownout_transitions", stats_.brownoutTransitions);
-        gauge("served_full", stats_.servedFull);
-        gauge("served_reduced_candidates",
-              stats_.servedReducedCandidates);
-        gauge("served_screener_only", stats_.servedScreenerOnly);
-        registry.gaugeSet("server.brownout_level",
-                          static_cast<double>(level_));
-        registry.gaugeSet(
-            "server.brownout_dwell_full_ms",
-            sim::tickToMs(brownoutDwell(BrownoutLevel::Full)));
-        registry.gaugeSet(
-            "server.brownout_dwell_reduced_ms",
-            sim::tickToMs(
-                brownoutDwell(BrownoutLevel::ReducedCandidates)));
-        registry.gaugeSet(
-            "server.brownout_dwell_screener_ms",
-            sim::tickToMs(
-                brownoutDwell(BrownoutLevel::ScreenerOnly)));
-        registry.gaugeSet(
-            "server.brownout_dwell_shed_ms",
-            sim::tickToMs(brownoutDwell(BrownoutLevel::Shed)));
-    }
-    registry.gaugeSet("server.device_time_ms",
-                      sim::tickToMs(deviceClock_));
-    gauge("deploy_epoch", live_.epoch);
-    gauge("weight_version", live_.versionId);
-    if (redeploy_.phase() != RedeployPhase::Idle) {
-        const RedeployStatus status = redeploy_.status();
-        gauge("redeploy_commits", redeploy_.commits());
-        gauge("redeploy_rollbacks", redeploy_.rollbacks());
-        gauge("redeploy_staged_bytes", status.stagedBytes);
-        registry.gaugeSet("server.redeploy_staging_ms",
-                          sim::tickToMs(status.stagingTime));
-        registry.gaugeSet("server.redeploy_validation_recall",
-                          status.validationRecall);
-    }
-}
-
-void
-InferenceServer::recordResponse(Response::Status status,
-                                double latency_ms)
-{
-    if (!metrics_)
-        return;
-    switch (status) {
-    case Response::Status::Ok:
-        metrics_->counterAdd("server.responses_ok");
-        break;
-    case Response::Status::Degraded:
-        metrics_->counterAdd("server.responses_degraded");
-        break;
-    case Response::Status::Shed:
-        metrics_->counterAdd("server.responses_shed");
-        break;
-    default:
-        // The server only emits the three terminal outcomes above;
-        // the rest of the unified Status vocabulary is API-side.
-        break;
-    }
-    if (latency_ms >= 0.0) {
-        metrics_->histogramSample("server.latency_ms", 0.0, 500.0,
-                                  1000, latency_ms);
-    }
+    const auto count = [&](const char *name, std::uint64_t value) {
+        gauge(name, static_cast<double>(value));
+    };
+    count("accepted_requests", stats_.acceptedRequests);
+    count("shed_requests", stats_.shedRequests);
+    count("degraded_responses", stats_.degradedResponses);
+    count("ok_responses", stats_.okResponses);
+    count("degraded_rows", stats_.degradedRows);
+    count("queue_depth_hwm", stats_.queueDepthHwm);
+    count("shed_gold", stats_.shedGold);
+    count("shed_best_effort", stats_.shedBestEffort);
+    count("admission_sheds", stats_.admissionSheds);
+    count("brownout_sheds", stats_.brownoutSheds);
+    count("evicted_best_effort", stats_.evictedBestEffort);
+    count("brownout_transitions", stats_.brownoutTransitions);
+    count("served_full", stats_.servedFull);
+    count("served_reduced_candidates", stats_.servedReducedCandidates);
+    count("served_screener_only", stats_.servedScreenerOnly);
+    gauge("brownout_level", static_cast<double>(level_));
+    gauge("brownout_dwell_full_ms",
+          sim::tickToMs(brownoutDwell(BrownoutLevel::Full)));
+    gauge("brownout_dwell_reduced_ms",
+          sim::tickToMs(brownoutDwell(BrownoutLevel::ReducedCandidates)));
+    gauge("brownout_dwell_screener_ms",
+          sim::tickToMs(brownoutDwell(BrownoutLevel::ScreenerOnly)));
+    gauge("brownout_dwell_shed_ms",
+          sim::tickToMs(brownoutDwell(BrownoutLevel::Shed)));
+    // Exact nearest-rank quantiles of the served requests' latency.
+    gauge("latency_p50_ms", latencyPercentiles_.quantile(0.50));
+    gauge("latency_p95_ms", latencyPercentiles_.quantile(0.95));
+    gauge("latency_p99_ms", latencyPercentiles_.quantile(0.99));
+    gauge("latency_p999_ms", latencyPercentiles_.quantile(0.999));
+    gauge("device_time_ms", sim::tickToMs(deviceClock_));
+    count("deploy_epoch", live_.epoch);
+    count("weight_version", live_.versionId);
+    const RedeployStatus swap = redeploy_.status();
+    gauge("redeploy_phase", static_cast<double>(swap.phase));
+    count("redeploy_commits", redeploy_.commits());
+    count("redeploy_rollbacks", redeploy_.rollbacks());
+    count("redeploy_staged_bytes", swap.stagedBytes);
+    gauge("redeploy_staging_ms", sim::tickToMs(swap.stagingTime));
+    gauge("redeploy_validation_recall", swap.validationRecall);
 }
 
 InferenceServer::RequestId
@@ -178,7 +141,6 @@ InferenceServer::shedRequest(RequestId id, sim::Tick arrival,
         ++stats_.shedGold;
     else
         ++stats_.shedBestEffort;
-    recordResponse(Response::Status::Shed, -1.0);
     Response response{id, {}, arrival, Response::Status::Shed};
     response.cls = cls;
     unservedResponses_.push_back(std::move(response));
@@ -217,8 +179,6 @@ InferenceServer::enqueueAt(std::vector<float> feature,
     if (config_.brownout.enabled() && level_ == BrownoutLevel::Shed
         && cls == sim::RequestClass::BestEffort) {
         ++stats_.brownoutSheds;
-        if (metrics_)
-            metrics_->counterAdd("server.brownout_sheds");
         shedRequest(id, arrival, cls);
         return id;
     }
@@ -243,8 +203,6 @@ InferenceServer::enqueueAt(std::vector<float> feature,
                 // Fall through to admission: the queue just shrank.
             } else {
                 ++stats_.admissionSheds;
-                if (metrics_)
-                    metrics_->counterAdd("server.admission_sheds");
                 shedRequest(id, arrival, cls);
                 return id;
             }
@@ -253,19 +211,8 @@ InferenceServer::enqueueAt(std::vector<float> feature,
     ++stats_.acceptedRequests;
     pending_.push_back(
         PendingRequest{id, std::move(feature), arrival, cls});
-    if (pending_.size() > stats_.queueDepthHwm) {
-        stats_.queueDepthHwm = pending_.size();
-        if (metrics_)
-            metrics_->gaugeSet(
-                "server.queue_depth_hwm",
-                static_cast<double>(stats_.queueDepthHwm));
-    }
-    if (metrics_) {
-        metrics_->counterAdd("server.accepted_requests");
-        metrics_->gaugeSet(
-            "server.queue_depth",
-            static_cast<double>(pending_.size()));
-    }
+    stats_.queueDepthHwm =
+        std::max<std::uint64_t>(stats_.queueDepthHwm, pending_.size());
     return id;
 }
 
@@ -291,13 +238,6 @@ InferenceServer::serveOneBatch(std::size_t k)
     while (batch.size() < live_.spec.batchSize && !pending_.empty()) {
         batch.push_back(std::move(pending_.front()));
         pending_.pop_front();
-    }
-    // Dequeue-time gauge sample: the queue_depth trace must show the
-    // drain edges, not just the arrival edges.
-    if (metrics_) {
-        metrics_->gaugeSet(
-            "server.queue_depth",
-            static_cast<double>(pending_.size()));
     }
 
     // Functional pass: screen every query at the batch's brownout
@@ -410,7 +350,6 @@ InferenceServer::serveOneBatch(std::size_t k)
             status = Response::Status::Ok;
             ++stats_.okResponses;
         }
-        recordResponse(status, ms);
         Response response{batch[i].id, std::move(predictions[i]),
                           finished, status};
         response.cls = batch[i].cls;
@@ -419,11 +358,6 @@ InferenceServer::serveOneBatch(std::size_t k)
     }
     deviceClock_ = finished;
     noteBatchSojourn(oldest_enqueue, finished);
-    if (metrics_) {
-        metrics_->gaugeSet(
-            "server.queue_depth",
-            static_cast<double>(pending_.size()));
-    }
     // The batch boundary is the swap's scheduling point: one staged
     // step here keeps the background IO yielding to the foreground
     // requests just served, and makes the flip atomic — no request
@@ -442,11 +376,6 @@ InferenceServer::setBrownoutLevel(BrownoutLevel level, sim::Tick now)
     level_ = level;
     levelSince_ = now;
     ++stats_.brownoutTransitions;
-    if (metrics_) {
-        metrics_->counterAdd("server.brownout_transitions");
-        metrics_->gaugeSet("server.brownout_level",
-                           static_cast<double>(level));
-    }
 }
 
 void
@@ -685,9 +614,10 @@ InferenceServer::stepRedeploy()
     // request is bound to the old version: a passing validation
     // flips live_ inside the step and commits.
     redeploy_.step(live_, deviceClock_);
-    if (metrics_ && redeploy_.phase() == RedeployPhase::Committed)
-        metrics_->gaugeSet("server.deploy_epoch",
-                           static_cast<double>(live_.epoch));
+    // A committed step flipped in a new system: it records through
+    // this server's sinks from its first batch.
+    if (redeploy_.phase() == RedeployPhase::Committed)
+        live_.system->attachObservability(metrics_, spans_);
 }
 
 } // namespace ecssd

@@ -338,18 +338,26 @@ class InferenceServer
     std::uint64_t weightVersion() const { return live_.versionId; }
 
     /**
-     * Attach (or detach, with nullptr) observability sinks.  The
-     * registry receives live "server.*" counters (admission and shed
-     * outcomes), the server.queue_depth gauge, and the
-     * server.latency_ms end-to-end histogram; both sinks are also
-     * forwarded to the underlying system (pipeline spans/counters,
-     * flash busy intervals).  Recording never alters serving
+     * Attach (or detach, with nullptr) observability sinks: both go
+     * to the serving system (live pipeline counters and spans, flash
+     * busy intervals) and to every version a hot swap flips in; the
+     * tracer also sees the swap's phase spans.  The server records
+     * no statistic of its own live: publishMetrics() is the one way
+     * its statistics leave.  Recording never alters serving
      * behaviour or timing.
      */
     void attachObservability(sim::MetricsRegistry *metrics,
                              sim::SpanTracer *spans);
 
-    /** Snapshot the ServerStats counters as "server.*" gauges. */
+    /**
+     * Snapshot the server into @p registry as "server.*" gauges:
+     * every ServerStats count, the brownout rung and per-rung dwell,
+     * the exact latency quantiles (latency_p50/p95/p99/p999_ms), the
+     * device time, the serving identity and the hot-swap record
+     * (redeploy_phase, commits, rollbacks, staged bytes, staging
+     * time, validation recall).  Every name is published on every
+     * call.
+     */
     void publishMetrics(sim::MetricsRegistry &registry) const;
 
   private:
@@ -424,9 +432,6 @@ class InferenceServer
      *  in-flight swap, recover the ladder to Full, and append the
      *  unserved terminal responses to @p responses. */
     void finishDrain(std::vector<Response> &responses);
-
-    /** Record one served-request latency/outcome when attached. */
-    void recordResponse(Response::Status status, double latency_ms);
 
     RequestId nextId_ = 1;
     sim::Tick deviceClock_ = 0;

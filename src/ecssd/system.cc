@@ -100,8 +100,6 @@ validated(const EcssdOptions &options,
 EcssdSystem::EcssdSystem(const xclass::BenchmarkSpec &spec,
                          const EcssdOptions &options)
     : spec_(spec), options_(validated(options, spec)),
-      threadPool_(
-          std::make_unique<sim::ThreadPool>(options.threads)),
       ssd_(std::make_unique<ssdsim::SsdDevice>(options.ssd)),
       trace_(std::make_unique<accel::TraceSource>(
           spec, options.seed, options.predictorNoise))
@@ -325,31 +323,6 @@ EcssdSystem::relayoutStep(sim::Tick now)
 }
 
 void
-EcssdSystem::publishRelayoutMetrics(
-    sim::MetricsRegistry &registry) const
-{
-    // Gauges only once a pass ran: configs that never call (or never
-    // enable) re-layout keep their metrics JSON byte-identical.
-    if (relayoutStats_.passes == 0)
-        return;
-    registry.gaugeSet("relayout.passes",
-                      static_cast<double>(relayoutStats_.passes));
-    registry.gaugeSet(
-        "relayout.migration_passes",
-        static_cast<double>(relayoutStats_.migrationPasses));
-    registry.gaugeSet(
-        "relayout.rows_migrated",
-        static_cast<double>(relayoutStats_.rowsMigrated));
-    registry.gaugeSet(
-        "relayout.pages_moved",
-        static_cast<double>(relayoutStats_.pagesMoved));
-    registry.gaugeSet("relayout.divergence",
-                      relayoutStats_.lastDivergence);
-    registry.gaugeSet("relayout.recovered_balance",
-                      relayoutStats_.recoveredBalance);
-}
-
-void
 EcssdSystem::attachObservability(sim::MetricsRegistry *metrics,
                                  sim::SpanTracer *spans)
 {
@@ -371,20 +344,23 @@ EcssdSystem::publishMetrics(sim::MetricsRegistry &registry,
                       result.effectiveGflops);
     registry.gaugeSet("run.batches",
                       static_cast<double>(result.batches.size()));
-    // Cache gauges exist only when the cache does, so a disabled
-    // run's metrics JSON stays byte-identical to a cache-less build.
+    const RelayoutStats &relayout = relayoutStats_;
+    registry.gaugeSet("relayout.passes",
+                      static_cast<double>(relayout.passes));
+    registry.gaugeSet("relayout.migration_passes",
+                      static_cast<double>(relayout.migrationPasses));
+    registry.gaugeSet("relayout.rows_migrated",
+                      static_cast<double>(relayout.rowsMigrated));
+    registry.gaugeSet("relayout.pages_moved",
+                      static_cast<double>(relayout.pagesMoved));
+    registry.gaugeSet("relayout.divergence", relayout.lastDivergence);
+    registry.gaugeSet("relayout.recovered_balance",
+                      relayout.recoveredBalance);
+    // The cache family exists exactly when the cache does.
     if (const accel::RowCache *cache = pipeline_->rowCache()) {
         cache->publishMetrics(registry);
         registry.gaugeSet("run.cache_hit_rate",
                           result.cacheHitRate());
-    }
-    // Serving identity, only once a versioned layer stamped it —
-    // unversioned runs keep their metrics JSON byte-identical.
-    if (weightVersion_ != 0) {
-        registry.gaugeSet("run.deploy_epoch",
-                          static_cast<double>(deployEpoch_));
-        registry.gaugeSet("run.weight_version",
-                          static_cast<double>(weightVersion_));
     }
 }
 

@@ -15,7 +15,6 @@
 #include "accel/pipeline.hh"
 #include "circuit/energy.hh"
 #include "layout/strategy.hh"
-#include "sim/thread_pool.hh"
 #include "ssdsim/ssd.hh"
 #include "xclass/workload.hh"
 
@@ -28,8 +27,8 @@ namespace ecssd
  * from what the layout's hot-degree predictor promised, an FTL-level
  * migration task re-homes the hottest mis-placed page groups onto
  * the under-loaded channels, under an IO-budget share of device
- * time.  Disabled by default: a disabled config is byte-identical
- * to a build without the subsystem.
+ * time.  Disabled by default: relayoutStep() then returns at once
+ * and the run times exactly as one without the subsystem.
  */
 struct RelayoutConfig
 {
@@ -78,9 +77,10 @@ struct EcssdOptions
     /** Hot-degree predictor noise for trace-tier runs. */
     double predictorNoise = 0.25;
     /**
-     * Host-compute worker threads (functional tier and scale-out
-     * fan-out).  Wall-clock only: results and simulated time are
-     * bit-identical for any value (see sim::ThreadPool).
+     * Host-compute worker threads of the pool each functional owner
+     * builds (EcssdApi, InferenceServer, ScaleOutEcssd's fan-out).
+     * Wall-clock only: results and simulated time are bit-identical
+     * for any value (see sim::ThreadPool).
      */
     unsigned threads = 1;
     std::uint64_t seed = 1;
@@ -169,10 +169,6 @@ class EcssdSystem
         return *strategy_;
     }
 
-    /** The host-compute pool (options.threads workers; never null —
-     *  a 1-thread pool runs everything inline). */
-    sim::ThreadPool &threadPool() { return *threadPool_; }
-
     /**
      * Run @p batches trace-driven inference batches and aggregate
      * timing.  Timelines reset first, so calls are independent.
@@ -217,9 +213,7 @@ class EcssdSystem
 
     /**
      * Stamp the serving identity a versioned layer (EcssdApi, the
-     * server, the fleet) gave this system.  Surfaces in health() and,
-     * when the version is nonzero, in publishMetrics() — unversioned
-     * systems keep their metrics JSON byte-identical.
+     * server, the fleet) gave this system.  Surfaces in health().
      */
     void
     setDeployVersion(std::uint64_t epoch, std::uint64_t version)
@@ -253,13 +247,6 @@ class EcssdSystem
     }
 
     /**
-     * Snapshot re-layout state ("relayout.*" gauges) into
-     * @p registry; no-op until a first relayoutStep() actually ran,
-     * so never-relayouting runs keep their metrics byte-identical.
-     */
-    void publishRelayoutMetrics(sim::MetricsRegistry &registry) const;
-
-    /**
      * Attach (or detach, with nullptr) observability sinks to the
      * pipeline and device.  The tracer sees pipeline phase spans with
      * nested flash busy intervals; the registry sees live
@@ -270,9 +257,10 @@ class EcssdSystem
                              sim::SpanTracer *spans);
 
     /**
-     * Snapshot device-side state ("flash.*", "ftl.*", "ssd.*") and
-     * the run-level aggregates of @p result ("run.*") into
-     * @p registry.
+     * Snapshot the system into @p registry as gauges: device-side
+     * state ("flash.*", "ftl.*", "ssd.*"), the run-level aggregates
+     * of @p result ("run.*"), the re-layout record ("relayout.*")
+     * and, when the system has a row cache, its state ("cache.*").
      */
     void publishMetrics(sim::MetricsRegistry &registry,
                         const accel::RunResult &result) const;
@@ -280,7 +268,6 @@ class EcssdSystem
   private:
     xclass::BenchmarkSpec spec_;
     EcssdOptions options_;
-    std::unique_ptr<sim::ThreadPool> threadPool_;
     std::unique_ptr<ssdsim::SsdDevice> ssd_;
     std::unique_ptr<accel::TraceSource> trace_;
     std::unique_ptr<layout::LayoutStrategy> strategy_;

@@ -23,9 +23,9 @@
  * onto another registry — every instrument name is prepended with a
  * fixed prefix and the sample lands in the parent.  Multi-tenant
  * layers hand each tenant's subsystems a "tenant.<name>."-scoped view
- * of the one export registry, so the components themselves stay
- * namespace-blind and a single-tenant run (no view) keeps its metric
- * names byte-identical.
+ * of the one export registry (and ecssd-sim its serving pass a
+ * "serve." view), so the components themselves stay namespace-blind
+ * and every device's counters keep to their own names.
  */
 
 #ifndef ECSSD_SIM_METRICS_HH

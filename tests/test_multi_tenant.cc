@@ -138,7 +138,8 @@ TEST(MultiTenantServer, AdmissionMirrorsTheRegistryLedger)
     mt.publishMetrics(ledger);
     EXPECT_EQ(ledger.gauge("tenant.a.screener_bytes").value(),
               static_cast<double>(f.spec.int4WeightBytes()));
-    EXPECT_EQ(ledger.gauge("tenant.a.deploys").value(), 1.0);
+    EXPECT_EQ(ledger.gauge("tenant.a.server.weight_version").value(),
+              1.0);
 
     // Over-subscribing the device DRAM refuses the lane.
     TenantConfig big = MtFixture::tenant("big");
@@ -181,13 +182,17 @@ TEST(MultiTenantServer, DuplicateNameIsACallerBug)
     EXPECT_EQ(mt.tenantCount(), 1u);
 }
 
-TEST(MultiTenantServer, PublishMetricsIsANoOpWhileEmpty)
+TEST(MultiTenantServer, PublishMetricsReportsTheLedgerEvenWhenEmpty)
 {
     MtFixture f;
     MultiTenantServer mt(f.options);
     sim::MetricsRegistry metrics;
     mt.publishMetrics(metrics);
-    EXPECT_EQ(metrics.size(), 0u);
+    EXPECT_DOUBLE_EQ(metrics.gauge("tenant.count").value(), 0.0);
+    EXPECT_DOUBLE_EQ(metrics.gauge("tenant.committed_bytes").value(),
+                     0.0);
+    EXPECT_DOUBLE_EQ(metrics.gauge("tenant.dram_budget_bytes").value(),
+                     static_cast<double>(64 * kMiB));
 
     ASSERT_TRUE(mt.addTenant(MtFixture::tenant("a", 0.0, 2 * kMiB),
                              f.model.weights(), f.spec, ServerConfig{},
@@ -381,13 +386,6 @@ TEST(MultiTenantServer, MetricsAreNamespacedPerTenant)
     MtFixture f;
     MultiTenantServer mt(f.options);
 
-    // No tenants admitted: publishing stays silent.
-    {
-        sim::MetricsRegistry metrics;
-        mt.publishMetrics(metrics);
-        EXPECT_EQ(metrics.size(), 0u);
-    }
-
     sim::MetricsRegistry live;
     mt.attachObservability(&live, nullptr);
     TenantHandle a = mt.addTenant(
@@ -400,18 +398,18 @@ TEST(MultiTenantServer, MetricsAreNamespacedPerTenant)
     mt.run({{a, poisson(6000.0, 5), 64}, {b, poisson(6000.0, 6), 64}},
            queries, 5);
 
-    // Live recording landed under each tenant's namespace.
-    EXPECT_TRUE(live.has("tenant.a.server.accepted_requests"));
-    EXPECT_TRUE(live.has("tenant.b.server.accepted_requests"));
-    EXPECT_GT(
-        live.counter("tenant.a.server.accepted_requests").value(),
-        0.0);
+    // Each lane's device recorded live under its tenant's namespace.
+    EXPECT_GT(live.counter("tenant.a.pipeline.batches").value(), 0u);
+    EXPECT_GT(live.counter("tenant.b.pipeline.batches").value(), 0u);
+    EXPECT_FALSE(live.has("pipeline.batches"));
 
-    // The snapshot adds the ledger and the per-tenant SLO view.
+    // The snapshot adds the ledger and each lane's own snapshot.
     sim::MetricsRegistry snapshot;
     mt.publishMetrics(snapshot);
     EXPECT_DOUBLE_EQ(snapshot.gauge("tenant.count").value(), 2.0);
-    EXPECT_TRUE(snapshot.has("tenant.a.p99_ms"));
+    EXPECT_DOUBLE_EQ(
+        snapshot.gauge("tenant.a.server.latency_p99_ms").value(),
+        mt.server(a)->latencyPercentiles().p99());
     EXPECT_TRUE(snapshot.has("tenant.a.server.queue_depth_hwm"));
     EXPECT_DOUBLE_EQ(snapshot.gauge("tenant.a.p99_target_ms").value(),
                      5.0);

@@ -2,16 +2,21 @@
  * @file
  * Golden-run tests of the cross-layer observability subsystem: two
  * identical instrumented runs must produce byte-identical metrics and
- * span dumps, and attaching instrumentation must not perturb the
- * simulation at all (bit-identical timing with and without it).
+ * span dumps, attaching instrumentation must not perturb the
+ * simulation at all (bit-identical timing with and without it), and
+ * every metric name leaves under exactly one instrument kind.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "ecssd/multi_tenant.hh"
 #include "ecssd/server.hh"
 #include "ecssd/system.hh"
 #include "sim/metrics.hh"
@@ -205,9 +210,169 @@ TEST(Observability, ServerMetricsAreDeterministic)
     const std::string b = serve();
     EXPECT_EQ(a, b);
 
-    // The dump carries the serving-level instruments.
-    EXPECT_NE(a.find("server.latency_ms"), std::string::npos);
-    EXPECT_NE(a.find("server.responses_ok"), std::string::npos);
+    // The dump carries the server's snapshot.
+    EXPECT_NE(a.find("server.latency_p99_ms"), std::string::npos);
+    EXPECT_NE(a.find("server.ok_responses"), std::string::npos);
     EXPECT_NE(a.find("server.accepted_requests"),
               std::string::npos);
+}
+
+namespace
+{
+
+/**
+ * Instrument kinds ("counters", "gauges", "histograms") each metric
+ * name of @p registry is dumped under, read from its JSON dump: the
+ * three sections sit at depth 1, their names at depth 2.
+ */
+std::map<std::string, std::set<std::string>>
+kindsByName(const sim::MetricsRegistry &registry)
+{
+    std::ostringstream dump;
+    registry.writeJson(dump);
+    std::istringstream in(dump.str());
+    const std::regex section(R"re(^  "(\w+)": \{)re");
+    const std::regex metric(R"re(^    "([^"]+)":)re");
+    std::map<std::string, std::set<std::string>> kinds;
+    std::string kind;
+    std::smatch match;
+    for (std::string line; std::getline(in, line);) {
+        if (std::regex_search(line, match, section))
+            kind = match[1];
+        else if (std::regex_search(line, match, metric))
+            kinds[match[1]].insert(kind);
+    }
+    return kinds;
+}
+
+/** No name under two instrument kinds; one Prometheus "# TYPE" line
+ *  per name. */
+void
+expectOneInstrumentPerName(const sim::MetricsRegistry &registry)
+{
+    const auto kinds = kindsByName(registry);
+    EXPECT_GT(kinds.size(), 20u) << "the JSON dump did not parse";
+    for (const auto &[name, under] : kinds)
+        EXPECT_EQ(under.size(), 1u) << name << " has two instruments";
+
+    std::ostringstream prom;
+    registry.writePrometheus(prom);
+    std::istringstream in(prom.str());
+    std::map<std::string, unsigned> declared;
+    const std::string type = "# TYPE ";
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind(type, 0) == 0)
+            ++declared[line.substr(type.size(),
+                                   line.find(' ', type.size())
+                                       - type.size())];
+    }
+    EXPECT_EQ(declared.size(), kinds.size());
+    for (const auto &[name, count] : declared)
+        EXPECT_EQ(count, 1u) << "# TYPE " << name << " repeats";
+}
+
+/** Small geometry shared by the three configurations. */
+EcssdOptions
+smallDevice()
+{
+    EcssdOptions options = EcssdOptions::full();
+    options.ssd = ssdsim::smallTestConfig();
+    options.ssd.channels = 8;
+    options.ssd.dramBytes = 64ULL << 20;
+    return options;
+}
+
+xclass::BenchmarkSpec
+servingSpec()
+{
+    xclass::BenchmarkSpec spec = xclass::scaledDown(
+        xclass::benchmarkByName("GNMT-E32K"), 1024);
+    spec.hiddenDim = 128;
+    spec.batchSize = 4;
+    return spec;
+}
+
+} // namespace
+
+TEST(Observability, EachMetricHasOneInstrument)
+{
+    // A trace-tier system with a row cache and one re-layout pass.
+    {
+        EcssdOptions options = smallDevice();
+        options.cache.capacityBytes = 1ULL << 20;
+        options.relayout.enabled = true;
+        sim::MetricsRegistry registry;
+        EcssdSystem system(smallSpec(), options);
+        system.attachObservability(&registry, nullptr);
+        const accel::RunResult result = system.runInference(2);
+        system.relayoutStep(result.totalTime);
+        system.publishMetrics(registry, result);
+        EXPECT_TRUE(registry.has("cache.hit"));
+        EXPECT_EQ(registry.gauge("relayout.passes").value(), 1.0);
+        SCOPED_TRACE("system");
+        expectOneInstrumentPerName(registry);
+    }
+
+    const xclass::BenchmarkSpec spec = servingSpec();
+    const xclass::SyntheticModel model(spec, 1);
+    sim::Rng rng(3);
+    std::vector<std::vector<float>> queries;
+    for (int q = 0; q < 8; ++q)
+        queries.push_back(model.sampleQuery(rng));
+    sim::TrafficConfig traffic;
+    traffic.process = sim::ArrivalProcess::BurstySpike;
+    traffic.ratePerSecond = 20000.0;
+
+    // A server under admission and brownout that commits a swap.
+    {
+        ServerConfig config;
+        config.admissionTargetDelay = sim::microseconds(100.0);
+        config.brownout.enterDelay = sim::microseconds(200.0);
+        config.brownout.exitDelay = sim::microseconds(100.0);
+        config.brownout.recoveryGuard = sim::microseconds(50.0);
+        sim::MetricsRegistry registry;
+        InferenceServer server(model.weights(), spec, smallDevice(),
+                               &model.basis(), config);
+        server.attachObservability(&registry, nullptr);
+        for (const auto &query : queries)
+            server.enqueue(query);
+        server.processAll(5);
+        ASSERT_EQ(server.beginRedeploy(model.weights(), spec,
+                                       RedeployConfig{},
+                                       &model.basis()),
+                  Status::Ok);
+        sim::TrafficEngine engine(traffic);
+        server.runTraffic(engine, 64, queries, 5);
+        ASSERT_EQ(server.redeployStatus().phase,
+                  RedeployPhase::Committed);
+        EXPECT_GT(server.serverStats().shedRequests, 0u);
+        server.publishMetrics(registry);
+        SCOPED_TRACE("server");
+        expectOneInstrumentPerName(registry);
+    }
+
+    // Two tenants on one device.
+    {
+        sim::MetricsRegistry registry;
+        MultiTenantServer mt(smallDevice());
+        mt.attachObservability(&registry, nullptr);
+        std::vector<MultiTenantServer::TenantTraffic> mix;
+        for (const char *name : {"a", "b"}) {
+            TenantConfig tenant;
+            tenant.name = name;
+            tenant.dramBytes = 8ULL << 20;
+            tenant.cacheQuotaBytes = 1ULL << 20;
+            tenant.p99TargetMs = 1.0;
+            const TenantHandle handle = mt.addTenant(
+                tenant, model.weights(), spec, ServerConfig{},
+                &model.basis());
+            ASSERT_TRUE(handle.valid());
+            traffic.seed = mix.size() + 1;
+            mix.push_back({handle, traffic, 64});
+        }
+        mt.run(mix, queries, 5);
+        mt.publishMetrics(registry);
+        SCOPED_TRACE("tenants");
+        expectOneInstrumentPerName(registry);
+    }
 }

@@ -1,19 +1,22 @@
 /**
  * @file
- * Parallel golden-run tests: the host-compute thread pool must be
- * invisible in every result.  A system run, a serving run, and a
- * scale-out fleet run must produce byte-identical metrics JSON and
- * bit-identical predictions for --threads 1 vs 2 vs 8, and the
- * pooled screener/classifier paths must match their serial twins
- * exactly.
+ * Parallel golden-run tests: the host-compute thread pool and the
+ * host SIMD level must be invisible in every result.  A serving run,
+ * a scale-out fleet run and a Table 1 API replay must produce
+ * bit-identical results for any thread count, the API replay (with
+ * the metrics dump of the system it drove) and the serving run for
+ * every ISA level as well, and the pooled screener/classifier paths
+ * must match their serial twins exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "ecssd/api.hh"
 #include "ecssd/scale_out.hh"
 #include "ecssd/server.hh"
 #include "ecssd/system.hh"
@@ -46,31 +49,24 @@ sampleQueries(const xclass::SyntheticModel &model, unsigned count)
     return queries;
 }
 
-/** Metrics JSON of one instrumented system run at @p threads. */
-std::string
-systemRunMetrics(unsigned threads)
+/** Field-by-field bit-identity of two trace-tier run results. */
+void
+expectIdenticalRuns(const accel::RunResult &a, const accel::RunResult &b)
 {
-    EcssdOptions options = EcssdOptions::full();
-    options.threads = threads;
-    sim::MetricsRegistry registry;
-    EcssdSystem system(smallSpec(), options);
-    system.attachObservability(&registry, nullptr);
-    const accel::RunResult result = system.runInference(2);
-    system.publishMetrics(registry, result);
-    std::ostringstream os;
-    registry.writeJson(os);
-    return os.str();
+    EXPECT_EQ(a.totalTime, b.totalTime);
+    EXPECT_EQ(a.channelUtilization, b.channelUtilization);
+    EXPECT_EQ(a.effectiveGflops, b.effectiveGflops);
+    ASSERT_EQ(a.batches.size(), b.batches.size());
+    for (std::size_t i = 0; i < a.batches.size(); ++i) {
+        EXPECT_EQ(a.batches[i].finishedAt, b.batches[i].finishedAt);
+        EXPECT_EQ(a.batches[i].candidateRows,
+                  b.batches[i].candidateRows);
+        EXPECT_EQ(a.batches[i].fp32PagesRead,
+                  b.batches[i].fp32PagesRead);
+    }
 }
 
 } // namespace
-
-TEST(ParallelGolden, SystemMetricsJsonByteIdenticalAcrossThreads)
-{
-    const std::string reference = systemRunMetrics(1);
-    EXPECT_FALSE(reference.empty());
-    EXPECT_EQ(systemRunMetrics(2), reference);
-    EXPECT_EQ(systemRunMetrics(8), reference);
-}
 
 TEST(ParallelGolden, ScreenerScoresMatchSerialExactly)
 {
@@ -167,36 +163,62 @@ TEST(ParallelGolden, ScaleOutFleetMatchesSerialFanOut)
 {
     const xclass::BenchmarkSpec spec = xclass::scaledDown(
         xclass::benchmarkByName("XMLCNN-S10M"), 32768);
+    struct FleetRun
+    {
+        ScaleOutResult result;
+        std::vector<ShardHealth> health;
+    };
     const auto run = [&](unsigned threads) {
         EcssdOptions options = EcssdOptions::full();
         options.threads = threads;
         ScaleOutEcssd fleet(spec, 4, options);
-        const ScaleOutResult result = fleet.runInference(2);
-        sim::MetricsRegistry registry;
-        fleet.publishMetrics(registry, result);
-        std::ostringstream os;
-        registry.writeJson(os);
-        return std::make_pair(result.totalEnergyUj, os.str());
+        FleetRun out;
+        out.result = fleet.runInference(2);
+        for (unsigned d = 0; d < fleet.devices(); ++d)
+            out.health.push_back(fleet.health(d));
+        return out;
     };
 
-    const auto reference = run(1);
+    const FleetRun reference = run(1);
     for (const unsigned threads : {2u, 4u}) {
-        const auto parallel = run(threads);
-        EXPECT_EQ(parallel.first, reference.first)
-            << threads << " threads";
-        EXPECT_EQ(parallel.second, reference.second)
-            << threads << " threads";
+        SCOPED_TRACE(testing::Message() << threads << " threads");
+        const FleetRun parallel = run(threads);
+        const ScaleOutResult &a = parallel.result;
+        const ScaleOutResult &b = reference.result;
+        EXPECT_EQ(a.totalTime, b.totalTime);
+        EXPECT_EQ(a.meanBatchMs, b.meanBatchMs);
+        EXPECT_EQ(a.totalEnergyUj, b.totalEnergyUj);
+        EXPECT_EQ(a.survivingDevices, b.survivingDevices);
+        EXPECT_EQ(a.failedDevices, b.failedDevices);
+        EXPECT_EQ(a.drainedShards, b.drainedShards);
+        EXPECT_EQ(a.sparesRemaining, b.sparesRemaining);
+        EXPECT_EQ(a.reReplicationTime, b.reReplicationTime);
+        EXPECT_EQ(a.recallLossEstimate, b.recallLossEstimate);
+        ASSERT_EQ(a.shards.size(), b.shards.size());
+        for (std::size_t d = 0; d < b.shards.size(); ++d)
+            expectIdenticalRuns(a.shards[d], b.shards[d]);
+        ASSERT_EQ(parallel.health.size(), reference.health.size());
+        for (std::size_t d = 0; d < reference.health.size(); ++d) {
+            EXPECT_EQ(parallel.health[d].alive,
+                      reference.health[d].alive);
+            EXPECT_EQ(parallel.health[d].batchesServed,
+                      reference.health[d].batchesServed);
+            EXPECT_EQ(parallel.health[d].serviceTime,
+                      reference.health[d].serviceTime);
+            EXPECT_EQ(parallel.health[d].replacements,
+                      reference.health[d].replacements);
+        }
     }
 }
 
 // --- ISA-level golden replays ---------------------------------------
 //
-// The SIMD dispatch must be as invisible as the thread pool: a full
-// system run, a serving run, and a fleet run replayed with the host
-// kernels pinned to "scalar" must match every better ISA level this
-// machine supports, byte for byte in the metrics JSON and bit for bit
-// in every prediction.  Each replay pins its level with setActiveIsa,
-// so the levels differ even when ECSSD_ISA pins the process.
+// The SIMD dispatch must be as invisible as the thread pool: a
+// serving run and a Table 1 API replay with the host kernels pinned
+// to "scalar" must match every better ISA level this machine
+// supports, bit for bit in every prediction.  Each replay pins its
+// level with setActiveIsa, so the levels differ even when ECSSD_ISA
+// pins the process.
 
 namespace
 {
@@ -208,17 +230,117 @@ struct IsaRestore
     ~IsaRestore() { numeric::setActiveIsa(found); }
 };
 
+/** Everything one Table 1 API replay computes. */
+struct ApiReplay
+{
+    sim::Tick deployTime = 0;
+    std::uint64_t thresholdBits = 0;
+    std::vector<std::vector<std::uint64_t>> candidates;
+    std::vector<std::vector<std::uint64_t>> topCategories;
+    std::vector<std::vector<double>> topScores;
+    std::vector<sim::Tick> latencies;
+    /** The deployed system's metrics JSON after the sessions: the
+     *  live pipeline.* counters they drove plus its publishMetrics()
+     *  snapshot (an empty run result: sessions run no trace tier). */
+    std::string metricsJson;
+};
+
+/**
+ * Deploy @p model, calibrate and run four sessions through EcssdApi
+ * at @p threads host threads with the host kernels pinned to @p isa.
+ * The path runs the INT4 range kernel (calibration and screens),
+ * projectGemv (every feature's projection) and cfp32SlabDot (every
+ * re-rank).
+ */
+ApiReplay
+replayApi(const xclass::SyntheticModel &model, unsigned threads,
+          numeric::IsaLevel isa)
+{
+    numeric::setActiveIsa(isa);
+    const xclass::BenchmarkSpec &spec = model.spec();
+    EcssdOptions options = EcssdOptions::full();
+    options.threads = threads;
+    EcssdApi api(options);
+    sim::MetricsRegistry registry;
+    api.attachObservability(&registry, nullptr);
+    api.ecssdEnable();
+    ApiReplay replay;
+    replay.deployTime =
+        api.weightDeploy(model.weights(), spec, &model.basis());
+    api.calibrateThreshold(sampleQueries(model, 8));
+    replay.thresholdBits = std::bit_cast<std::uint64_t>(api.threshold());
+
+    sim::Rng rng(7);
+    for (int q = 0; q < 4; ++q) {
+        const std::vector<float> query = model.sampleQuery(rng);
+        InferenceSession session = api.beginInference();
+        xclass::ApproximateClassifier::Prediction prediction;
+        EXPECT_EQ(session.sendInt4(query), Status::Ok);
+        EXPECT_EQ(session.sendCfp32(query), Status::Ok);
+        EXPECT_EQ(session.screen(), Status::Ok);
+        EXPECT_EQ(session.classify(), Status::Ok);
+        EXPECT_EQ(session.results(5, prediction), Status::Ok);
+        replay.candidates.push_back(session.candidates());
+        replay.topCategories.push_back(prediction.topCategories);
+        replay.topScores.push_back(prediction.topScores);
+        replay.latencies.push_back(session.latency());
+    }
+    api.system().publishMetrics(registry, accel::RunResult{});
+    std::ostringstream json;
+    registry.writeJson(json);
+    replay.metricsJson = json.str();
+    return replay;
+}
+
+/** The Table 1 replay's model: D = 256 keeps it cheap and still runs
+ *  every kernel's widest loop (32-byte INT4 rows, a 64-wide
+ *  projection and 256-element slab rows). */
+xclass::BenchmarkSpec
+replaySpec()
+{
+    xclass::BenchmarkSpec spec = smallSpec();
+    spec.hiddenDim = 256;
+    return spec;
+}
+
 } // namespace
+
+TEST(ParallelGolden, ApiReplayMatchesScalarAcrossThreadsAndIsaLevels)
+{
+    const IsaRestore restore;
+    const xclass::SyntheticModel model(replaySpec(), 1);
+    const ApiReplay reference =
+        replayApi(model, 1, numeric::IsaLevel::Scalar);
+    ASSERT_EQ(reference.candidates.size(), 4u);
+    for (const numeric::IsaLevel isa : numeric::supportedIsaLevels()) {
+        for (const unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(testing::Message()
+                         << numeric::toString(isa) << ", " << threads
+                         << " threads");
+            const ApiReplay replay = replayApi(model, threads, isa);
+            EXPECT_EQ(replay.deployTime, reference.deployTime);
+            EXPECT_EQ(replay.thresholdBits, reference.thresholdBits);
+            EXPECT_EQ(replay.candidates, reference.candidates);
+            EXPECT_EQ(replay.topCategories, reference.topCategories);
+            EXPECT_EQ(replay.topScores, reference.topScores);
+            EXPECT_EQ(replay.latencies, reference.latencies);
+        }
+    }
+}
 
 TEST(ParallelGolden, SystemMetricsJsonByteIdenticalAcrossIsaLevels)
 {
+    // The sessions' candidate sets decide which rows the device reads,
+    // so a kernel that screens differently moves pipeline.* and the
+    // flash/SSD snapshot even where the top-k survives it.
     const IsaRestore restore;
-    numeric::setActiveIsa(numeric::IsaLevel::Scalar);
-    const std::string reference = systemRunMetrics(2);
-    EXPECT_FALSE(reference.empty());
+    const xclass::SyntheticModel model(replaySpec(), 1);
+    const std::string reference =
+        replayApi(model, 2, numeric::IsaLevel::Scalar).metricsJson;
+    ASSERT_NE(reference.find("\"pipeline.fp32_bytes_read\""),
+              std::string::npos);
     for (const numeric::IsaLevel isa : numeric::supportedIsaLevels()) {
-        numeric::setActiveIsa(isa);
-        EXPECT_EQ(systemRunMetrics(2), reference)
+        EXPECT_EQ(replayApi(model, 2, isa).metricsJson, reference)
             << numeric::toString(isa);
     }
 }
@@ -257,33 +379,5 @@ TEST(ParallelGolden, ServerResponsesMatchAcrossIsaLevels)
                       reference[i].prediction.topScores)
                 << "response " << i;
         }
-    }
-}
-
-TEST(ParallelGolden, ScaleOutFleetMatchesAcrossIsaLevels)
-{
-    const IsaRestore restore;
-    const xclass::BenchmarkSpec spec = xclass::scaledDown(
-        xclass::benchmarkByName("XMLCNN-S10M"), 32768);
-    const auto run = [&](numeric::IsaLevel isa) {
-        numeric::setActiveIsa(isa);
-        EcssdOptions options = EcssdOptions::full();
-        options.threads = 2;
-        ScaleOutEcssd fleet(spec, 4, options);
-        const ScaleOutResult result = fleet.runInference(2);
-        sim::MetricsRegistry registry;
-        fleet.publishMetrics(registry, result);
-        std::ostringstream os;
-        registry.writeJson(os);
-        return std::make_pair(result.totalEnergyUj, os.str());
-    };
-
-    const auto reference = run(numeric::IsaLevel::Scalar);
-    for (const numeric::IsaLevel isa : numeric::supportedIsaLevels()) {
-        const auto replay = run(isa);
-        EXPECT_EQ(replay.first, reference.first)
-            << numeric::toString(isa);
-        EXPECT_EQ(replay.second, reference.second)
-            << numeric::toString(isa);
     }
 }

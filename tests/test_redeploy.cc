@@ -6,7 +6,6 @@
  */
 
 #include <algorithm>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -384,16 +383,16 @@ TEST(ServerRedeploy, PublishesServingIdentityAndSwapCounters)
         server.enqueue(f.model.sampleQuery(rng));
     server.processAll(5);
 
-    // The serving identity is always exported...
+    // The serving identity and the swap record are always exported;
+    // before any swap the record reads Idle with nothing counted.
     sim::MetricsRegistry before;
     server.publishMetrics(before);
-    EXPECT_TRUE(before.has("server.deploy_epoch"));
-    EXPECT_TRUE(before.has("server.weight_version"));
-    // ...but the swap namespace only once a swap ran.
-    std::ostringstream clean;
-    before.writeJson(clean);
-    EXPECT_EQ(clean.str().find("server.redeploy_"),
-              std::string::npos);
+    EXPECT_EQ(before.gauge("server.deploy_epoch").value(), 1.0);
+    EXPECT_EQ(before.gauge("server.weight_version").value(), 1.0);
+    EXPECT_EQ(before.gauge("server.redeploy_phase").value(),
+              static_cast<double>(RedeployPhase::Idle));
+    EXPECT_EQ(before.gauge("server.redeploy_commits").value(), 0.0);
+    EXPECT_EQ(before.gauge("server.redeploy_staged_bytes").value(), 0.0);
 
     ASSERT_EQ(server.beginRedeploy(f.model.weights(), f.spec,
                                   RedeployConfig{}, &f.model.basis()),
@@ -406,6 +405,9 @@ TEST(ServerRedeploy, PublishesServingIdentityAndSwapCounters)
     sim::MetricsRegistry after;
     server.publishMetrics(after);
     EXPECT_EQ(after.gauge("server.deploy_epoch").value(), 2.0);
+    EXPECT_EQ(after.gauge("server.redeploy_phase").value(),
+              static_cast<double>(RedeployPhase::Committed));
     EXPECT_EQ(after.gauge("server.redeploy_commits").value(), 1.0);
     EXPECT_EQ(after.gauge("server.redeploy_rollbacks").value(), 0.0);
+    EXPECT_GT(after.gauge("server.redeploy_staged_bytes").value(), 0.0);
 }

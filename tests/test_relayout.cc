@@ -4,15 +4,13 @@
  * cache's observed-frequency feed, threshold-gated migration that
  * recovers channel balance after hot-set drift, cache coherence
  * through the FTL relocation listener (no stale hits on migrated
- * groups), the IO-budget time stretch, and the byte-identity of
- * disabled configurations.
+ * groups), the IO-budget time stretch, and disabled configurations
+ * that never migrate.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "accel/candidate_source.hh"
@@ -88,14 +86,6 @@ rowsOnChannel(const EcssdSystem &system,
     return rows;
 }
 
-std::string
-metricsJson(const sim::MetricsRegistry &registry)
-{
-    std::ostringstream os;
-    registry.writeJson(os);
-    return os.str();
-}
-
 } // namespace
 
 TEST(Relayout, DisabledConfigIsInvisible)
@@ -103,16 +93,17 @@ TEST(Relayout, DisabledConfigIsInvisible)
     EcssdOptions options = relayoutOptions();
     options.relayout.enabled = false;
     EcssdSystem system(relayoutSpec(), options);
-    system.runInference(2);
+    const accel::RunResult result = system.runInference(2);
 
     const sim::Tick now = 12345;
     EXPECT_EQ(system.relayoutStep(now), now);
     EXPECT_EQ(system.relayoutStats().passes, 0u);
 
+    // The snapshot still carries the (idle) re-layout record.
     sim::MetricsRegistry registry;
-    const std::string before = metricsJson(registry);
-    system.publishRelayoutMetrics(registry);
-    EXPECT_EQ(metricsJson(registry), before);
+    system.publishMetrics(registry, result);
+    EXPECT_EQ(registry.gauge("relayout.passes").value(), 0.0);
+    EXPECT_EQ(registry.gauge("relayout.pages_moved").value(), 0.0);
 }
 
 TEST(Relayout, NeedsTheCacheFeed)
@@ -243,7 +234,7 @@ TEST(Relayout, IoBudgetStretchesCompletion)
     EXPECT_GE(quarter, 3 * full);
 }
 
-TEST(Relayout, MetricsAppearOnlyAfterAPass)
+TEST(Relayout, SnapshotTracksEveryPass)
 {
     const xclass::BenchmarkSpec spec = relayoutSpec();
     EcssdSystem system(spec, relayoutOptions());
@@ -252,19 +243,24 @@ TEST(Relayout, MetricsAppearOnlyAfterAPass)
     const accel::RunResult result =
         system.runInferenceWith(source, 2);
 
+    // Before any pass the family is there, at its idle values.
     sim::MetricsRegistry registry;
-    const std::string empty = metricsJson(registry);
-    system.publishRelayoutMetrics(registry);
-    EXPECT_EQ(metricsJson(registry), empty);
+    system.publishMetrics(registry, result);
+    EXPECT_EQ(registry.gauge("relayout.passes").value(), 0.0);
+    EXPECT_EQ(registry.gauge("relayout.divergence").value(), 0.0);
+    EXPECT_EQ(registry.gauge("relayout.recovered_balance").value(), 1.0);
 
     system.relayoutStep(result.totalTime);
-    system.publishRelayoutMetrics(registry);
-    const std::string after = metricsJson(registry);
-    EXPECT_NE(after.find("relayout.passes"), std::string::npos);
-    EXPECT_NE(after.find("relayout.recovered_balance"),
-              std::string::npos);
-    EXPECT_NE(after.find("relayout.divergence"),
-              std::string::npos);
+    system.publishMetrics(registry, result);
+    const RelayoutStats &stats = system.relayoutStats();
+    EXPECT_EQ(registry.gauge("relayout.passes").value(), 1.0);
+    EXPECT_EQ(registry.gauge("relayout.divergence").value(),
+              stats.lastDivergence);
+    EXPECT_GT(stats.lastDivergence, 0.0);
+    EXPECT_EQ(registry.gauge("relayout.recovered_balance").value(),
+              stats.recoveredBalance);
+    EXPECT_EQ(registry.gauge("relayout.rows_migrated").value(),
+              static_cast<double>(stats.rowsMigrated));
 }
 
 TEST(Relayout, ValidateRejectsBadConfig)

@@ -4,8 +4,8 @@
  * admission policies, eviction, relocation invalidation, degraded-read
  * accounting), the options validation that sizes it, and the system-
  * level guarantees — fewer flash candidate reads, cache metrics that
- * are byte-identical across thread counts, a disabled cache that is
- * invisible, and FTL relocations that probe the cache.
+ * the system snapshot publishes, a disabled cache that is invisible,
+ * and FTL relocations that probe the cache.
  */
 
 #include <gtest/gtest.h>
@@ -54,7 +54,7 @@ smallSpec()
         xclass::benchmarkByName("GNMT-E32K"), 4096);
 }
 
-/** Metrics JSON of one instrumented run at @p threads. */
+/** Metrics JSON of one instrumented run under @p options. */
 std::string
 runMetricsJson(const EcssdOptions &options)
 {
@@ -241,21 +241,14 @@ TEST(RowCacheSystem, CacheCutsFlashCandidateReads)
                   base.batches[b].candidateRows);
 }
 
-TEST(RowCacheSystem, MetricsByteIdenticalAcrossThreads)
+TEST(RowCacheSystem, SnapshotPublishesTheCacheFamily)
 {
     EcssdOptions options = EcssdOptions::full();
     options.cache.capacityBytes = 4ULL << 20;
-    options.threads = 1;
-    const std::string reference = runMetricsJson(options);
-    EXPECT_NE(reference.find("cache.hit"), std::string::npos);
-    EXPECT_NE(reference.find("cache.miss"), std::string::npos);
-    EXPECT_NE(reference.find("run.cache_hit_rate"),
-              std::string::npos);
-
-    options.threads = 2;
-    EXPECT_EQ(runMetricsJson(options), reference);
-    options.threads = 8;
-    EXPECT_EQ(runMetricsJson(options), reference);
+    const std::string metrics = runMetricsJson(options);
+    EXPECT_NE(metrics.find("cache.hit"), std::string::npos);
+    EXPECT_NE(metrics.find("cache.miss"), std::string::npos);
+    EXPECT_NE(metrics.find("run.cache_hit_rate"), std::string::npos);
 }
 
 TEST(RowCacheSystem, DisabledCacheIsInvisible)

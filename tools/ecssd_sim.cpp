@@ -71,7 +71,8 @@
  *   --serve-requests N    additionally run a serving pass of N
  *                         requests through the InferenceServer
  *                         (functional tier; needs --scale small
- *                         enough for in-memory weights)
+ *                         enough for in-memory weights); its device
+ *                         records under "serve.*"
  *
  * Weight hot swap (see docs/MODELING.md Section 12):
  *   --redeploy-at N       during the serving pass, begin a staged
@@ -421,10 +422,8 @@ report(const xclass::BenchmarkSpec &spec, const EcssdOptions &options,
     if (options.relayout.enabled)
         system.relayoutStep(result.totalTime);
 
-    if (metrics) {
+    if (metrics)
         system.publishMetrics(*metrics, result);
-        system.publishRelayoutMetrics(*metrics);
-    }
     if (quiet)
         return;
     std::printf("%-20s %-55s %10.3f ms/batch  util %5.1f%%  "
@@ -540,8 +539,8 @@ runTrafficPass(InferenceServer &server, const CliOptions &cli,
 
 /**
  * Functional-tier serving pass: synthesize in-memory weights, push
- * @p requests queries through an InferenceServer, and record the
- * "server.*" metrics.  Skipped (with a warning) when the weights
+ * @p requests queries through an InferenceServer, and publish its
+ * "server.*" snapshot.  Skipped (with a warning) when the weights
  * would not fit a reasonable host footprint — use --scale.
  */
 void
@@ -563,7 +562,7 @@ runServingPass(const xclass::BenchmarkSpec &spec,
     }
     xclass::SyntheticModel model(spec, options.seed);
     // serverConfig defaults are all-off, so a plain closed-loop pass
-    // is byte-identical to the pre-overload-control behaviour.
+    // serves exactly as before overload control existed.
     InferenceServer server(model.weights(), spec, options, nullptr,
                            cli.serverConfig);
     server.attachObservability(metrics, spans);
@@ -973,10 +972,16 @@ run(int argc, char **argv)
         sim::SpanTracer tracer;
         report(spec, cli.device, cli.batches, cli.energy,
                cli.health, &registry, &tracer, cli.quiet());
-        if (!cli.tenants.empty())
+        if (!cli.tenants.empty()) {
             runMultiTenantPass(spec, cli, &registry, &tracer);
-        else if (cli.serveRequests > 0)
-            runServingPass(spec, cli, &registry, &tracer);
+        } else if (cli.serveRequests > 0) {
+            // The serving pass runs its own device: its metrics and
+            // spans take a "serve." namespace, as each tenant lane's
+            // take "tenant.<name>.", so no name counts two devices.
+            sim::MetricsRegistry serving(registry, "serve.");
+            const sim::SpanPrefixScope prefixed(&tracer, "serve.");
+            runServingPass(spec, cli, &serving, &tracer);
+        }
         if (!cli.metricsJson.empty())
             writeDump(cli.metricsJson, [&](std::ostream &os) {
                 registry.writeJson(os);
